@@ -14,8 +14,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,13 +53,6 @@ _SCHEMES = tuple(v.value for v in StepVariant)
 # Threshold factor for the instability verdict; matches the orbital-distance
 # envelope 10*epsilon used by the stable-run criterion.
 _THRESHOLD_FACTOR = 10.0
-
-_CONFIG_KEYS = {
-    "d", "K", "ell", "lambda", "rho2", "h", "scheme", "steps", "horizon",
-    "s", "epsilon", "seed", "N", "c2", "delta2", "s2", "out", "cadence",
-    "exhaustive",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -140,6 +132,16 @@ class RunConfig:
             )
 
 
+# Config-file and flag keys are the RunConfig field names, except these two;
+# the step count may also be given as a horizon.
+_KEY_OF_FIELD = {"lam": "lambda", "n_steps": "steps"}
+_DEFAULTS = {_KEY_OF_FIELD.get(f.name, f.name): f.default for f in fields(RunConfig)}
+# derived in build_config when unset: steps = round(horizon / h) with a 1e4
+# horizon, s2 = 5N
+_DEFAULTS.update(steps=None, horizon=None, s2=None)
+_CONFIG_KEYS = frozenset(_DEFAULTS)
+
+
 def _parse_ell(raw, d: int, K: int) -> Mode:
     if isinstance(raw, int):
         comps = [raw]
@@ -161,13 +163,12 @@ def _parse_ell(raw, d: int, K: int) -> Mode:
 
 
 def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides into a RunConfig."""
-    merged: dict = {
-        "d": 1, "K": 16, "ell": "0", "lambda": -1, "rho2": 0.4, "h": 0.04,
-        "scheme": StepVariant.LIE_TROTTER.value, "steps": None, "horizon": None,
-        "s": 5.0, "epsilon": 0.01, "seed": 1, "N": 5, "c2": 8.0, "delta2": 0.1,
-        "s2": None, "out": "out", "cadence": None, "exhaustive": False,
-    }
+    """Merge defaults, config-file values, and flag overrides into a RunConfig.
+
+    Defaults are the RunConfig field defaults, except steps = round(1e4 / h)
+    and s2 = 5N; a scalar ell of 0 is broadcast to d components.
+    """
+    merged = dict(_DEFAULTS)
     if file_values is not None:
         unknown = set(file_values) - _CONFIG_KEYS
         if unknown:
@@ -192,35 +193,26 @@ def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
     if steps is None:
         horizon = 1e4 if horizon is None else float(horizon)
         steps = round(horizon / h)
-    s2 = merged["s2"]
-    if s2 is None:
-        s2 = 5.0 * n
+    if merged["s2"] is None:
+        merged["s2"] = 5.0 * n
+    merged.update(d=d, K=K, h=h, N=n, steps=steps, ell=_parse_ell(merged["ell"], d, K))
 
     try:
-        return RunConfig(
-            d=d,
-            K=K,
-            ell=_parse_ell(merged["ell"], d, K),
-            lam=int(merged["lambda"]),
-            rho2=float(merged["rho2"]),
-            h=h,
-            scheme=str(merged["scheme"]),
-            n_steps=int(steps),
-            s=float(merged["s"]),
-            epsilon=float(merged["epsilon"]),
-            seed=int(merged["seed"]),
-            N=n,
-            c2=float(merged["c2"]),
-            delta2=float(merged["delta2"]),
-            s2=float(s2),
-            out=str(merged["out"]),
-            cadence=None if merged["cadence"] is None else int(merged["cadence"]),
-            exhaustive=bool(merged["exhaustive"]),
-        )
+        return RunConfig(**{
+            f.name: _cast(f.default, merged[_KEY_OF_FIELD.get(f.name, f.name)])
+            for f in fields(RunConfig)
+        })
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def _cast(default, value):
+    """Coerce a config value to the type of its field's default."""
+    if default is None:  # the optional cadence
+        return None if value is None else int(value)
+    return type(default)(value)
 
 
 def random_initial_datum(config: RunConfig) -> SpectralField:
@@ -393,7 +385,7 @@ def _parse_axis(raw, name: str) -> list[float]:
 
 
 def cmd_sweep(config: RunConfig, h_axis, rho2_axis) -> int:
-    """Run the assumption checks over a grid of (h, rho2) points concurrently.
+    """Run the assumption checks over a grid of (h, rho2) points, one by one.
 
     Writes <out>/sweep_summary.csv with one row per grid point
     (h, rho, assumption1, c1, assumption2, max_growth); per-point failures
@@ -427,11 +419,7 @@ def cmd_sweep(config: RunConfig, h_axis, rho2_axis) -> int:
             pass
         return row
 
-    if points:
-        with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = []
+    rows = [one(p) for p in points]
 
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "sweep_summary.csv")
@@ -498,6 +486,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="keep enumerating after the first violation")
 
 
+def _point_flag(raw: str | None, name: str, sweep: bool) -> float | None:
+    """Value of --h or --rho2 for the base config.
+
+    In sweep the flag may be a comma list (an axis), which leaves the base
+    config at its default.
+    """
+    if raw is None or (sweep and ("," in raw or not raw.strip())):
+        return None
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --{name} {raw!r}") from exc
+
+
 def _config_from_args(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
     file_values = None
     if args.config is not None:
@@ -512,35 +514,10 @@ def _config_from_args(args: argparse.Namespace, sweep: bool = False) -> RunConfi
             raise ConfigError(f"config file {args.config} must hold a JSON object")
 
     overrides = {
-        "K": args.K, "d": args.d, "ell": args.ell, "lambda": args.lam,
-        "scheme": args.scheme, "steps": args.steps, "horizon": args.horizon,
-        "s": args.s, "epsilon": args.epsilon, "seed": args.seed, "N": args.N,
-        "c2": args.c2, "delta2": args.delta2, "s2": args.s2, "out": args.out,
-        "cadence": args.cadence, "exhaustive": args.exhaustive,
+        key: getattr(args, "lam" if key == "lambda" else key) for key in _CONFIG_KEYS
     }
-    if sweep:
-        # axis flags may be comma lists; the base config keeps its defaults
-        if args.h is not None and "," not in args.h and args.h.strip():
-            try:
-                overrides["h"] = float(args.h)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse --h {args.h!r}") from exc
-        if args.rho2 is not None and "," not in args.rho2 and args.rho2.strip():
-            try:
-                overrides["rho2"] = float(args.rho2)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse --rho2 {args.rho2!r}") from exc
-    else:
-        if args.h is not None:
-            try:
-                overrides["h"] = float(args.h)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse --h {args.h!r}") from exc
-        if args.rho2 is not None:
-            try:
-                overrides["rho2"] = float(args.rho2)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse --rho2 {args.rho2!r}") from exc
+    for key in ("h", "rho2"):
+        overrides[key] = _point_flag(overrides[key], key, sweep)
     return build_config(file_values, overrides)
 
 

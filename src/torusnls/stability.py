@@ -20,7 +20,6 @@ resonances.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,19 +78,42 @@ def _shifted_norm2(ell: Mode, grid: Grid, sign: int) -> np.ndarray:
     return total
 
 
-def _n_array(ell: Mode, grid: Grid) -> np.ndarray:
-    """n(j) over the whole grid (value 0 at the origin slot), int64."""
+def _mode_kernel(
+    ell: Mode, h: float, rho: float, lam: int, grid: Grid
+) -> tuple[np.ndarray, ...]:
+    """Per-mode split-step quantities over the whole grid: (n, shift, R, G, q2).
+
+    n(j) = (|ell+j|^2 + |ell-j|^2)/2 - |ell|^2 and the integer frequency shift
+    (|ell+j|^2 - |ell-j|^2)/2 (norms mod-reduced, int64; both 0 at the
+    origin); R = cos(nh) - h*lam*rho^2*sin(nh) = Re(alpha)*e^{+inh} and
+    G = sin(nh) + h*lam*rho^2*cos(nh) = -Im(alpha)*e^{+inh}; q2 = 1 - R^2 as
+    the product of (1 - R) and (1 + R) in half-angle form, since the direct
+    difference loses ~eps/q2 relative accuracy as the margin shrinks with h.
+    """
     plus = _shifted_norm2(ell, grid, +1)
     minus = _shifted_norm2(ell, grid, -1)
-    ell2 = sum(c * c for c in ell)
-    return (plus + minus) // 2 - ell2
+    n = (plus + minus) // 2 - sum(c * c for c in ell)
+    shift = (plus - minus) // 2
+    nh = n * h
+    hl = h * lam * rho * rho
+    sn = np.sin(nh)
+    cs = np.cos(nh)
+    r = cs - hl * sn
+    g = sn + hl * cs
+    q2 = (2.0 * np.sin(0.5 * nh) ** 2 + hl * sn) * (
+        2.0 * np.cos(0.5 * nh) ** 2 - hl * sn
+    )
+    return n, shift, r, g, q2
 
 
-def _shift_array(ell: Mode, grid: Grid) -> np.ndarray:
-    """Integer frequency shift (|ell+j|^2 - |ell-j|^2)/2, mod-reduced, int64."""
-    plus = _shifted_norm2(ell, grid, +1)
-    minus = _shifted_norm2(ell, grid, -1)
-    return (plus - minus) // 2
+def _nonzero_entry(
+    j: int | tuple, ell: int | tuple, h: float, rho: float, lam: int, grid: Grid
+) -> ModeEntry:
+    """Frequency-table entry of mode j, which must be nonzero after reduction."""
+    e = build_frequency_table(h, rho, lam, ell, grid).entry(j)
+    if not any(e.j):
+        raise DomainError("per-mode quantities are defined for nonzero modes only")
+    return e
 
 
 def n_of_j(j: int | tuple, ell: int | tuple, grid: Grid) -> int:
@@ -100,14 +122,8 @@ def n_of_j(j: int | tuple, ell: int | tuple, grid: Grid) -> int:
     Norms are taken on mod-2K-reduced representatives; the combination is
     always an even sum halved, hence exactly integer.
     """
-    jm = mod_reduce(as_mode(j, grid.d), grid)
-    em = mod_reduce(as_mode(ell, grid.d), grid)
-    if all(c == 0 for c in jm):
-        raise DomainError("n(j) is defined for nonzero modes only")
-    plus = sum(c * c for c in mod_reduce(tuple(e + x for e, x in zip(em, jm)), grid))
-    minus = sum(c * c for c in mod_reduce(tuple(e - x for e, x in zip(em, jm)), grid))
-    ell2 = sum(c * c for c in em)
-    return (plus + minus) // 2 - ell2
+    # n does not depend on the step, amplitude or sign of the nonlinearity
+    return _nonzero_entry(j, ell, 1.0, 0.0, 1, grid).n
 
 
 def mode_matrix(
@@ -118,11 +134,8 @@ def mode_matrix(
     The full 2x2 block acting on (w_j, conj(w_{-j})) is
     [[alpha, beta], [conj(beta), conj(alpha)]]; |alpha|^2 - |beta|^2 = 1.
     """
-    lam = _check_lambda(lam)
-    n = n_of_j(j, ell, grid)
-    hl = h * lam * rho * rho
-    phase = cmath.exp(-1j * n * h)
-    return (1.0 - 1j * hl) * phase, -1j * hl * phase
+    e = _nonzero_entry(j, ell, h, rho, lam, grid)
+    return e.alpha, e.beta
 
 
 @dataclass(frozen=True)
@@ -144,18 +157,6 @@ class LinearStabilityReport:
         return dumps(self.as_dict())
 
 
-def _stability_arrays(
-    ell: Mode, h: float, rho: float, lam: int, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, R, g) over the full grid: R = Re(alpha)·e^{+inh}, g = -Im(alpha)·e^{+inh}."""
-    n = _n_array(ell, grid)
-    nh = n * h
-    hl = h * lam * rho * rho
-    r = np.cos(nh) - hl * np.sin(nh)
-    g = np.sin(nh) + hl * np.cos(nh)
-    return n, r, g
-
-
 def check_assumption1(
     h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
 ) -> LinearStabilityReport:
@@ -166,7 +167,7 @@ def check_assumption1(
     """
     lam = _check_lambda(lam)
     ell = mod_reduce(as_mode(ell, grid.d), grid)
-    _, r, _ = _stability_arrays(ell, h, rho, lam, grid)
+    _, _, r, _, _ = _mode_kernel(ell, h, rho, lam, grid)
     r2 = r * r
     r2_flat = r2.reshape(-1).copy()
     r2_flat[np.ravel_multi_index(grid.index_of((0,) * grid.d), grid.shape)] = -np.inf
@@ -184,30 +185,20 @@ def omega(
 
     omega_j = (|ell+j|^2 - |ell-j|^2)/2 + arccos(R)/(h*sgn(G)) with
     R = cos(nh) - h*lam*rho^2*sin(nh) and G = sin(nh) + h*lam*rho^2*cos(nh),
-    all norms mod-reduced.
+    all norms mod-reduced.  UnstableModeError when |R| > 1,
+    DegenerateSignError when G = 0.
     """
-    lam = _check_lambda(lam)
-    jm = mod_reduce(as_mode(j, grid.d), grid)
-    em = mod_reduce(as_mode(ell, grid.d), grid)
-    n = n_of_j(jm, em, grid)
-    nh = n * h
-    hl = h * lam * rho * rho
-    r = math.cos(nh) - hl * math.sin(nh)
-    if abs(r) > 1.0:
+    e = _nonzero_entry(j, ell, h, rho, lam, grid)
+    if e.status == "unstable":
         raise UnstableModeError(
-            f"mode {jm}: |cos(nh) - h*lam*rho^2*sin(nh)| = {abs(r)} > 1, "
-            "eigenvalues off the unit circle"
+            f"mode {e.j}: |cos(nh) - h*lam*rho^2*sin(nh)| > 1, eigenvalues off "
+            f"the unit circle (growth factor {e.growth})"
         )
-    g = math.sin(nh) + hl * math.cos(nh)
-    if g == 0.0:
+    if e.status == "degenerate-sign":
         raise DegenerateSignError(
-            f"mode {jm}: sin(nh) + h*lam*rho^2*cos(nh) = 0, frequency branch undefined"
+            f"mode {e.j}: sin(nh) + h*lam*rho^2*cos(nh) = 0, frequency branch undefined"
         )
-    plus = sum(c * c for c in mod_reduce(tuple(e + x for e, x in zip(em, jm)), grid))
-    minus = sum(c * c for c in mod_reduce(tuple(e - x for e, x in zip(em, jm)), grid))
-    shift = (plus - minus) // 2
-    sgn = 1.0 if g > 0.0 else -1.0
-    return shift + math.acos(r) / (h * sgn)
+    return e.omega
 
 
 def growth_factor(
@@ -218,12 +209,7 @@ def growth_factor(
     Eigenvalues have product 1 and trace 2R; on the unit circle both have
     modulus 1, off it the dominant one has modulus |R| + sqrt(R^2 - 1).
     """
-    lam = _check_lambda(lam)
-    n = n_of_j(j, ell, grid)
-    nh = n * h
-    hl = h * lam * rho * rho
-    r = math.cos(nh) - hl * math.sin(nh)
-    return max(1.0, abs(r) + math.sqrt(max(0.0, r * r - 1.0)))
+    return _nonzero_entry(j, ell, h, rho, lam, grid).growth
 
 
 def cfl_max_h(d: int, K: int, rho0: float, N: int) -> float:
@@ -280,6 +266,7 @@ class ModeEntry:
 
     j: Mode
     n: int
+    shift: int
     alpha: complex
     beta: complex
     omega: float
@@ -293,7 +280,9 @@ class FrequencyTable:
     """Per-mode frequency data on the full grid (origin slot is a placeholder).
 
     Arrays are indexed like SpectralField coefficients (shifted lexicographic
-    order).  omega is NaN wherever omega_status != "ok"; varpi is NaN wherever
+    order).  shift is the integer frequency shift (|ell+j|^2 - |ell-j|^2)/2 and
+    q2 = 1 - Re(alpha)^2 the stability margin in cancellation-free form.
+    omega is NaN wherever omega_status != "ok"; varpi is NaN wherever
     the modified frequency is unavailable (carrier != 0, tan branch out of
     domain, or negative discriminant).  eps_hat = max_j |varpi_j - omega_j| is
     populated only when the carrier is 0 and every nonzero mode has a valid
@@ -306,6 +295,8 @@ class FrequencyTable:
     rho: float
     lam: int
     n: np.ndarray
+    shift: np.ndarray
+    q2: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     omega: np.ndarray
@@ -315,7 +306,10 @@ class FrequencyTable:
     eps_hat: float | None
 
     def __post_init__(self):
-        for name in ("n", "alpha", "beta", "omega", "omega_status", "growth", "varpi"):
+        for name in (
+            "n", "shift", "q2", "alpha", "beta", "omega", "omega_status", "growth",
+            "varpi",
+        ):
             getattr(self, name).flags.writeable = False
 
     def entry(self, j: int | tuple) -> ModeEntry:
@@ -324,6 +318,7 @@ class FrequencyTable:
         return ModeEntry(
             j=jm,
             n=int(self.n[idx]),
+            shift=int(self.shift[idx]),
             alpha=complex(self.alpha[idx]),
             beta=complex(self.beta[idx]),
             omega=float(self.omega[idx]),
@@ -339,7 +334,7 @@ class FrequencyTable:
 def build_frequency_table(
     h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
 ) -> FrequencyTable:
-    """Assemble n, alpha, beta, omega, growth, varpi and eps_hat for all modes.
+    """Assemble the per-mode kernel, alpha, beta, omega, growth, varpi and eps_hat.
 
     Per-mode omega failures are flagged in omega_status ("unstable" when the
     arccos argument leaves [-1, 1], "degenerate-sign" when the branch sign
@@ -350,10 +345,12 @@ def build_frequency_table(
         raise DomainError(f"h must be positive and finite, got {h!r}")
     if rho < 0.0:
         raise DomainError(f"rho must be nonnegative, got {rho}")
+    h = float(h)
+    rho = float(rho)
     ell = mod_reduce(as_mode(ell, grid.d), grid)
     origin = grid.index_of((0,) * grid.d)
 
-    n, r, g = _stability_arrays(ell, h, rho, lam, grid)
+    n, shift, r, g, q2 = _mode_kernel(ell, h, rho, lam, grid)
     hl = h * lam * rho * rho
     phase = np.exp(-1j * h * n)
     alpha = (1.0 - 1j * hl) * phase
@@ -363,14 +360,12 @@ def build_frequency_table(
     status[np.abs(r) > 1.0] = "unstable"
     status[(np.abs(r) <= 1.0) & (g == 0.0)] = "degenerate-sign"
 
-    shift = _shift_array(ell, grid).astype(np.float64)
     sgn = np.where(g > 0.0, 1.0, -1.0)
     om = shift + np.arccos(np.clip(r, -1.0, 1.0)) / (h * sgn)
     om[status != "ok"] = np.nan
 
     growth = np.maximum(1.0, np.abs(r) + np.sqrt(np.maximum(0.0, r * r - 1.0)))
-    growth_arr = growth.copy()
-    growth_arr[origin] = 1.0
+    growth[origin] = 1.0
 
     vp = np.full(grid.shape, np.nan)
     if ell == (0,) * grid.d:
@@ -385,12 +380,8 @@ def build_frequency_table(
         vp[valid] = vals[valid]
     vp[origin] = np.nan
 
-    n_arr = n.copy()
-    n_arr[origin] = 0
-    alpha_arr = alpha.copy()
-    alpha_arr[origin] = 1.0
-    beta_arr = beta.copy()
-    beta_arr[origin] = 0.0
+    alpha[origin] = 1.0
+    beta[origin] = 0.0
     om[origin] = np.nan
     status[origin] = "excluded"
 
@@ -407,15 +398,17 @@ def build_frequency_table(
     return FrequencyTable(
         grid=grid,
         ell=ell,
-        h=float(h),
-        rho=float(rho),
+        h=h,
+        rho=rho,
         lam=lam,
-        n=n_arr,
-        alpha=alpha_arr,
-        beta=beta_arr,
+        n=n,
+        shift=shift,
+        q2=q2,
+        alpha=alpha,
+        beta=beta,
         omega=om,
         omega_status=status,
-        growth=growth_arr,
+        growth=growth,
         varpi=vp,
         eps_hat=eps_hat,
     )

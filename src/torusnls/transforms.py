@@ -37,7 +37,7 @@ from .errors import (
     ZeroCarrierModeError,
 )
 from .spectral import Grid, Mode, SpectralField, as_mode, mod_reduce
-from .stability import FrequencyTable, _shift_array, build_frequency_table
+from .stability import FrequencyTable, build_frequency_table
 
 __all__ = [
     "DiagonalizerSet",
@@ -109,15 +109,11 @@ class DiagonalizerSet:
 
     def propagation_matrix(self, j: int | tuple) -> np.ndarray:
         """Full per-mode step matrix on (w_j, conj(w_{-j})), integer shift included."""
-        grid = self.grid
-        jm = mod_reduce(as_mode(j, grid.d), grid)
-        idx = grid.index_of(jm)
-        alpha = complex(self.table.alpha[idx])
-        beta = complex(self.table.beta[idx])
-        shift = int(_shift_array(self.ell, grid)[idx])
-        phase = np.exp(-1j * shift * self.h)
+        e = self.table.entry(j)
+        phase = np.exp(-1j * e.shift * self.h)
         block = np.array(
-            [[alpha, beta], [np.conj(beta), np.conj(alpha)]], dtype=np.complex128
+            [[e.alpha, e.beta], [np.conj(e.beta), np.conj(e.alpha)]],
+            dtype=np.complex128,
         )
         return phase * block
 
@@ -164,15 +160,7 @@ def build_diagonalizers(
 
     alpha = table.alpha
     beta = table.beta
-    # q^2 = 1 - Re(alpha)^2 = (1 - R)(1 + R) with each factor in half-angle
-    # form; the direct 1 - R*R loses ~eps/q^2 relative accuracy as the
-    # stability margin shrinks with h
-    nh = table.n * table.h
-    hl = table.h * table.lam * table.rho * table.rho
-    sn = np.sin(nh)
-    q2 = (2.0 * np.sin(0.5 * nh) ** 2 + hl * sn) * (
-        2.0 * np.cos(0.5 * nh) ** 2 - hl * sn
-    )
+    q2 = table.q2
     bad = zmask & (q2 <= 0.0)
     if np.any(bad):
         j = _first_mode(grid, bad)

@@ -4,6 +4,7 @@ stability margin, frequencies, CFL bound, and the non-resonance checker."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,31 @@ def test_frequency_table_entries_match_scalars(grid16):
         assert e.omega == pytest.approx(omega(j, (0,), 0.04, RHO, -1, grid16), rel=1e-14)
         assert e.growth == growth_factor(j, (0,), 0.04, RHO, -1, grid16)
         assert e.status == "ok"
+
+    # 2-D, nonzero carrier, every nonzero mode.  No h satisfies assumption 1
+    # here (aliasing gives n = 0 at j = (0, -4)); at h = 0.245 the four n = 13
+    # modes sit just past n*h = pi, are unstable, and omega raises for them.
+    g2 = Grid(K=4, d=2)
+    ell, h = (1, -2), 0.245
+    t = build_frequency_table(h, RHO, -1, ell, g2)
+    unstable = 0
+    for j in g2.modes():
+        if not any(j):
+            continue
+        e = t.entry(j)
+        a, b = mode_matrix(j, ell, h, RHO, -1, g2)
+        assert e.n == n_of_j(j, ell, g2)
+        assert e.alpha == pytest.approx(a, rel=1e-14)
+        assert e.beta == pytest.approx(b, rel=1e-14)
+        assert e.growth == growth_factor(j, ell, h, RHO, -1, g2)
+        if e.status == "ok":
+            assert e.omega == pytest.approx(omega(j, ell, h, RHO, -1, g2), rel=1e-14)
+        else:
+            assert e.status == "unstable"
+            with pytest.raises(UnstableModeError, match=f"mode {re.escape(str(e.j))}"):
+                omega(j, ell, h, RHO, -1, g2)
+            unstable += 1
+    assert unstable == 4
 
 
 def test_frequency_table_statuses_and_growth(grid16):

@@ -50,15 +50,17 @@ def test_inverse_consistency(diag16, grid16):
 
 
 def test_conjugation_diagonalizes(diag16, grid16):
-    # S A S^{-1} must be diagonal with phases e^{-i omega_j h}, e^{+i omega_{-j} h}
-    worst = 0.0
-    for j in _nonzero(grid16):
-        m = diag16.S(j) @ diag16.propagation_matrix(j) @ diag16.S_inv(j)
-        wj = omega(j, (0,), H, RHO, -1, grid16)
-        wm = omega(tuple(-c for c in j), (0,), H, RHO, -1, grid16)
-        expect = np.diag([np.exp(-1j * wj * H), np.exp(1j * wm * H)])
-        worst = max(worst, float(np.max(np.abs(m - expect))))
-    assert worst < 1e-12
+    # S A S^{-1} must be diagonal with phases e^{-i omega_j h}, e^{+i omega_{-j} h};
+    # the carrier 3 exercises the integer frequency shift, which vanishes at 0
+    for diag in (diag16, build_diagonalizers(0.01, RHO, -1, (3,), grid16)):
+        worst = 0.0
+        for j in _nonzero(grid16):
+            m = diag.S(j) @ diag.propagation_matrix(j) @ diag.S_inv(j)
+            wj = omega(j, diag.ell, diag.h, RHO, -1, grid16)
+            wm = omega(tuple(-c for c in j), diag.ell, diag.h, RHO, -1, grid16)
+            expect = np.diag([np.exp(-1j * wj * diag.h), np.exp(1j * wm * diag.h)])
+            worst = max(worst, float(np.max(np.abs(m - expect))))
+        assert worst < 1e-12
 
 
 def test_entry_bound(diag16, grid16):
