@@ -97,12 +97,16 @@ class RunConfig:
         return StepScheme(variant=StepVariant(self.scheme), h=self.h)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.d < 1 or self.K < 1:
             raise ConfigError(f"d and K must be positive, got d={self.d} K={self.K}")
         if self.lam not in (-1, 1):
             raise ConfigError(f"lambda must be +1 or -1, got {self.lam}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ConfigError(f"h must be positive and finite, got {self.h}")
+        if self.h <= 0.0:
+            raise ConfigError(f"h must be positive, got {self.h}")
         if self.rho2 <= 0.0:
             raise ConfigError(f"rho2 must be positive, got {self.rho2}")
         if len(self.ell) != self.d:

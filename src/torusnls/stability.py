@@ -162,20 +162,24 @@ def check_assumption1(
 ) -> LinearStabilityReport:
     """Largest certified c1 with (cos(nh) - h*lam*rho^2*sin(nh))^2 <= 1 - c1*h^2.
 
-    holds iff the certified margin is strictly positive; worst_j is the first
-    mode (in lexicographic storage order) attaining the maximal left-hand side.
+    c1 is the smallest half-angle margin q2 of the frequency table over the
+    nonzero modes, divided by h^2; holds iff c1 > 0, which for rho > 0 is
+    exactly when build_diagonalizers succeeds.  worst_j is the first mode (in
+    lexicographic storage order) attaining the minimum.
     """
-    lam = _check_lambda(lam)
-    ell = mod_reduce(as_mode(ell, grid.d), grid)
-    _, _, r, _, _ = _mode_kernel(ell, h, rho, lam, grid)
-    r2 = r * r
-    r2_flat = r2.reshape(-1).copy()
-    r2_flat[np.ravel_multi_index(grid.index_of((0,) * grid.d), grid.shape)] = -np.inf
-    worst_flat = int(np.argmax(r2_flat))
-    worst_idx = np.unravel_index(worst_flat, grid.shape)
-    worst_j = tuple(int(i) - grid.K for i in worst_idx)
-    c1 = float((1.0 - r2_flat[worst_flat]) / (h * h))
+    table = build_frequency_table(h, rho, lam, ell, grid)
+    nonzero = table.omega_status != "excluded"
+    q2_min = np.min(table.q2[nonzero])
+    worst_j = _first_mode(grid, nonzero & (table.q2 == q2_min))
+    c1 = float(q2_min / (table.h * table.h))
     return LinearStabilityReport(holds=c1 > 0.0, c1_certified=c1, worst_j=worst_j)
+
+
+def _first_mode(grid: Grid, mask: np.ndarray) -> Mode:
+    """First mode (in lexicographic storage order) where mask is set."""
+    flat = int(np.argmax(mask.reshape(-1)))
+    idx = np.unravel_index(flat, grid.shape)
+    return tuple(int(i) - grid.K for i in idx)
 
 
 def omega(
@@ -185,14 +189,14 @@ def omega(
 
     omega_j = (|ell+j|^2 - |ell-j|^2)/2 + arccos(R)/(h*sgn(G)) with
     R = cos(nh) - h*lam*rho^2*sin(nh) and G = sin(nh) + h*lam*rho^2*cos(nh),
-    all norms mod-reduced.  UnstableModeError when |R| > 1,
-    DegenerateSignError when G = 0.
+    all norms mod-reduced.  UnstableModeError when the half-angle margin
+    q2 = 1 - R^2 < 0, DegenerateSignError when G = 0.
     """
     e = _nonzero_entry(j, ell, h, rho, lam, grid)
     if e.status == "unstable":
         raise UnstableModeError(
-            f"mode {e.j}: |cos(nh) - h*lam*rho^2*sin(nh)| > 1, eigenvalues off "
-            f"the unit circle (growth factor {e.growth})"
+            f"mode {e.j}: half-angle margin q2 < 0, eigenvalues off the unit "
+            f"circle (growth factor {e.growth})"
         )
     if e.status == "degenerate-sign":
         raise DegenerateSignError(
@@ -337,14 +341,14 @@ def build_frequency_table(
     """Assemble the per-mode kernel, alpha, beta, omega, growth, varpi and eps_hat.
 
     Per-mode omega failures are flagged in omega_status ("unstable" when the
-    arccos argument leaves [-1, 1], "degenerate-sign" when the branch sign
+    half-angle margin q2 is negative, "degenerate-sign" when the branch sign
     vanishes) with NaN entries rather than raised.
     """
     lam = _check_lambda(lam)
     if h <= 0.0 or not math.isfinite(h):
         raise DomainError(f"h must be positive and finite, got {h!r}")
-    if rho < 0.0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    if not (rho >= 0.0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be nonnegative and finite, got {rho!r}")
     h = float(h)
     rho = float(rho)
     ell = mod_reduce(as_mode(ell, grid.d), grid)
@@ -357,8 +361,8 @@ def build_frequency_table(
     beta = (-1j * hl) * phase
 
     status = np.full(grid.shape, "ok", dtype="<U15")
-    status[np.abs(r) > 1.0] = "unstable"
-    status[(np.abs(r) <= 1.0) & (g == 0.0)] = "degenerate-sign"
+    status[q2 < 0.0] = "unstable"
+    status[(q2 >= 0.0) & (g == 0.0)] = "degenerate-sign"
 
     sgn = np.where(g > 0.0, 1.0, -1.0)
     om = shift + np.arccos(np.clip(r, -1.0, 1.0)) / (h * sgn)
@@ -539,13 +543,6 @@ class _FrequencyClasses:
     def __len__(self) -> int:
         return len(self.reps)
 
-    def class_of(self) -> dict[Mode, int]:
-        lookup: dict[Mode, int] = {}
-        for c, members in enumerate(self.members):
-            for m in members:
-                lookup[m] = c
-        return lookup
-
 
 def check_assumption2(
     table: FrequencyTable,
@@ -574,7 +571,7 @@ def check_assumption2(
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    if c2 <= 0.0 or delta2 <= 0.0 or s2 <= 0.0:
+    if not (c2 > 0.0 and delta2 > 0.0 and s2 > 0.0):
         raise DomainError("c2, delta2 and s2 must be positive")
     if eps_hat < 0.0:
         raise DomainError(f"eps_hat must be nonnegative, got {eps_hat}")

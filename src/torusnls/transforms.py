@@ -37,7 +37,7 @@ from .errors import (
     ZeroCarrierModeError,
 )
 from .spectral import Grid, Mode, SpectralField, as_mode, mod_reduce
-from .stability import FrequencyTable, build_frequency_table
+from .stability import FrequencyTable, _first_mode, build_frequency_table
 
 __all__ = [
     "DiagonalizerSet",
@@ -134,24 +134,25 @@ def build_diagonalizers(
 ) -> DiagonalizerSet:
     """Assemble S_j, S_j^{-1} for all nonzero modes from the frequency table.
 
-    Requires linear stability: every 1 - Re(alpha_j)^2 must be positive and
-    every normalizer 2q(|Im alpha| - q) positive; otherwise
-    NotLinearlyStableError names the offending mode.  rho = 0 degenerates the
+    Requires linear stability: every half-angle margin q2 = 1 - Re(alpha_j)^2
+    must be positive (exactly when check_assumption1 holds) and every
+    normalizer 2q(|Im alpha| - q) positive; otherwise NotLinearlyStableError
+    names the offending mode.  rho = 0 degenerates the
     coupling (beta = 0) and yields identity matrices with the
     degenerate_coupling flag set.
     """
     table = build_frequency_table(h, rho, lam, ell, grid)
     origin = grid.index_of((0,) * grid.d)
 
-    ident = np.ones(grid.shape, dtype=np.complex128)
-    zeros = np.zeros(grid.shape, dtype=np.complex128)
     if rho == 0.0:
+        ident = np.ones(grid.shape, dtype=np.complex128)
+        zeros = np.zeros(grid.shape, dtype=np.complex128)
         return DiagonalizerSet(
             table=table,
             s00=ident,
-            s01=zeros.copy(),
-            t00=ident.copy(),
-            t01=zeros.copy(),
+            s01=zeros,
+            t00=ident,
+            t01=zeros,
             degenerate_coupling=True,
         )
 
@@ -165,8 +166,8 @@ def build_diagonalizers(
     if np.any(bad):
         j = _first_mode(grid, bad)
         raise NotLinearlyStableError(
-            f"mode {j}: eigenvalues off the unit circle (1 - Re(alpha)^2 = "
-            f"{float(q2[grid.index_of(j)])})"
+            f"mode {j}: eigenvalues off the unit circle (half-angle margin "
+            f"q2 = {float(q2[grid.index_of(j)])})"
         )
     q = np.sqrt(np.where(zmask, q2, 1.0))
     im = alpha.imag
@@ -193,25 +194,17 @@ def build_diagonalizers(
 
     s00[origin] = 1.0
     s01[origin] = 0.0
-    t00_arr = t00.copy()
-    t00_arr[origin] = 1.0
-    t01_arr = t01.copy()
-    t01_arr[origin] = 0.0
+    t00[origin] = 1.0
+    t01[origin] = 0.0
 
     return DiagonalizerSet(
         table=table,
         s00=s00,
         s01=s01,
-        t00=t00_arr,
-        t01=t01_arr,
+        t00=t00,
+        t01=t01,
         degenerate_coupling=False,
     )
-
-
-def _first_mode(grid: Grid, mask: np.ndarray) -> Mode:
-    flat = int(np.argmax(mask.reshape(-1)))
-    idx = np.unravel_index(flat, grid.shape)
-    return tuple(int(i) - grid.K for i in idx)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,10 @@ def test_config_validation():
         RunConfig(cadence=0)
     with pytest.raises(ConfigError):
         RunConfig(h=0.0)
+    for key in ("rho2", "h", "epsilon", "c2", "delta2", "s2", "s"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+                RunConfig(**{key: value})
 
 
 def test_parse_ell():
@@ -108,7 +112,7 @@ def test_cmd_check_passes(capsys):
     assert cmd_check(cfg) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["assumption1"]["holds"] is True
-    assert payload["assumption1"]["c1_certified"] == 0.20006397724398051
+    assert payload["assumption1"]["c1_certified"] == 0.20006397724392488
     assert payload["assumption2"]["holds"] is True
     assert payload["cfl_satisfied"] is False  # 0.04 exceeds the CFL bound
     assert payload["parameters"]["ell"] == [0]
@@ -158,7 +162,7 @@ def test_cmd_sweep_rows(tmp_path):
     rows = list(csv.reader(open(tmp_path / "sweep_summary.csv")))
     assert rows[0] == ["h", "rho", "assumption1", "c1", "assumption2", "max_growth"]
     assert [r[2] for r in rows[1:]] == ["true", "false"]
-    assert float(rows[1][3]) == 0.20006397724398051
+    assert float(rows[1][3]) == 0.20006397724392488
     assert rows[2][4] == "skipped"
     assert float(rows[2][5]) == 1.0146405598691435
 

@@ -14,7 +14,9 @@ from torusnls import (
     DomainError,
     Grid,
     NegativeDiscriminantError,
+    NotLinearlyStableError,
     UnstableModeError,
+    build_diagonalizers,
     build_frequency_table,
     cfl_max_h,
     check_assumption1,
@@ -100,6 +102,33 @@ def test_assumption1_reference_margins(grid16):
     assert not r.holds
     assert r.c1_certified == pytest.approx(-0.11976433456211927, rel=1e-12)
     assert r.worst_j == (-15,)
+
+
+def test_assumption1_agrees_with_diagonalizers(grid16):
+    # one decision: holds iff the diagonalizers exist, and then every nonzero
+    # mode has a frequency; h = 1e-8 lies far inside the CFL bound, and the
+    # aliased 2-D carrier has q2 = 0 exactly at j = (0, -4)
+    cases = [(0.04, (0,), grid16), (0.042, (0,), grid16), (1e-8, (0,), grid16),
+             (0.245, (1, -2), Grid(K=4, d=2)), (0.01, (1, -2), Grid(K=4, d=2))]
+    for h, ell, grid in cases:
+        r = check_assumption1(h, RHO, -1, ell, grid)
+        try:
+            build_diagonalizers(h, RHO, -1, ell, grid)
+            built = True
+        except NotLinearlyStableError:
+            built = False
+        assert r.holds == built, f"h={h} ell={ell}"
+        if r.holds:
+            status = build_frequency_table(h, RHO, -1, ell, grid).omega_status
+            assert set(np.unique(status)) == {"ok", "excluded"}
+    assert check_assumption1(1e-8, RHO, -1, (0,), grid16).c1_certified == (
+        pytest.approx(0.2, rel=1e-6)
+    )
+    for h in (-0.04, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            check_assumption1(h, RHO, -1, (0,), grid16)
+    with pytest.raises(DomainError):
+        check_assumption1(0.04, math.nan, -1, (0,), grid16)
 
 
 def test_assumption1_report_serialization(grid16):
@@ -336,6 +365,9 @@ def test_assumption2_parameter_validation(grid2):
         check_assumption2(t, N=2, c2=0.0, delta2=0.1, s2=5.0)
     with pytest.raises(DomainError):
         check_assumption2(t, N=2, c2=8.0, delta2=0.1, s2=5.0, eps_hat=-1.0)
+    for bad in ({"c2": math.nan}, {"delta2": math.nan}, {"s2": math.nan}):
+        with pytest.raises(DomainError):
+            check_assumption2(t, N=2, **{"c2": 8.0, "delta2": 0.1, "s2": 5.0, **bad})
 
 
 def test_assumption2_complete_resonance():
