@@ -1,4 +1,5 @@
-"""Structured-text (JSON-shaped) serialization shared by reports and metadata.
+"""Structured-text (JSON-shaped and CSV) serialization shared by reports,
+metadata and run outputs.
 
 Floats are written with 17 significant digits so that parsing recovers them
 bit-exactly.  Non-finite floats use the NaN/Infinity literals accepted by
@@ -68,3 +69,24 @@ def dumps(obj) -> str:
     out: list = []
     _render(obj, 0, out)
     return "".join(out)
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):  # most cells of a spectrum row; skip the str() call
+        return v
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a comma-separated file with LF line endings.
+
+    Cells are lowercase true/false for bools, format_float for floats and
+    str() for anything else.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

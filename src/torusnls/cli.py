@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from ._serialize import dumps, format_float
+from ._serialize import dumps, format_float, write_csv
 from .diagnostics import (
     TrajectoryRecorder,
     default_snapshot_windows,
@@ -30,7 +30,6 @@ from .errors import BlowUpError, ConfigError, MassDeficitError, ObserverError, T
 from .integrator import StepScheme, StepVariant, integrate
 from .spectral import Grid, Mode, SpectralField, mod_reduce
 from .stability import (
-    _shifted_norm2,
     build_frequency_table,
     cfl_max_h,
     check_assumption1,
@@ -240,7 +239,8 @@ def random_initial_datum(config: RunConfig) -> SpectralField:
     if config.epsilon == 0.0:
         c[...] = 0.0
     else:
-        dist2 = _shifted_norm2(config.ell, grid, -1).astype(np.float64)
+        minus_ell = tuple(-c for c in config.ell)
+        dist2 = grid.shift(grid.mode_norm2, minus_ell).astype(np.float64)
         dist2[carrier] = 1.0
         c *= dist2 ** (-(config.s + 1.0) / 2.0)
         norm_s = math.sqrt(float(np.sum(dist2**config.s * np.abs(c) ** 2)))
@@ -427,24 +427,8 @@ def cmd_sweep(config: RunConfig, h_axis, rho2_axis) -> int:
 
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "sweep_summary.csv")
-
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
-
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("h,rho,assumption1,c1,assumption2,max_growth\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    cell(row[k])
-                    for k in ("h", "rho", "assumption1", "c1", "assumption2", "max_growth")
-                )
-                + "\n"
-            )
+    columns = ("h", "rho", "assumption1", "c1", "assumption2", "max_growth")
+    write_csv(out_path, columns, ([row[k] for k in columns] for row in rows))
     print(f"sweep: {len(rows)} points -> {out_path}")
     return 0
 

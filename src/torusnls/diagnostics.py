@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import dumps, format_float
+from ._serialize import dumps, format_float, write_csv
 from .errors import (
     BlowUpError,
     ClassSetMismatchError,
@@ -65,12 +65,9 @@ class SuperActionSet:
 
 def super_actions(xi: XiField) -> SuperActionSet:
     """Group |xi_j|^2 over nonzero modes by the coupling index n(j)."""
-    grid = xi.grid
-    origin = grid.index_of((0,) * grid.d)
-    zmask = np.ones(grid.shape, dtype=bool)
-    zmask[origin] = False
-    labels = xi.ctx.table.n[zmask]
-    weights = (np.abs(xi.xi) ** 2)[zmask]
+    nonzero = xi.grid.nonzero
+    labels = xi.ctx.table.n[nonzero]
+    weights = (np.abs(xi.xi) ** 2)[nonzero]
     ms, inverse = np.unique(labels, return_inverse=True)
     sums = np.bincount(inverse, weights=weights)
     return SuperActionSet(
@@ -130,7 +127,7 @@ def detect_instability(
     v = np.asarray(distances, dtype=np.float64)
     if t.size == 0 or t.shape != v.shape:
         raise DomainError("need a nonempty series of equal-length times and distances")
-    if epsilon <= 0.0 or threshold_factor <= 0.0:
+    if not (epsilon > 0.0 and threshold_factor > 0.0):
         raise DomainError("epsilon and threshold_factor must be positive")
 
     verdict = bool(np.nanmax(v) > threshold_factor * epsilon)
@@ -270,13 +267,7 @@ def default_snapshot_windows(horizon: float, width: float = 200.0) -> tuple:
     return ((0.0, width), (float(horizon) - width, float(horizon)))
 
 
-def _mode_columns(grid: Grid) -> list[str]:
-    if grid.d == 1:
-        return ["j"]
-    return [f"j{i + 1}" for i in range(grid.d)]
-
-
-def emit(diag: TrajectoryDiagnostics, path: str, fmt: str = "csv") -> None:
+def emit(diag: TrajectoryDiagnostics, path: str) -> None:
     """Write <runid>_series.csv, <runid>_spectrum.csv and <runid>_meta.json.
 
     path is the output directory (created if missing); the run id comes from
@@ -284,39 +275,31 @@ def emit(diag: TrajectoryDiagnostics, path: str, fmt: str = "csv") -> None:
     LF line endings; floats carry 17 significant digits so a parse recovers
     them bit-exactly.  An empty trajectory produces header-only CSVs.
     """
-    if fmt != "csv":
-        raise DomainError(f"unsupported emission format {fmt!r}")
     runid = str(diag.metadata.get("runid", "run"))
     os.makedirs(path, exist_ok=True)
 
-    series_path = os.path.join(path, f"{runid}_series.csv")
-    with open(series_path, "w", newline="\n") as fh:
-        fh.write("t,mass,orbital_distance,D\n")
-        for i in range(diag.times.size):
-            fh.write(
-                ",".join(
-                    format_float(float(x))
-                    for x in (
-                        diag.times[i],
-                        diag.mass[i],
-                        diag.orbital_distance[i],
-                        diag.deviation[i],
-                    )
-                )
-                + "\n"
-            )
+    series = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
+    write_csv(
+        os.path.join(path, f"{runid}_series.csv"),
+        ("t", "mass", "orbital_distance", "D"),
+        zip(*(a.tolist() for a in series)),
+    )
 
     grid = diag.grid
-    modes = list(grid.modes())
-    spectrum_path = os.path.join(path, f"{runid}_spectrum.csv")
-    with open(spectrum_path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(_mode_columns(grid)) + ",abs_uj\n")
+    mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
+    mode_text = [",".join(map(str, j)) for j in grid.modes()]
+
+    def spectrum_rows():
         for t, mags in diag.snapshots:
-            flat = mags.reshape(-1)
             ts = format_float(float(t))
-            for pos, j in enumerate(modes):
-                cols = [ts] + [str(c) for c in j] + [format_float(float(flat[pos]))]
-                fh.write(",".join(cols) + "\n")
+            for j, m in zip(mode_text, mags.reshape(-1).tolist()):
+                yield ts, j, m
+
+    write_csv(
+        os.path.join(path, f"{runid}_spectrum.csv"),
+        ["t", *mode_cols, "abs_uj"],
+        spectrum_rows(),
+    )
 
     meta_path = os.path.join(path, f"{runid}_meta.json")
     with open(meta_path, "w", newline="\n") as fh:

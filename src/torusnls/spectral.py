@@ -7,6 +7,11 @@ Collocation values live on the points x_j = pi*j/K with the same ordering.
 numpy's FFT routines use the 0..2K-1 ordering instead; the bijection between
 the two is one fftshift/ifftshift pair and is confined to the two conversion
 helpers below.
+
+Grid owns this layout: it alone knows where mode 0 (origin, nonzero), mode
+-j (negation) and mode j + ell (shift) sit, so the plane-wave reduction
+(recenter at the carrier, pair j with -j, drop the zero mode) is written
+with its members and never with raw index arithmetic.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ def as_mode(j: int | Sequence[int], d: int) -> Mode:
     return t
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Fourier collocation grid with modes {-K, ..., K-1}^d."""
@@ -73,7 +83,7 @@ class Grid:
     @cached_property
     def axis_modes(self) -> np.ndarray:
         """Mode numbers along one axis, in storage order: -K, ..., K-1."""
-        return np.arange(-self.K, self.K)
+        return _read_only(np.arange(-self.K, self.K))
 
     @cached_property
     def mode_norm2(self) -> np.ndarray:
@@ -82,7 +92,34 @@ class Grid:
         out = np.zeros(self.shape, dtype=np.int64)
         for a in axes:
             out = out + a
-        return out
+        return _read_only(out)
+
+    @cached_property
+    def origin(self) -> tuple[int, ...]:
+        """Array position of mode 0."""
+        return (self.K,) * self.d
+
+    @cached_property
+    def nonzero(self) -> np.ndarray:
+        """Boolean mask over the grid, False only at mode 0."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.origin] = False
+        return _read_only(mask)
+
+    @cached_property
+    def negation(self) -> tuple[np.ndarray, ...]:
+        """Index with a[grid.negation] at j equal to a[mod_reduce(-j)]."""
+        neg = _read_only((self.n_axis - np.arange(self.n_axis)) % self.n_axis)
+        return np.ix_(*([neg] * self.d))
+
+    def shift(self, a: np.ndarray, ell: Sequence[int]) -> np.ndarray:
+        """New array whose entry at j is a[mod_reduce(j + ell)] (recentering at ell)."""
+        return np.roll(a, tuple(-c for c in ell), axis=tuple(range(self.d)))
+
+    def mode_at(self, mask: np.ndarray) -> Mode:
+        """First mode in storage order where mask is set."""
+        pos = np.unravel_index(int(np.argmax(mask.reshape(-1))), self.shape)
+        return tuple(int(p) - self.K for p in pos)
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         """max-style H^s weights: |j|^(2s) off the origin, 1 at j = 0."""
@@ -200,12 +237,8 @@ def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:
     at the origin, so its H^s norm measures everything away from the carrier.
     """
     grid = f.grid
-    lv = np.array(as_mode(ell, grid.d))
-    K = grid.K
-    idx = np.indices(grid.shape)  # shape (d, 2K, ..., 2K), entries are positions
-    src = tuple((idx[a] + lv[a]) % (2 * K) for a in range(grid.d))
-    out = f.coeffs[src]
-    out[(K,) * grid.d] = 0.0
+    out = grid.shift(f.coeffs, as_mode(ell, grid.d))
+    out[grid.origin] = 0.0
     return SpectralField(grid, out)
 
 

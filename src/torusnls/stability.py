@@ -66,18 +66,6 @@ def _check_lambda(lam: int) -> int:
     return int(lam)
 
 
-def _shifted_norm2(ell: Mode, grid: Grid, sign: int) -> np.ndarray:
-    """|mod_reduce(ell + sign*j)|^2 for every j in the grid, int64."""
-    total = np.zeros(grid.shape, dtype=np.int64)
-    for axis in range(grid.d):
-        v = (ell[axis] + sign * grid.axis_modes + grid.K) % grid.n_axis - grid.K
-        sq = (v.astype(np.int64)) ** 2
-        shape = [1] * grid.d
-        shape[axis] = grid.n_axis
-        total = total + sq.reshape(shape)
-    return total
-
-
 def _mode_kernel(
     ell: Mode, h: float, rho: float, lam: int, grid: Grid
 ) -> tuple[np.ndarray, ...]:
@@ -90,8 +78,9 @@ def _mode_kernel(
     the product of (1 - R) and (1 + R) in half-angle form, since the direct
     difference loses ~eps/q2 relative accuracy as the margin shrinks with h.
     """
-    plus = _shifted_norm2(ell, grid, +1)
-    minus = _shifted_norm2(ell, grid, -1)
+    # |ell + j|^2, and |ell - j|^2 = |j - ell|^2, read off the recentered norms
+    plus = grid.shift(grid.mode_norm2, ell)
+    minus = grid.shift(grid.mode_norm2, tuple(-c for c in ell))
     n = (plus + minus) // 2 - sum(c * c for c in ell)
     shift = (plus - minus) // 2
     nh = n * h
@@ -168,18 +157,10 @@ def check_assumption1(
     lexicographic storage order) attaining the minimum.
     """
     table = build_frequency_table(h, rho, lam, ell, grid)
-    nonzero = table.omega_status != "excluded"
-    q2_min = np.min(table.q2[nonzero])
-    worst_j = _first_mode(grid, nonzero & (table.q2 == q2_min))
+    q2_min = np.min(table.q2[grid.nonzero])
+    worst_j = grid.mode_at(grid.nonzero & (table.q2 == q2_min))
     c1 = float(q2_min / (table.h * table.h))
     return LinearStabilityReport(holds=c1 > 0.0, c1_certified=c1, worst_j=worst_j)
-
-
-def _first_mode(grid: Grid, mask: np.ndarray) -> Mode:
-    """First mode (in lexicographic storage order) where mask is set."""
-    flat = int(np.argmax(mask.reshape(-1)))
-    idx = np.unravel_index(flat, grid.shape)
-    return tuple(int(i) - grid.K for i in idx)
 
 
 def omega(
@@ -352,7 +333,7 @@ def build_frequency_table(
     h = float(h)
     rho = float(rho)
     ell = mod_reduce(as_mode(ell, grid.d), grid)
-    origin = grid.index_of((0,) * grid.d)
+    origin = grid.origin
 
     n, shift, r, g, q2 = _mode_kernel(ell, h, rho, lam, grid)
     hl = h * lam * rho * rho
@@ -389,15 +370,14 @@ def build_frequency_table(
     om[origin] = np.nan
     status[origin] = "excluded"
 
-    zmask = np.ones(grid.shape, dtype=bool)
-    zmask[origin] = False
+    nonzero = grid.nonzero
     eps_hat: float | None = None
     if (
         ell == (0,) * grid.d
-        and bool(np.all(status[zmask] == "ok"))
-        and bool(np.all(np.isfinite(vp[zmask])))
+        and bool(np.all(status[nonzero] == "ok"))
+        and bool(np.all(np.isfinite(vp[nonzero])))
     ):
-        eps_hat = float(np.max(np.abs(vp[zmask] - om[zmask])))
+        eps_hat = float(np.max(np.abs(vp[nonzero] - om[nonzero])))
 
     return FrequencyTable(
         grid=grid,
@@ -517,9 +497,7 @@ class _FrequencyClasses:
 
     def __init__(self, table: FrequencyTable, freqs: np.ndarray):
         groups: dict[float, list[Mode]] = {}
-        for j in table.grid.modes():
-            if all(c == 0 for c in j):
-                continue
+        for j in table.grid.nonzero_modes():
             val = float(freqs[table.grid.index_of(j)])
             groups.setdefault(val, []).append(j)
 
@@ -573,16 +551,12 @@ def check_assumption2(
         raise DomainError(f"N must be >= 1, got {N}")
     if not (c2 > 0.0 and delta2 > 0.0 and s2 > 0.0):
         raise DomainError("c2, delta2 and s2 must be positive")
-    if eps_hat < 0.0:
+    if not (eps_hat >= 0.0):
         raise DomainError(f"eps_hat must be nonnegative, got {eps_hat}")
-
-    origin = table.grid.index_of((0,) * table.grid.d)
-    zmask = np.ones(table.grid.shape, dtype=bool)
-    zmask[origin] = False
 
     part_a_ok = True
     if eps_hat == 0.0:
-        if not bool(np.all(table.omega_status[zmask] == "ok")):
+        if not bool(np.all(table.omega_status[table.grid.nonzero] == "ok")):
             raise DomainError(
                 "frequency table has flagged modes; numerical frequencies "
                 "are not defined for the non-resonance check"

@@ -37,7 +37,7 @@ from .errors import (
     ZeroCarrierModeError,
 )
 from .spectral import Grid, Mode, SpectralField, as_mode, mod_reduce
-from .stability import FrequencyTable, _first_mode, build_frequency_table
+from .stability import FrequencyTable, build_frequency_table
 
 __all__ = [
     "DiagonalizerSet",
@@ -46,13 +46,6 @@ __all__ = [
     "u_to_xi",
     "xi_to_u",
 ]
-
-
-def _negation_index(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Per-axis index arrays realizing j -> mod_reduce(-j) in storage order."""
-    idx = np.arange(grid.n_axis)
-    neg = (grid.n_axis - idx) % grid.n_axis
-    return np.ix_(*([neg] * grid.d))
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,6 @@ def build_diagonalizers(
     degenerate_coupling flag set.
     """
     table = build_frequency_table(h, rho, lam, ell, grid)
-    origin = grid.index_of((0,) * grid.d)
 
     if rho == 0.0:
         ident = np.ones(grid.shape, dtype=np.complex128)
@@ -156,35 +148,33 @@ def build_diagonalizers(
             degenerate_coupling=True,
         )
 
-    zmask = np.ones(grid.shape, dtype=bool)
-    zmask[origin] = False
-
+    nonzero = grid.nonzero
     alpha = table.alpha
     beta = table.beta
     q2 = table.q2
-    bad = zmask & (q2 <= 0.0)
+    bad = nonzero & (q2 <= 0.0)
     if np.any(bad):
-        j = _first_mode(grid, bad)
+        j = grid.mode_at(bad)
         raise NotLinearlyStableError(
             f"mode {j}: eigenvalues off the unit circle (half-angle margin "
             f"q2 = {float(q2[grid.index_of(j)])})"
         )
-    q = np.sqrt(np.where(zmask, q2, 1.0))
+    q = np.sqrt(np.where(nonzero, q2, 1.0))
     im = alpha.imag
     # |im| - q = |beta|^2 / (|im| + q) exactly (the block has det 1); the
     # quotient form avoids the ~rho^4 cancellation in the rho -> 0 limit
     gap = np.abs(beta) ** 2 / (np.abs(im) + q)
     norm = 2.0 * q * gap
-    bad = zmask & (norm <= 0.0)
+    bad = nonzero & (norm <= 0.0)
     if np.any(bad):
-        j = _first_mode(grid, bad)
+        j = grid.mode_at(bad)
         raise NotLinearlyStableError(
             f"mode {j}: diagonalizer normalizer "
             f"{float(norm[grid.index_of(j)])} <= 0"
         )
 
     sg = np.where(im >= 0.0, 1.0, -1.0)
-    rn = np.sqrt(np.where(zmask, norm, 1.0))
+    rn = np.sqrt(np.where(nonzero, norm, 1.0))
 
     # lam_minus - conj(alpha) = i*sg*(|im| - q), written through `gap`
     t00 = beta / rn
@@ -192,6 +182,7 @@ def build_diagonalizers(
     s00 = np.conj(beta) / rn
     s01 = -t01
 
+    origin = grid.origin
     s00[origin] = 1.0
     s01[origin] = 0.0
     t00[origin] = 1.0
@@ -253,9 +244,8 @@ def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
             f"field mass {mass2} does not match the context budget rho^2 = {rho2}"
         )
 
-    shift = tuple(-c for c in ctx.ell)
-    v = np.roll(u.coeffs, shift, axis=tuple(range(grid.d)))
-    origin = grid.index_of((0,) * grid.d)
+    v = grid.shift(u.coeffs, ctx.ell)
+    origin = grid.origin
     v0 = complex(v[origin])
     a = abs(v0)
     if a == 0.0:
@@ -266,8 +256,7 @@ def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
     w = v * np.exp(-1j * theta)
     w[origin] = 0.0
 
-    neg = _negation_index(grid)
-    xi = ctx.s00 * w + ctx.s01 * np.conj(w[neg])
+    xi = ctx.s00 * w + ctx.s01 * np.conj(w[grid.negation])
     xi[origin] = 0.0
     return XiField(ctx=ctx, xi=xi, theta=theta, a=a)
 
@@ -280,10 +269,9 @@ def xi_to_u(xi: XiField) -> SpectralField:
     """
     ctx = xi.ctx
     grid = ctx.grid
-    origin = grid.index_of((0,) * grid.d)
+    origin = grid.origin
 
-    neg = _negation_index(grid)
-    w = ctx.t00 * xi.xi + ctx.t01 * np.conj(xi.xi[neg])
+    w = ctx.t00 * xi.xi + ctx.t01 * np.conj(xi.xi[grid.negation])
     w[origin] = 0.0
 
     rho2 = ctx.rho * ctx.rho
@@ -296,5 +284,4 @@ def xi_to_u(xi: XiField) -> SpectralField:
 
     v = w * np.exp(1j * xi.theta)
     v[origin] = a * np.exp(1j * xi.theta)
-    u = np.roll(v, tuple(ctx.ell), axis=tuple(range(grid.d)))
-    return SpectralField(grid, u)
+    return SpectralField(grid, grid.shift(v, tuple(-c for c in ctx.ell)))

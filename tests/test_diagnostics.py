@@ -119,6 +119,9 @@ def test_detect_instability_validation():
         detect_instability(np.array([0.0]), np.array([1.0, 2.0]), 0.01, 10.0)
     with pytest.raises(DomainError):
         detect_instability(np.array([0.0]), np.array([1.0]), 0.0, 10.0)
+    for eps, factor in ((math.nan, 10.0), (0.01, math.nan)):
+        with pytest.raises(DomainError):
+            detect_instability(np.array([0.0]), np.array([1.0]), eps, factor)
 
 
 def test_default_snapshot_windows():
@@ -225,12 +228,6 @@ def test_emit_empty_trajectory(grid16, tmp_path):
     assert series == "t,mass,orbital_distance,D\n"
     spectrum = open(tmp_path / "empty_spectrum.csv").read()
     assert spectrum == "t,j,abs_uj\n"
-
-
-def test_emit_rejects_unknown_format(grid16, tmp_path):
-    rec = TrajectoryRecorder(grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0)
-    with pytest.raises(DomainError):
-        emit(rec.finalize(), str(tmp_path), fmt="parquet")
 
 
 def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):

@@ -56,6 +56,12 @@ def test_mode_norm2(grid2d):
     assert n2[grid2d.index_of((0, 0))] == 0
     assert n2[grid2d.index_of((-2, 1))] == 5
     assert n2.dtype == np.int64
+    # the cached layout arrays are shared by every table and flow on the grid
+    g = Grid(K=4)
+    for arr in (g.axis_modes, g.mode_norm2, g.nonzero, *g.negation):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert g.mode_norm2[0] == 16
 
 
 def test_mod_reduce_examples(grid16):
@@ -148,6 +154,20 @@ def test_project_away_zero_carrier_is_shift_only(grid2):
     g = project_away(f, (0,))
     assert g.coeff((1,)) == 2.0
     assert g.coeff((-2,)) == 1.0
+
+
+def test_project_away_2d_unreduced_carrier(rng):
+    g = Grid(K=3, d=2)
+    c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    f = SpectralField(g, c)
+    ell = (4, -5)
+    p = project_away(f, ell)
+    for j in g.nonzero_modes():
+        assert p.coeff(j) == f.coeff(mod_reduce((j[0] + ell[0], j[1] + ell[1]), g))
+    assert p.coeff((0, 0)) == 0.0
+    neg = f.coeffs[g.negation]
+    for j in g.modes():
+        assert neg[g.index_of(j)] == f.coeff(mod_reduce((-j[0], -j[1]), g))
 
 
 def test_plane_wave_dispersion():

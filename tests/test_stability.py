@@ -365,7 +365,9 @@ def test_assumption2_parameter_validation(grid2):
         check_assumption2(t, N=2, c2=0.0, delta2=0.1, s2=5.0)
     with pytest.raises(DomainError):
         check_assumption2(t, N=2, c2=8.0, delta2=0.1, s2=5.0, eps_hat=-1.0)
-    for bad in ({"c2": math.nan}, {"delta2": math.nan}, {"s2": math.nan}):
+    for bad in (
+        {"c2": math.nan}, {"delta2": math.nan}, {"s2": math.nan}, {"eps_hat": math.nan},
+    ):
         with pytest.raises(DomainError):
             check_assumption2(t, N=2, **{"c2": 8.0, "delta2": 0.1, "s2": 5.0, **bad})
 
