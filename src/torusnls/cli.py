@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -280,6 +281,7 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
         "max_growth": table.max_growth(),
     }
     if a1.holds:
+        start = time.perf_counter()
         a2 = check_assumption2(
             table,
             N=config.N,
@@ -289,10 +291,16 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
             eps_hat=0.0,
             exhaustive=config.exhaustive,
         )
+        elapsed = time.perf_counter() - start
         payload["assumption2"] = a2.as_dict()
+        payload["timing"] = {
+            "assumption2_s": elapsed,
+            "vectors_per_s": a2.n_vectors / elapsed,
+        }
         ok = a2.holds
     else:
         payload["assumption2"] = "skipped"
+        payload["timing"] = None
         ok = False
     return payload, ok
 

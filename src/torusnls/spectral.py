@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 Mode = tuple[int, ...]
 
 __all__ = [
@@ -251,8 +253,8 @@ class PlaneWaveSpec:
     lam: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        if not (self.rho >= 0):
+            raise DomainError(f"rho must be >= 0, got {self.rho!r}")
         if self.lam not in (-1.0, 1.0):
             raise ValueError("lam must be -1 or +1")
         object.__setattr__(self, "ell", tuple(int(c) for c in self.ell))

@@ -15,7 +15,14 @@ surrogates built from mu_n = tan(n*h)/h that admit a non-resonance analysis.
 
 The non-resonance checker enumerates signed integer combinations of frequency
 classes and verifies a small-divisor lower bound plus the absence of complete
-resonances.
+resonances.  The combinations come one total order at a time, each order in
+a fixed lexicographic order, in numpy blocks of at most 4096 vectors (one
+small-integer row per class), so memory stays bounded whatever the count.
+numpy sums k.freq over a block column by column in class order, which is
+the scalar left-to-right sum, and screens out the rows that can be neither
+small divisors nor complete resonances; the few rows left are decided by
+scalar code with math.remainder, math.sin and Python powers.  The report is
+therefore the same bit for bit as a one-vector-at-a-time enumeration.
 """
 
 from __future__ import annotations
@@ -205,6 +212,8 @@ def cfl_max_h(d: int, K: int, rho0: float, N: int) -> float:
         raise DomainError(f"N must be >= 2, got {N}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
+    if not math.isfinite(rho0):
+        raise DomainError(f"rho0 must be finite, got {rho0!r}")
     return math.pi / ((N + 1) * (d * K * K + 2.0 * rho0 * rho0))
 
 
@@ -233,7 +242,7 @@ def varpi(j: int | tuple, h: float, sigma: float, lam: int, grid: Grid) -> float
     jm = mod_reduce(as_mode(j, grid.d), grid)
     if all(c == 0 for c in jm):
         raise DomainError("varpi is defined for nonzero modes only")
-    if sigma < 0.0:
+    if not (sigma >= 0.0):
         raise DomainError(f"sigma = rho^2 must be nonnegative, got {sigma}")
     n = sum(c * c for c in jm)
     m = mu(n, h)
@@ -522,6 +531,96 @@ class _FrequencyClasses:
         return len(self.reps)
 
 
+# Most k-vectors one enumeration block holds: the block's int8 codes and the
+# float64 arrays derived from them stay within a few hundred kilobytes.
+_BLOCK_ROWS = 4096
+
+
+def _codes(r: int) -> list[int]:
+    """Coefficients of magnitude <= r in enumeration order 0, +1, -1, +2, -2, ..."""
+    return [0] + [s * m for m in range(1, r + 1) for s in (1, -1)]
+
+
+class _KVectors:
+    """Signed integer vectors over ncls classes with 1 <= sum |k_c| <= top, in blocks.
+
+    Orders t = sum |k_c| come one after another.  Within one order the
+    vectors are in lexicographic order of the per-class coefficients
+    0, +1, -1, +2, -2, ..., class 0 most significant.  A subtree of that
+    order (classes c.. sharing a prefix, remaining order r) holding at most
+    _BLOCK_ROWS vectors is one table, built once per (c, r); larger subtrees
+    are split on class c.  Consecutive subtrees are packed into blocks of at
+    most _BLOCK_ROWS columns, so no order is ever held whole.
+    """
+
+    def __init__(self, ncls: int, top: int):
+        self.ncls = ncls
+        self.top = top
+        self.dtype = np.min_scalar_type(-top)
+        # counts[m][r]: vectors over m classes with total order exactly r
+        self.counts = [[1] + [0] * top]
+        for _ in range(ncls):
+            prev = self.counts[-1]
+            self.counts.append([prev[r] + 2 * sum(prev[:r]) for r in range(top + 1)])
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+
+    def _size(self, c: int, r: int) -> int:
+        return self.counts[self.ncls - c][r]
+
+    def _table(self, c: int, r: int) -> np.ndarray:
+        """Codes of classes c.. over all vectors of order r, shape (ncls - c, size)."""
+        if c == self.ncls:
+            return np.empty((0, 1 if r == 0 else 0), self.dtype)
+        key = (c, r)
+        if key not in self._tables:
+            parts = []
+            for v in _codes(r):
+                sub = self._table(c + 1, r - abs(v))
+                part = np.empty((self.ncls - c, sub.shape[1]), self.dtype)
+                part[0] = v
+                part[1:] = sub
+                parts.append(part)
+            self._tables[key] = np.concatenate(parts, axis=1)
+        return self._tables[key]
+
+    def _pieces(self, prefix: tuple[int, ...], r: int):
+        """(prefix, r) for every table-sized subtree below prefix, in order."""
+        c = len(prefix)
+        size = self._size(c, r)
+        if size <= _BLOCK_ROWS:
+            if size:
+                yield prefix, r
+            return
+        for v in _codes(r):
+            yield from self._pieces(prefix + (v,), r - abs(v))
+
+    def _assemble(self, group: list, rows: int) -> np.ndarray:
+        k = np.empty((self.ncls, rows), self.dtype)
+        o = 0
+        for prefix, r in group:
+            c = len(prefix)
+            sub = self._table(c, r)
+            n = sub.shape[1]
+            k[:c, o:o + n].T[...] = prefix  # the prefix in every column
+            k[c:, o:o + n] = sub
+            o += n
+        return k
+
+    def blocks(self):
+        """Yield (ncls, rows) code arrays: orders 1..top, each in enumeration order."""
+        for order in range(1, self.top + 1):
+            group: list = []
+            rows = 0
+            for prefix, r in self._pieces((), order):
+                size = self._size(len(prefix), r)
+                if rows + size > _BLOCK_ROWS:
+                    yield self._assemble(group, rows)
+                    group, rows = [], 0
+                group.append((prefix, r))
+                rows += size
+            yield self._assemble(group, rows)
+
+
 def check_assumption2(
     table: FrequencyTable,
     N: int,
@@ -579,7 +678,20 @@ def check_assumption2(
 
     classes = _FrequencyClasses(table, freqs)
     ncls = len(classes)
+    h = table.h
     exponent = N / s2
+    top = N + 1
+
+    # Rows are screened on r = |remainder(theta, 2*pi)|: delta = 2|sin(r/2)|/h
+    # is at most delta2 iff r <= 2*asin(delta2*h/2), and a complete resonance
+    # has r <= _RESONANCE_TOL.  Rows above the widened bound below are neither,
+    # whatever the last-ulp differences between the round-based remainder, the
+    # float 2*pi and math.sin; every other row is decided by the scalar code.
+    theta_max = h * top * max(abs(f) for f in classes.freqs)
+    rem_hi = (
+        max(2.0 * math.asin(min(1.0, 0.5 * delta2 * h)), _RESONANCE_TOL) * (1.0 + 1e-9)
+        + 1e-15 * (1.0 + theta_max)
+    )
 
     n_vectors = 0
     n_small = 0
@@ -590,9 +702,9 @@ def check_assumption2(
     part_c_ok = True
     stop = False
 
-    kvec = [0] * ncls
-
-    def make_witness(delta: float, lhs: float, rhs: float, kind: str) -> ComboWitness:
+    def make_witness(
+        kvec: list[int], delta: float, lhs: float, rhs: float, kind: str
+    ) -> ComboWitness:
         support = tuple(
             (classes.reps[c], kvec[c]) for c in range(ncls) if kvec[c] != 0
         )
@@ -607,63 +719,58 @@ def check_assumption2(
             kind=kind,
         )
 
-    def evaluate(dot: float, denom: float, num_mod2: int) -> None:
-        nonlocal n_vectors, n_small, part_b_ok, part_c_ok, tightest
-        nonlocal tightest_margin, stop
-        n_vectors += 1
-        theta = table.h * dot
+    def evaluate(kvec: list[int], dot: float) -> None:
+        nonlocal n_small, part_b_ok, part_c_ok, tightest, tightest_margin, stop
+        # denominator and support-maximal modulus, in class order
+        denom = 1.0
+        num_mod2 = 0
+        for c, v in enumerate(kvec):
+            if v:
+                denom = denom * float(classes.rep_mod2[c]) ** abs(v)
+                num_mod2 = max(num_mod2, classes.max_mod2[c])
+        theta = h * dot
         lhs = float(num_mod2) ** 2 / denom
         if abs(math.remainder(theta, _TWO_PI)) <= _RESONANCE_TOL:
             part_c_ok = False
-            delta = 2.0 * abs(math.sin(0.5 * theta)) / table.h
-            violations.append(make_witness(delta, lhs, math.nan, "complete-resonance"))
+            delta = 2.0 * abs(math.sin(0.5 * theta)) / h
+            violations.append(
+                make_witness(kvec, delta, lhs, math.nan, "complete-resonance")
+            )
             if not exhaustive:
                 stop = True
                 return
-        delta = 2.0 * abs(math.sin(0.5 * theta)) / table.h
+        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
         if delta <= delta2:
             n_small += 1
             rhs = c2 * delta**exponent
             if lhs > rhs:
                 part_b_ok = False
-                violations.append(make_witness(delta, lhs, rhs, "small-divisor"))
+                violations.append(make_witness(kvec, delta, lhs, rhs, "small-divisor"))
                 if not exhaustive:
                     stop = True
             else:
                 margin = rhs - lhs
                 if margin < tightest_margin:
                     tightest_margin = margin
-                    tightest = make_witness(delta, lhs, rhs, "small-divisor")
+                    tightest = make_witness(kvec, delta, lhs, rhs, "small-divisor")
 
-    def recurse(c: int, remaining: int, dot: float, denom: float, num_mod2: int) -> None:
-        if stop:
-            return
-        if c == ncls:
-            if remaining == 0:
-                evaluate(dot, denom, num_mod2)
-            return
-        recurse(c + 1, remaining, dot, denom, num_mod2)
-        if stop:
-            return
-        freq = classes.freqs[c]
-        rep2 = float(classes.rep_mod2[c])
-        top2 = classes.max_mod2[c]
-        for mag in range(1, remaining + 1):
-            d2 = denom * rep2**mag
-            nm = num_mod2 if num_mod2 >= top2 else top2
-            for sign in (+1, -1):
-                kvec[c] = sign * mag
-                recurse(c + 1, remaining - mag, dot + sign * mag * freq, d2, nm)
-                kvec[c] = 0
-                if stop:
-                    return
-
-    # outer loop over the exact total norm keeps the enumeration ordered by
-    # combination size, so short-circuit witnesses are minimal-order ones
-    for total in range(1, N + 2):
+    for k in _KVectors(ncls, top).blocks():
+        rows = k.shape[1]
+        # k.freq summed left to right in class order, as the scalar sum would be
+        dot = np.zeros(rows)
+        for c in range(ncls):
+            dot += np.multiply(k[c], classes.freqs[c], dtype=np.float64)
+        theta = h * dot
+        rem = np.abs(theta - _TWO_PI * np.rint(theta / _TWO_PI))
+        for i in np.flatnonzero(rem <= rem_hi).tolist():
+            evaluate(k[:, i].tolist(), float(dot[i]))
+            if stop:
+                n_vectors += i + 1
+                break
+        else:
+            n_vectors += rows
         if stop:
             break
-        recurse(0, total, 0.0, 1.0, 0)
 
     holds = part_a_ok and part_b_ok and part_c_ok
     return ResonanceReport(

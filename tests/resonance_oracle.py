@@ -11,10 +11,18 @@ implementations must agree bitwise.
 Witnesses are canonicalized to class-aggregated form (support mapped to class
 representatives, ordered by class; NaN right-hand sides replaced by None) so
 sets can be compared across the two enumeration strategies.
+
+class_level_report is a second, class-level reference: a depth-first
+recursion that visits the checker's class combinations one at a time, in its
+enumeration order and with its arithmetic, and returns the full report.  It
+reaches inputs the mode-level brute force cannot (larger K and N, d = 2,
+the varpi route), where the checker's report must match it byte for byte.
 """
 
 import itertools
 import math
+
+from torusnls.stability import _HEADER, ComboWitness, ResonanceReport
 
 TWO_PI = 2.0 * math.pi
 RESONANCE_TOL = 1e-9 * TWO_PI
@@ -24,13 +32,14 @@ def _mod2(m):
     return sum(c * c for c in m)
 
 
-def _classes(table):
+def _classes(table, freqs=None):
     """Classes of nonzero modes with bitwise-equal frequency, checker order."""
+    freqs = table.omega if freqs is None else freqs
     groups = {}
     for j in table.grid.modes():
         if all(c == 0 for c in j):
             continue
-        val = float(table.omega[table.grid.index_of(j)])
+        val = float(freqs[table.grid.index_of(j)])
         groups.setdefault(val, []).append(j)
     items = []
     for val, members in groups.items():
@@ -101,3 +110,115 @@ def oracle_violations(table, N, c2, delta2, s2):
                 found.add((kcanon, delta, lmode, lhs, rhs, "small-divisor"))
 
     return (len(found) == 0), found
+
+
+def class_level_report(table, N, c2, delta2, s2, eps_hat=0.0, exhaustive=False):
+    """The checker's ResonanceReport, by recursion over class combinations.
+
+    Each class takes a coefficient in the order 0, +1, -1, +2, -2, ... with
+    class 0 most significant, one total order 1..N+1 at a time; dot, the
+    denominator and the support-maximal modulus accumulate left to right in
+    class order.  Inputs are assumed valid (the checker validates them).
+    """
+    if eps_hat == 0.0:
+        freqs, freq_source, part_a_ok = table.omega, "omega", True
+    else:
+        freqs, freq_source = table.varpi, "varpi"
+        part_a_ok = table.eps_hat <= eps_hat
+    classes = _classes(table, freqs)
+    ncls = len(classes)
+    h = table.h
+    exponent = N / s2
+
+    n_vectors = 0
+    n_small = 0
+    violations = []
+    tightest = None
+    tightest_margin = math.inf
+    part_b_ok = True
+    part_c_ok = True
+    stop = False
+
+    kvec = [0] * ncls
+
+    def make_witness(delta, lhs, rhs, kind):
+        support = tuple((classes[c][0], kvec[c]) for c in range(ncls) if kvec[c] != 0)
+        lmax = max((c for c in range(ncls) if kvec[c] != 0),
+                   key=lambda c: classes[c][3])
+        return ComboWitness(k=support, delta=delta, l=classes[lmax][4], lhs=lhs,
+                            rhs=rhs, kind=kind)
+
+    def evaluate(dot, denom, num_mod2):
+        nonlocal n_vectors, n_small, part_b_ok, part_c_ok, tightest
+        nonlocal tightest_margin, stop
+        n_vectors += 1
+        theta = h * dot
+        lhs = float(num_mod2) ** 2 / denom
+        if abs(math.remainder(theta, TWO_PI)) <= RESONANCE_TOL:
+            part_c_ok = False
+            delta = 2.0 * abs(math.sin(0.5 * theta)) / h
+            violations.append(make_witness(delta, lhs, math.nan, "complete-resonance"))
+            if not exhaustive:
+                stop = True
+                return
+        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
+        if delta <= delta2:
+            n_small += 1
+            rhs = c2 * delta**exponent
+            if lhs > rhs:
+                part_b_ok = False
+                violations.append(make_witness(delta, lhs, rhs, "small-divisor"))
+                if not exhaustive:
+                    stop = True
+            else:
+                margin = rhs - lhs
+                if margin < tightest_margin:
+                    tightest_margin = margin
+                    tightest = make_witness(delta, lhs, rhs, "small-divisor")
+
+    def recurse(c, remaining, dot, denom, num_mod2):
+        if stop:
+            return
+        if c == ncls:
+            if remaining == 0:
+                evaluate(dot, denom, num_mod2)
+            return
+        recurse(c + 1, remaining, dot, denom, num_mod2)
+        if stop:
+            return
+        freq = classes[c][1]
+        rep2 = float(classes[c][2])
+        top2 = classes[c][3]
+        for mag in range(1, remaining + 1):
+            d2 = denom * rep2**mag
+            nm = num_mod2 if num_mod2 >= top2 else top2
+            for sign in (+1, -1):
+                kvec[c] = sign * mag
+                recurse(c + 1, remaining - mag, dot + sign * mag * freq, d2, nm)
+                kvec[c] = 0
+                if stop:
+                    return
+
+    for total in range(1, N + 2):
+        if stop:
+            break
+        recurse(0, total, 0.0, 1.0, 0)
+
+    return ResonanceReport(
+        holds=part_a_ok and part_b_ok and part_c_ok,
+        N=N,
+        c2=float(c2),
+        delta2=float(delta2),
+        s2=float(s2),
+        eps_hat=float(eps_hat),
+        freq_source=freq_source,
+        header=_HEADER,
+        part_a_ok=part_a_ok,
+        part_b_ok=part_b_ok,
+        part_c_verdict=part_c_ok,
+        tightest=tightest,
+        witnesses=tuple(violations),
+        n_vectors=n_vectors,
+        n_small_divisors=n_small,
+        n_violations=len(violations),
+    )

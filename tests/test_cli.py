@@ -116,6 +116,11 @@ def test_cmd_check_passes(capsys):
     assert payload["assumption2"]["holds"] is True
     assert payload["cfl_satisfied"] is False  # 0.04 exceeds the CFL bound
     assert payload["parameters"]["ell"] == [0]
+    timing = payload["timing"]
+    assert timing["assumption2_s"] > 0.0
+    assert timing["vectors_per_s"] == pytest.approx(
+        payload["assumption2"]["n_vectors"] / timing["assumption2_s"], rel=1e-12
+    )
 
 
 def test_cmd_check_fails_on_unstable_step(capsys):
@@ -124,6 +129,7 @@ def test_cmd_check_fails_on_unstable_step(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["assumption1"]["holds"] is False
     assert payload["assumption2"] == "skipped"
+    assert payload["timing"] is None
     assert payload["max_growth"] == 1.0146405598691435
 
 

@@ -1,13 +1,16 @@
-"""Class-based non-resonance checker against the brute-force mode-level oracle."""
+"""Block enumeration of the non-resonance checker against two oracles: the
+brute-force mode-level enumeration and the class-level recursion."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torusnls import Grid, build_frequency_table, cfl_max_h, check_assumption2
 
-from resonance_oracle import canonical_witness, oracle_violations
+from resonance_oracle import canonical_witness, class_level_report, oracle_violations
 
 
 def _table_if_clean(h, rho, lam, K):
@@ -77,3 +80,78 @@ def test_oracle_counts_class_aggregation(grid2):
     assert found == set()  # nothing violates with an unreachable threshold
     full = check_assumption2(table, N=2, c2=8.0, delta2=0.1, s2=10.0, exhaustive=True)
     assert full.holds
+
+
+@pytest.mark.parametrize(
+    "d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors",
+    [
+        # first-violation exits at K = 12, out of the mode-level oracle's reach
+        (1, 12, 0.042, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 14249),
+        (1, 12, 0.05, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 84904),
+        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 5640),
+        (2, 3, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 0.0, True, 5640),
+        (1, 4, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 1.0, False, 320),
+        (1, 4, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 1.0, True, 320),
+    ],
+)
+def test_checker_matches_class_level_reference(
+    d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors
+):
+    table = build_frequency_table(h, math.sqrt(rho2), -1, (0,) * d, Grid(K=K, d=d))
+    c2, delta2, s2 = constants
+    report = check_assumption2(table, N, c2, delta2, s2, eps_hat, exhaustive)
+    reference = class_level_report(table, N, c2, delta2, s2, eps_hat, exhaustive)
+    assert report.n_vectors == n_vectors
+    assert report.to_json() == reference.to_json()
+
+
+def test_first_violation_has_minimal_order():
+    # the criterion-8 parameter sets: a short-circuit report stops at the
+    # first violation in enumeration order, the exhaustive report's first
+    rng = np.random.default_rng(8)
+    violating = 0
+    for _ in range(20):
+        rho = float(rng.uniform(0.1, 0.7))
+        h = float(rng.uniform(0.2, 1.0)) * cfl_max_h(1, 3, rho, 3)
+        for K, N in itertools.product((2, 3), (2, 3)):
+            table = build_frequency_table(h, rho, -1, (0,), Grid(K=K, d=1))
+            for c2, delta2, s2 in ((8.0, 0.1, 5.0 * N), (0.05, 0.5, 10.0 * N)):
+                short = check_assumption2(table, N=N, c2=c2, delta2=delta2, s2=s2)
+                if short.holds:
+                    continue
+                violating += 1
+                full = check_assumption2(table, N=N, c2=c2, delta2=delta2, s2=s2,
+                                         exhaustive=True)
+                assert short.witnesses[0] == full.witnesses[0]
+                assert short.n_vectors <= full.n_vectors
+    assert violating == 28
+
+
+def test_enumeration_memory_is_bounded(grid16):
+    # the full N = 5 enumeration at the defaults (1,884,960 vectors) runs in
+    # blocks; holding one total order at once would take tens of megabytes
+    table = build_frequency_table(0.04, math.sqrt(0.4), -1, (0,), grid16)
+    tracemalloc.start()
+    try:
+        report = check_assumption2(table, N=5, c2=8.0, delta2=0.1, s2=25.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_vectors == 1884960
+    assert peak <= 3e6
+
+
+def test_screen_passes_rows_at_the_small_divisor_threshold():
+    # with delta2 equal to one vector's own delta that vector is a small
+    # divisor, one ulp lower it is not: the numpy screen must hand it to the
+    # scalar decision in both cases
+    table = build_frequency_table(0.04, math.sqrt(0.4), -1, (0,), Grid(K=8, d=1))
+    edge = check_assumption2(table, N=3, c2=8.0, delta2=0.1, s2=15.0).tightest.delta
+    reports = []
+    for delta2 in (edge, math.nextafter(edge, 0.0)):
+        report = check_assumption2(table, N=3, c2=8.0, delta2=delta2, s2=15.0)
+        reference = class_level_report(table, 3, 8.0, delta2, 15.0)
+        assert report.to_json() == reference.to_json()
+        reports.append(report)
+    assert reports[0].tightest.delta == edge
+    assert reports[0].n_small_divisors > reports[1].n_small_divisors

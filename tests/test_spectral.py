@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusnls import (
+    DomainError,
     Grid,
     PlaneWaveSpec,
     SpectralField,
@@ -188,5 +189,7 @@ def test_plane_wave_field(grid16):
 def test_plane_wave_validation():
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=-1.0, ell=(0,), lam=-1.0)
+    with pytest.raises(DomainError, match="rho"):
+        PlaneWaveSpec(rho=math.nan, ell=(0,), lam=-1.0)
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=1.0, ell=(0,), lam=0.5)

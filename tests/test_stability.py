@@ -202,6 +202,8 @@ def test_cfl_validation():
         cfl_max_h(1, 0, RHO, 2)
     with pytest.raises(DomainError):
         cfl_max_h(1, 16, RHO, 1)
+    with pytest.raises(DomainError, match="rho0"):
+        cfl_max_h(1, 16, math.nan, 2)
 
 
 def test_mu_value_and_lower_bound():
@@ -242,6 +244,8 @@ def test_varpi_domain(grid2, grid16):
         varpi((7,), 0.04, 0.4, -1, grid16)  # n*h = 1.96 outside the tan branch
     with pytest.raises(NegativeDiscriminantError):
         varpi((1,), 0.1, 1.0, -1, grid2)  # mu < 2*sigma makes the radicand negative
+    with pytest.raises(DomainError, match="sigma"):
+        varpi((1,), 0.1, math.nan, -1, grid2)
 
 
 def test_frequency_table_entries_match_scalars(grid16):
