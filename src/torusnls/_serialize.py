@@ -72,8 +72,6 @@ def dumps(obj) -> str:
 
 
 def _cell(v) -> str:
-    if isinstance(v, str):  # most cells of a spectrum row; skip the str() call
-        return v
     if isinstance(v, float):
         return format_float(v)
     if isinstance(v, bool):

@@ -317,7 +317,14 @@ def _run_id(config: RunConfig) -> str:
 
 
 def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
-    """Integrate a random initial datum and emit trajectory diagnostics."""
+    """Integrate a random initial datum and emit trajectory diagnostics.
+
+    The meta JSON records the run's timing (time.perf_counter, in process):
+    wall_s, step_s (integration minus observer time), steps_per_s (steps
+    over step_s), observe_s and emit_s; and its environment: the Python and
+    numpy versions and the core count.
+    """
+    started = time.perf_counter()
     grid = config.grid()
     datum = random_initial_datum(config)
     recorder = TrajectoryRecorder(
@@ -338,14 +345,25 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
             "version": __version__,
         },
     )
+    observe_s = 0.0
+
+    def observe(n: int, u: SpectralField) -> None:
+        nonlocal observe_s
+        t0 = time.perf_counter()
+        try:
+            recorder(n, u)
+        finally:
+            observe_s += time.perf_counter() - t0
+
     blown_up: BlowUpError | None = None
+    integrate_start = time.perf_counter()
     try:
         integrate(
             datum,
             config.step_scheme(),
             config.lam,
             config.n_steps,
-            observer=recorder,
+            observer=observe,
             cadence=config.cadence,
         )
     except ObserverError as exc:
@@ -353,6 +371,8 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
             blown_up = exc.cause
         else:
             raise
+    step_s = time.perf_counter() - integrate_start - observe_s
+    steps = config.n_steps if blown_up is None else blown_up.step
 
     diag = recorder.finalize()
     if blown_up is not None:
@@ -363,7 +383,17 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
             diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
         )
         diag.metadata["instability"] = inst.as_dict()
-    emit(diag, config.out)
+    diag.metadata["environment"] = {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    diag.metadata["timing"] = {
+        "steps_per_s": steps / step_s if step_s > 0.0 else None,
+        "step_s": step_s,
+        "observe_s": observe_s,
+    }
+    emit(diag, config.out, started)
 
     runid = diag.metadata["runid"]
     if blown_up is not None:

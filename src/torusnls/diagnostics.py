@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +46,9 @@ __all__ = [
     "emit",
 ]
 
+# stands for the time in the spectrum row template; no mode or number contains it
+_TIME = "{t}"
+
 
 @dataclass(frozen=True)
 class SuperActionSet:
@@ -65,27 +70,31 @@ class SuperActionSet:
 
 def super_actions(xi: XiField) -> SuperActionSet:
     """Group |xi_j|^2 over nonzero modes by the coupling index n(j)."""
-    nonzero = xi.grid.nonzero
-    labels = xi.ctx.table.n[nonzero]
-    weights = (np.abs(xi.xi) ** 2)[nonzero]
-    ms, inverse = np.unique(labels, return_inverse=True)
+    ms, inverse = xi.ctx.table.coupling_classes
+    weights = (np.abs(xi.xi) ** 2)[xi.grid.nonzero]
     sums = np.bincount(inverse, weights=weights)
-    return SuperActionSet(
-        ms=tuple(int(m) for m in ms),
-        values=tuple(float(v) for v in sums),
-    )
+    return SuperActionSet(ms=ms, values=tuple(sums.tolist()))
+
+
+@lru_cache(maxsize=16)
+def _class_weights(ms: tuple[int, ...], s: float) -> tuple[float, ...]:
+    return tuple(float(max(1, m)) ** s for m in ms)
 
 
 def weighted_deviation(now: SuperActionSet, initial: SuperActionSet, s: float) -> float:
-    """D = sum_m max(1, m)^s |I_m - I_m(0)|."""
+    """D = sum_m max(1, m)^s |I_m - I_m(0)|.
+
+    The weights are computed once per class set and s; the sum runs left to
+    right over the classes in Python floats.
+    """
     if now.ms != initial.ms:
         raise ClassSetMismatchError(
             f"class sets differ: {now.ms} vs {initial.ms}"
         )
     return float(
         sum(
-            float(max(1, m)) ** s * abs(a - b)
-            for m, a, b in zip(now.ms, now.values, initial.values)
+            w * abs(a - b)
+            for w, a, b in zip(_class_weights(now.ms, s), now.values, initial.values)
         )
     )
 
@@ -267,14 +276,25 @@ def default_snapshot_windows(horizon: float, width: float = 200.0) -> tuple:
     return ((0.0, width), (float(horizon) - width, float(horizon)))
 
 
-def emit(diag: TrajectoryDiagnostics, path: str) -> None:
+def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -> None:
     """Write <runid>_series.csv, <runid>_spectrum.csv and <runid>_meta.json.
 
     path is the output directory (created if missing); the run id comes from
     diag.metadata["runid"] (default "run").  Files are comma-separated with
     LF line endings; floats carry 17 significant digits so a parse recovers
     them bit-exactly.  An empty trajectory produces header-only CSVs.
+
+    The spectrum is written one snapshot at a time: a row template built once
+    for the grid ("t,j,%.17g" per mode, in storage order) is filled with a
+    snapshot's magnitudes in one formatting call.  A snapshot holding a
+    non-finite magnitude is written cell by cell, so the file spells it NaN
+    or Infinity like every other output.
+
+    started, a time.perf_counter() reading taken when the run began, adds to
+    the metadata's "timing" block wall_s (seconds from started to the meta
+    write) and emit_s (seconds spent writing the two CSVs).
     """
+    csv_start = time.perf_counter()
     runid = str(diag.metadata.get("runid", "run"))
     os.makedirs(path, exist_ok=True)
 
@@ -288,19 +308,30 @@ def emit(diag: TrajectoryDiagnostics, path: str) -> None:
     grid = diag.grid
     mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
     mode_text = [",".join(map(str, j)) for j in grid.modes()]
-
-    def spectrum_rows():
+    rows = "".join(f"{_TIME},{j},%.17g\n" for j in mode_text)
+    with open(os.path.join(path, f"{runid}_spectrum.csv"), "w", newline="\n") as fh:
+        fh.write(",".join(["t", *mode_cols, "abs_uj"]) + "\n")
         for t, mags in diag.snapshots:
             ts = format_float(float(t))
-            for j, m in zip(mode_text, mags.reshape(-1).tolist()):
-                yield ts, j, m
+            values = mags.reshape(-1).tolist()
+            if np.isfinite(mags).all():
+                fh.write(rows.replace(_TIME, ts) % tuple(values))
+            else:  # %.17g would spell these nan and inf
+                fh.write("".join(
+                    f"{ts},{j},{format_float(m)}\n" for j, m in zip(mode_text, values)
+                ))
 
-    write_csv(
-        os.path.join(path, f"{runid}_spectrum.csv"),
-        ["t", *mode_cols, "abs_uj"],
-        spectrum_rows(),
-    )
-
+    meta = diag.metadata
+    if started is not None:
+        now = time.perf_counter()
+        meta = {
+            **meta,
+            "timing": {
+                "wall_s": now - started,
+                **meta.get("timing", {}),
+                "emit_s": now - csv_start,
+            },
+        }
     meta_path = os.path.join(path, f"{runid}_meta.json")
     with open(meta_path, "w", newline="\n") as fh:
-        fh.write(dumps(diag.metadata) + "\n")
+        fh.write(dumps(meta) + "\n")

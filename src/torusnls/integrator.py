@@ -141,8 +141,6 @@ def integrate(
         raise ValueError("cadence must be >= 1")
 
     def notify(n: int, field: SpectralField):
-        if observer is None:
-            return
         try:
             observer(n, field)
         except Exception as exc:  # noqa: BLE001: flagged and re-raised with context
@@ -152,13 +150,14 @@ def integrate(
     c = np.fft.ifftshift(f0.coeffs)
     m0 = _mass(c)
     project = 0.0 < m0 < math.inf
-    notify(0, f0)
+    if observer is not None:
+        notify(0, f0)
     for n in range(1, n_steps + 1):
         c = st.advance(c)
         if project:
             m = _mass(c)
             if 0.0 < m < math.inf:
                 c *= math.sqrt(m0 / m)
-        if n % cadence == 0 or n == n_steps:
+        if observer is not None and (n % cadence == 0 or n == n_steps):
             notify(n, st.wrap(c))
     return st.wrap(c) if n_steps > 0 else f0

@@ -123,12 +123,22 @@ class Grid:
         pos = np.unravel_index(int(np.argmax(mask.reshape(-1))), self.shape)
         return tuple(int(p) - self.K for p in pos)
 
+    @cached_property
+    def _sobolev_weights(self) -> dict:
+        return {}
+
     def sobolev_weights(self, s: float) -> np.ndarray:
-        """max-style H^s weights: |j|^(2s) off the origin, 1 at j = 0."""
-        n2 = self.mode_norm2.astype(float)
-        w = np.ones(self.shape)
-        nz = n2 > 0
-        w[nz] = np.power(n2[nz], s)
+        """max-style H^s weights: |j|^(2s) off the origin, 1 at j = 0.
+
+        Computed once per s and cached on the grid (read-only).
+        """
+        w = self._sobolev_weights.get(s)
+        if w is None:
+            n2 = self.mode_norm2.astype(float)
+            w = np.ones(self.shape)
+            nz = n2 > 0
+            w[nz] = np.power(n2[nz], s)
+            w = self._sobolev_weights[s] = _read_only(w)
         return w
 
     def index_of(self, j: int | Sequence[int]) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -323,6 +324,14 @@ class FrequencyTable:
 
     def max_growth(self) -> float:
         return float(np.max(self.growth))
+
+    @cached_property
+    def coupling_classes(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The distinct n(j) over nonzero modes, ascending, and the class index
+        of each nonzero mode in storage order (np.unique's inverse)."""
+        ms, inverse = np.unique(self.n[self.grid.nonzero], return_inverse=True)
+        inverse.flags.writeable = False
+        return tuple(int(m) for m in ms), inverse
 
 
 def build_frequency_table(

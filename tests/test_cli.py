@@ -148,6 +148,31 @@ def test_cmd_simulate_outputs(tmp_path, capsys):
     assert os.path.exists(tmp_path / f"{runid}_spectrum.csv")
 
 
+def test_cmd_simulate_repeats_byte_for_byte(tmp_path, capsys):
+    runs = []
+    for name in ("a", "b"):
+        cfg = build_config(None, {
+            "d": 2, "K": 4, "N": 2, "steps": 30, "cadence": 1, "seed": 3,
+            "scheme": "strang-nonlinear-outside", "out": str(tmp_path / name),
+        })
+        assert cmd_simulate(cfg, runid="rep") == 0
+        runs.append(tmp_path / name)
+    for suffix in ("series.csv", "spectrum.csv"):
+        first, second = ((r / f"rep_{suffix}").read_bytes() for r in runs)
+        assert first == second
+    metas = [json.loads((r / "rep_meta.json").read_text()) for r in runs]
+    for meta in metas:
+        timing = meta.pop("timing")
+        assert list(timing) == ["wall_s", "steps_per_s", "step_s", "observe_s", "emit_s"]
+        assert all(v > 0.0 for v in timing.values())
+        assert timing["wall_s"] > timing["step_s"] + timing["observe_s"] + timing["emit_s"]
+        assert timing["steps_per_s"] == pytest.approx(30 / timing["step_s"], rel=1e-12)
+    assert metas[0] == metas[1]
+    env = metas[0]["environment"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert env["python"].count(".") == 2
+
+
 def test_cmd_simulate_blow_up(tmp_path, monkeypatch, capsys):
     def nan_datum(config):
         grid = config.grid()

@@ -27,6 +27,8 @@ from torusnls import (
     u_to_xi,
     weighted_deviation,
 )
+from torusnls._serialize import format_float
+from torusnls.diagnostics import TrajectoryDiagnostics
 
 RHO = math.sqrt(0.4)
 H = 0.04
@@ -59,6 +61,20 @@ def test_super_actions_group_negated_modes(grid16, diag16):
     assert by_m[9] == pytest.approx(0.01 + 0.04, rel=1e-14)
 
 
+@pytest.mark.parametrize("d, ell", [(1, (0,)), (2, (1, -2))])
+def test_super_actions_match_unique_bincount(make_datum, d, ell):
+    grid = Grid(K=16 if d == 1 else 5, d=d)
+    ctx = build_diagonalizers(H, RHO, -1, ell, grid)
+    labels = ctx.table.n[grid.nonzero]
+    for seed in (1, 2):  # the second call reuses the context's class labels
+        xi = u_to_xi(make_datum(grid, ell, RHO, 0.01, seed=seed), ctx)
+        ms, inverse = np.unique(labels, return_inverse=True)
+        sums = np.bincount(inverse, weights=(np.abs(xi.xi) ** 2)[grid.nonzero])
+        sa = super_actions(xi)
+        assert sa.ms == tuple(int(m) for m in ms)
+        assert sa.values == tuple(float(v) for v in sums)
+
+
 def test_weighted_deviation_hand_value():
     a = SuperActionSet(ms=(1, 4), values=(0.2, 0.3))
     b = SuperActionSet(ms=(1, 4), values=(0.2, 0.3 + 1e-8))
@@ -70,6 +86,28 @@ def test_weighted_deviation_zero_class_uses_unit_weight():
     a = SuperActionSet(ms=(0, 1), values=(0.5, 0.5))
     b = SuperActionSet(ms=(0, 1), values=(0.6, 0.5))
     assert weighted_deviation(a, b, 5.0) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_weighted_deviation_matches_scalar_sum():
+    # reference: the scalar formula, Python pow and abs, summed left to right
+    def scalar(now, initial, s):
+        return float(sum(
+            float(max(1, m)) ** s * abs(a - b)
+            for m, a, b in zip(now.ms, now.values, initial.values)
+        ))
+
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        ms = np.sort(rng.choice(300, size=n, replace=False))
+        if trial % 2 == 0:
+            ms[0] = 0
+        ms = tuple(int(m) for m in ms)
+        scale = 10.0 ** rng.uniform(-12, 0, size=n)
+        a = SuperActionSet(ms=ms, values=tuple((scale * rng.random(n)).tolist()))
+        b = SuperActionSet(ms=ms, values=tuple((scale * rng.random(n)).tolist()))
+        for s in (0.0, 1.5, 5.0, 25.0):
+            assert weighted_deviation(a, b, s) == scalar(a, b, s)
 
 
 def test_weighted_deviation_class_mismatch():
@@ -242,3 +280,50 @@ def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):
     spectrum = list(csv.reader(open(tmp_path / "two_spectrum.csv")))
     assert spectrum[0] == ["t", "j1", "j2", "abs_uj"]
     assert spectrum[1][1:3] == ["-2", "-2"]
+
+
+def _reference_spectrum(diag):
+    """The spectrum CSV rendered one cell at a time with format_float."""
+    grid = diag.grid
+    cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
+    lines = [["t", *cols, "abs_uj"]]
+    for t, mags in diag.snapshots:
+        for j, m in zip(grid.modes(), mags.reshape(-1)):
+            lines.append([format_float(float(t)), *map(str, j), format_float(float(m))])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("d, ell", [(1, (3,)), (2, (1, -2))])
+def test_emit_spectrum_text_of_recorded_run(make_datum, tmp_path, d, ell):
+    grid = Grid(K=16 if d == 1 else 4, d=d)
+    rec = TrajectoryRecorder(
+        grid=grid, ell=ell, h=H, rho=RHO, lam=-1, s=5.0,
+        snapshot_windows=((0.0, 0.5),), metadata={"runid": "ref"},
+    )
+    integrate(make_datum(grid, ell, RHO, 0.01, seed=4),
+              StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, 30,
+              observer=rec, cadence=1)
+    diag = rec.finalize()
+    assert len(diag.snapshots) == 13  # t = 0, 0.04, ..., 0.48
+    emit(diag, str(tmp_path))
+    text = (tmp_path / "ref_spectrum.csv").read_bytes().decode()
+    assert text == _reference_spectrum(diag)
+
+
+def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
+    grid = Grid(K=2, d=1)
+    odd = np.array([np.nan, np.inf, 0.0, 0.1 + 0.2])
+    diag = TrajectoryDiagnostics(
+        grid=grid,
+        times=np.array([0.1 + 0.2, 0.5]),
+        mass=np.array([0.4, 0.4]),
+        orbital_distance=np.array([0.01, 0.01]),
+        deviation=np.array([0.0, 0.0]),
+        snapshots=((0.1 + 0.2, odd), (0.5, np.array([1e-300, 2.5, 1 / 3, 7.0]))),
+        metadata={"runid": "odd"},
+    )
+    emit(diag, str(tmp_path))
+    text = (tmp_path / "odd_spectrum.csv").read_bytes().decode()
+    assert text == _reference_spectrum(diag)
+    assert "0.30000000000000004,-2,NaN\n0.30000000000000004,-1,Infinity\n" in text
+

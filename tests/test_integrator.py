@@ -170,6 +170,20 @@ def test_integrate_observer_cadence(grid16):
     assert seen == [0, 7, 14, 21, 23]
 
 
+def test_integrate_without_observer_builds_only_the_result(grid16, rng, monkeypatch):
+    from torusnls.integrator import _Stepper
+
+    f = _random_field(grid16, rng, scale=0.3)
+    scheme = StepScheme(StepVariant.STRANG_LINEAR_OUTSIDE, 0.03)
+    observed = integrate(f, scheme, 1.0, 12, observer=lambda n, u: None, cadence=1)
+    wraps = []
+    real_wrap = _Stepper.wrap
+    monkeypatch.setattr(_Stepper, "wrap", lambda st, c: wraps.append(1) or real_wrap(st, c))
+    plain = integrate(f, scheme, 1.0, 12, cadence=1)
+    assert len(wraps) == 1  # the returned field
+    assert np.array_equal(plain.coeffs, observed.coeffs)
+
+
 def test_integrate_zero_steps(grid16):
     f = SpectralField.from_modes(grid16, {(0,): 0.5})
     seen = []

@@ -193,3 +193,15 @@ def test_plane_wave_validation():
         PlaneWaveSpec(rho=math.nan, ell=(0,), lam=-1.0)
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=1.0, ell=(0,), lam=0.5)
+
+
+def test_sobolev_weights_cached_read_only(grid2d):
+    for s in (0.5, 5.0):
+        w = grid2d.sobolev_weights(s)
+        n2 = grid2d.mode_norm2.astype(float)
+        fresh = np.where(n2 > 0, np.power(n2, s), 1.0)
+        assert np.array_equal(w, fresh)
+        assert grid2d.sobolev_weights(s) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 2.0
