@@ -260,8 +260,8 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
     grid = config.grid()
     # the certified step bound is only defined for order N >= 2
     cfl = cfl_max_h(config.d, config.K, config.rho, config.N) if config.N >= 2 else None
-    a1 = check_assumption1(config.h, config.rho, config.lam, config.ell, grid)
     table = build_frequency_table(config.h, config.rho, config.lam, config.ell, grid)
+    a1 = check_assumption1(table)
     payload: dict = {
         "parameters": {
             "d": config.d,

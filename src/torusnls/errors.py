@@ -5,9 +5,6 @@ from __future__ import annotations
 __all__ = [
     "TorusNLSError",
     "DomainError",
-    "DegenerateSignError",
-    "UnstableModeError",
-    "NegativeDiscriminantError",
     "NotLinearlyStableError",
     "ZeroCarrierModeError",
     "MassDeficitError",
@@ -23,19 +20,7 @@ class TorusNLSError(Exception):
 
 
 class DomainError(TorusNLSError, ValueError):
-    """Argument outside the domain of a frequency function (e.g. nh >= pi/2)."""
-
-
-class DegenerateSignError(TorusNLSError, ArithmeticError):
-    """The sign factor in the frequency formula vanishes at some mode."""
-
-
-class UnstableModeError(TorusNLSError, ArithmeticError):
-    """Linear stability fails at a mode: the arccos argument leaves [-1, 1]."""
-
-
-class NegativeDiscriminantError(TorusNLSError, ArithmeticError):
-    """Negative discriminant in the modified-frequency formula."""
+    """Parameter outside its domain (e.g. h <= 0, a non-finite rho, or |lambda| != 1)."""
 
 
 class NotLinearlyStableError(TorusNLSError):

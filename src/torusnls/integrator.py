@@ -23,13 +23,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ObserverError
-from .spectral import Grid, SpectralField, trig_interpolate
+from .spectral import Grid, SpectralField
 
 __all__ = [
     "StepVariant",
     "StepScheme",
-    "linear_flow",
-    "nonlinear_flow",
     "step",
     "integrate",
 ]
@@ -54,19 +52,6 @@ class StepScheme:
         object.__setattr__(self, "variant", StepVariant(self.variant))
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("step size h must be positive and finite")
-
-
-def linear_flow(f: SpectralField, t: float) -> SpectralField:
-    """Exact free-Schroedinger flow: coefficient j picks up e^{-i |j|^2 t}."""
-    phase = np.exp(-1j * t * f.grid.mode_norm2)
-    return SpectralField(f.grid, f.coeffs * phase)
-
-
-def nonlinear_flow(f: SpectralField, lam: float, t: float) -> SpectralField:
-    """Exact flow of i u_t = lam |u|^2 u at the collocation points."""
-    vals = f.values()
-    vals *= np.exp(-1j * lam * t * np.abs(vals) ** 2)
-    return trig_interpolate(vals, f.grid)
 
 
 class _Stepper:

@@ -263,8 +263,8 @@ class PlaneWaveSpec:
     lam: float
 
     def __post_init__(self):
-        if not (self.rho >= 0):
-            raise DomainError(f"rho must be >= 0, got {self.rho!r}")
+        if not (self.rho >= 0 and math.isfinite(self.rho)):
+            raise DomainError(f"rho must be nonnegative and finite, got {self.rho!r}")
         if self.lam not in (-1.0, 1.0):
             raise ValueError("lam must be -1 or +1")
         object.__setattr__(self, "ell", tuple(int(c) for c in self.ell))

@@ -34,28 +34,16 @@ from functools import cached_property
 import numpy as np
 
 from ._serialize import dumps
-from .errors import (
-    DegenerateSignError,
-    DomainError,
-    NegativeDiscriminantError,
-    UnstableModeError,
-)
+from .errors import DomainError
 from .spectral import Grid, Mode, as_mode, mod_reduce
 
 __all__ = [
     "LinearStabilityReport",
     "FrequencyTable",
-    "ModeEntry",
     "ComboWitness",
     "ResonanceReport",
-    "n_of_j",
-    "mode_matrix",
     "check_assumption1",
-    "omega",
-    "growth_factor",
     "cfl_max_h",
-    "mu",
-    "varpi",
     "build_frequency_table",
     "check_assumption2",
 ]
@@ -103,38 +91,6 @@ def _mode_kernel(
     return n, shift, r, g, q2
 
 
-def _nonzero_entry(
-    j: int | tuple, ell: int | tuple, h: float, rho: float, lam: int, grid: Grid
-) -> ModeEntry:
-    """Frequency-table entry of mode j, which must be nonzero after reduction."""
-    e = build_frequency_table(h, rho, lam, ell, grid).entry(j)
-    if not any(e.j):
-        raise DomainError("per-mode quantities are defined for nonzero modes only")
-    return e
-
-
-def n_of_j(j: int | tuple, ell: int | tuple, grid: Grid) -> int:
-    """Integer coupling index n(j) = (|ell+j|^2 + |ell-j|^2)/2 - |ell|^2.
-
-    Norms are taken on mod-2K-reduced representatives; the combination is
-    always an even sum halved, hence exactly integer.
-    """
-    # n does not depend on the step, amplitude or sign of the nonlinearity
-    return _nonzero_entry(j, ell, 1.0, 0.0, 1, grid).n
-
-
-def mode_matrix(
-    j: int | tuple, ell: int | tuple, h: float, rho: float, lam: int, grid: Grid
-) -> tuple[complex, complex]:
-    """Entries (alpha_j, beta_j) of the per-mode linearized propagation matrix.
-
-    The full 2x2 block acting on (w_j, conj(w_{-j})) is
-    [[alpha, beta], [conj(beta), conj(alpha)]]; |alpha|^2 - |beta|^2 = 1.
-    """
-    e = _nonzero_entry(j, ell, h, rho, lam, grid)
-    return e.alpha, e.beta
-
-
 @dataclass(frozen=True)
 class LinearStabilityReport:
     """Certified linear-stability margin over all nonzero modes."""
@@ -154,55 +110,20 @@ class LinearStabilityReport:
         return dumps(self.as_dict())
 
 
-def check_assumption1(
-    h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
-) -> LinearStabilityReport:
+def check_assumption1(table: FrequencyTable) -> LinearStabilityReport:
     """Largest certified c1 with (cos(nh) - h*lam*rho^2*sin(nh))^2 <= 1 - c1*h^2.
 
     c1 is the smallest half-angle margin q2 of the frequency table over the
     nonzero modes, divided by h^2; holds iff c1 > 0, which for rho > 0 is
-    exactly when build_diagonalizers succeeds.  worst_j is the first mode (in
-    lexicographic storage order) attaining the minimum.
+    exactly when build_diagonalizers succeeds on the table's parameters.
+    worst_j is the first mode (in lexicographic storage order) attaining the
+    minimum.
     """
-    table = build_frequency_table(h, rho, lam, ell, grid)
+    grid = table.grid
     q2_min = np.min(table.q2[grid.nonzero])
     worst_j = grid.mode_at(grid.nonzero & (table.q2 == q2_min))
     c1 = float(q2_min / (table.h * table.h))
     return LinearStabilityReport(holds=c1 > 0.0, c1_certified=c1, worst_j=worst_j)
-
-
-def omega(
-    j: int | tuple, ell: int | tuple, h: float, rho: float, lam: int, grid: Grid
-) -> float:
-    """Numerical frequency: eigenvalue phase of the per-mode propagation matrix.
-
-    omega_j = (|ell+j|^2 - |ell-j|^2)/2 + arccos(R)/(h*sgn(G)) with
-    R = cos(nh) - h*lam*rho^2*sin(nh) and G = sin(nh) + h*lam*rho^2*cos(nh),
-    all norms mod-reduced.  UnstableModeError when the half-angle margin
-    q2 = 1 - R^2 < 0, DegenerateSignError when G = 0.
-    """
-    e = _nonzero_entry(j, ell, h, rho, lam, grid)
-    if e.status == "unstable":
-        raise UnstableModeError(
-            f"mode {e.j}: half-angle margin q2 < 0, eigenvalues off the unit "
-            f"circle (growth factor {e.growth})"
-        )
-    if e.status == "degenerate-sign":
-        raise DegenerateSignError(
-            f"mode {e.j}: sin(nh) + h*lam*rho^2*cos(nh) = 0, frequency branch undefined"
-        )
-    return e.omega
-
-
-def growth_factor(
-    j: int | tuple, ell: int | tuple, h: float, rho: float, lam: int, grid: Grid
-) -> float:
-    """Spectral radius of the per-mode propagation matrix (1 when stable).
-
-    Eigenvalues have product 1 and trace 2R; on the unit circle both have
-    modulus 1, off it the dominant one has modulus |R| + sqrt(R^2 - 1).
-    """
-    return _nonzero_entry(j, ell, h, rho, lam, grid).growth
 
 
 def cfl_max_h(d: int, K: int, rho0: float, N: int) -> float:
@@ -216,58 +137,6 @@ def cfl_max_h(d: int, K: int, rho0: float, N: int) -> float:
     if not math.isfinite(rho0):
         raise DomainError(f"rho0 must be finite, got {rho0!r}")
     return math.pi / ((N + 1) * (d * K * K + 2.0 * rho0 * rho0))
-
-
-def mu(n: int, h: float) -> float:
-    """mu_n = tan(n*h)/h, defined for n*h in (0, pi/2).
-
-    Under the CFL restriction n*h stays below pi/2 for all coupling indices,
-    and n <= mu_n <= C*n.
-    """
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if h <= 0.0 or not math.isfinite(h):
-        raise DomainError(f"h must be positive and finite, got {h!r}")
-    theta = n * h
-    if theta >= math.pi / 2.0:
-        raise DomainError(f"n*h = {theta} outside (0, pi/2); tan branch invalid")
-    return math.tan(theta) / h
-
-
-def varpi(j: int | tuple, h: float, sigma: float, lam: int, grid: Grid) -> float:
-    """Modified frequency |j|^2 - mu + sqrt(mu^2 + 2*lam*sigma*mu), carrier mode 0.
-
-    sigma is the squared plane-wave amplitude rho^2; sigma = 0 gives |j|^2.
-    """
-    lam = _check_lambda(lam)
-    jm = mod_reduce(as_mode(j, grid.d), grid)
-    if all(c == 0 for c in jm):
-        raise DomainError("varpi is defined for nonzero modes only")
-    if not (sigma >= 0.0):
-        raise DomainError(f"sigma = rho^2 must be nonnegative, got {sigma}")
-    n = sum(c * c for c in jm)
-    m = mu(n, h)
-    rad = m * m + 2.0 * lam * sigma * m
-    if rad < 0.0:
-        raise NegativeDiscriminantError(
-            f"mode {jm}: mu^2 + 2*lam*sigma*mu = {rad} < 0"
-        )
-    return n - m + math.sqrt(rad)
-
-
-@dataclass(frozen=True)
-class ModeEntry:
-    """Per-mode slice of a FrequencyTable."""
-
-    j: Mode
-    n: int
-    shift: int
-    alpha: complex
-    beta: complex
-    omega: float
-    varpi: float
-    growth: float
-    status: str
 
 
 @dataclass(frozen=True)
@@ -307,21 +176,6 @@ class FrequencyTable:
         ):
             getattr(self, name).flags.writeable = False
 
-    def entry(self, j: int | tuple) -> ModeEntry:
-        jm = mod_reduce(as_mode(j, self.grid.d), self.grid)
-        idx = self.grid.index_of(jm)
-        return ModeEntry(
-            j=jm,
-            n=int(self.n[idx]),
-            shift=int(self.shift[idx]),
-            alpha=complex(self.alpha[idx]),
-            beta=complex(self.beta[idx]),
-            omega=float(self.omega[idx]),
-            varpi=float(self.varpi[idx]),
-            growth=float(self.growth[idx]),
-            status=str(self.omega_status[idx]),
-        )
-
     def max_growth(self) -> float:
         return float(np.max(self.growth))
 
@@ -339,6 +193,11 @@ def build_frequency_table(
 ) -> FrequencyTable:
     """Assemble the per-mode kernel, alpha, beta, omega, growth, varpi and eps_hat.
 
+    With R and G from the kernel, omega_j = shift_j + arccos(R)/(h*sgn(G)) is
+    the eigenvalue phase of the mode's propagation block, growth_j =
+    max(1, |R| + sqrt(R^2 - 1)) its spectral radius (the eigenvalues have
+    product 1 and trace 2R), and, for carrier 0 only, varpi_j = n - mu +
+    sqrt(mu^2 + 2*lam*rho^2*mu) with mu = tan(n*h)/h for n*h in (0, pi/2).
     Per-mode omega failures are flagged in omega_status ("unstable" when the
     half-angle margin q2 is negative, "degenerate-sign" when the branch sign
     vanishes) with NaN entries rather than raised.

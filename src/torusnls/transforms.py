@@ -100,16 +100,6 @@ class DiagonalizerSet:
         a, b = complex(self.t00[idx]), complex(self.t01[idx])
         return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=np.complex128)
 
-    def propagation_matrix(self, j: int | tuple) -> np.ndarray:
-        """Full per-mode step matrix on (w_j, conj(w_{-j})), integer shift included."""
-        e = self.table.entry(j)
-        phase = np.exp(-1j * e.shift * self.h)
-        block = np.array(
-            [[e.alpha, e.beta], [np.conj(e.beta), np.conj(e.alpha)]],
-            dtype=np.complex128,
-        )
-        return phase * block
-
     def entry_bound(self) -> float:
         """Largest entry modulus over all modes (compare with the stability margin bound)."""
         return float(

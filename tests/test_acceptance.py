@@ -28,6 +28,7 @@ import math
 import numpy as np
 import pytest
 
+import frequency_oracle
 from resonance_oracle import canonical_witness, oracle_violations
 from torusnls import (
     Grid,
@@ -46,7 +47,6 @@ from torusnls import (
     mod_reduce,
     step,
     u_to_xi,
-    varpi,
     xi_to_u,
 )
 from torusnls.cli import build_config, cmd_check, random_initial_datum
@@ -135,13 +135,15 @@ def test_criterion_03_assumption_checks(capsys):
             code = cmd_check(cfg)
             capsys.readouterr()
             assert code == 0, f"check failed at h={h}, N={n}"
-        a1 = check_assumption1(h, RHO, -1, (0,), Grid(K=16, d=1))
+        table = build_frequency_table(h, RHO, -1, (0,), Grid(K=16, d=1))
+        a1 = check_assumption1(table)
         assert a1.holds and a1.c1_certified >= 0.2
     # the unstable step is rejected on linear stability alone
     code = cmd_check(build_config(None, {"h": 0.042, "N": 2}))
     capsys.readouterr()
     assert code == 1
-    assert not check_assumption1(0.042, RHO, -1, (0,), Grid(K=16, d=1)).holds
+    table = build_frequency_table(0.042, RHO, -1, (0,), Grid(K=16, d=1))
+    assert not check_assumption1(table).holds
 
 
 def test_criterion_04_orbital_stability(stable_run):
@@ -204,7 +206,8 @@ def test_criterion_06_frequency_validation():
     for hh in hs:
         tab = build_frequency_table(hh, RHO, lam, ell, grid)
         errs.append(max(
-            abs(float(tab.omega[grid.index_of(j)]) - varpi(j, hh, RHO * RHO, lam, grid))
+            abs(float(tab.omega[grid.index_of(j)])
+                - frequency_oracle.varpi(sum(c * c for c in j), hh, RHO * RHO, lam))
             for j in small
         ))
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
@@ -223,7 +226,7 @@ def test_criterion_07_transform_integrity():
         h = float(rng.uniform(0.2, 1.0)) * cfl_max_h(d, K, rho, N)
         ell = tuple(int(rng.integers(-K, K)) for _ in range(d))
         grid = Grid(K=K, d=d)
-        a1 = check_assumption1(h, rho, lam, ell, grid)
+        a1 = check_assumption1(build_frequency_table(h, rho, lam, ell, grid))
         if not a1.holds or a1.c1_certified <= 0.0:
             continue
         checked += 1
@@ -246,7 +249,8 @@ def test_criterion_07_transform_integrity():
         for j in grid.nonzero_modes():
             S = ctx.S(j)
             assert abs(np.linalg.det(S) - 1.0) <= 1e-12
-            D = S @ ctx.propagation_matrix(j) @ ctx.S_inv(j)
+            block = frequency_oracle.block(j, ell, h, rho, lam, K)
+            D = S @ block @ ctx.S_inv(j)
             nj = mod_reduce(tuple(-comp for comp in j), grid)
             om_j = float(ctx.table.omega[grid.index_of(j)])
             om_nj = float(ctx.table.omega[grid.index_of(nj)])
@@ -328,7 +332,8 @@ def test_criterion_11_cfl_implies_linear_stability():
         K = int(rng.integers(1, 21 if d == 1 else 11))
         N = int(rng.integers(2, 7))
         h = float(rng.uniform(0.05, 1.0)) * cfl_max_h(d, K, rho0, N)
-        a1 = check_assumption1(h, rho, lam, (0,) * d, Grid(K=K, d=d))
+        table = build_frequency_table(h, rho, lam, (0,) * d, Grid(K=K, d=d))
+        a1 = check_assumption1(table)
         assert a1.holds, (
             f"CFL-satisfying draw failed linear stability: lam={lam} "
             f"rho={rho:.4f} rho0={rho0:.4f} d={d} K={K} N={N} h={h:.6f}"

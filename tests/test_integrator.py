@@ -14,10 +14,21 @@ from torusnls import (
     StepScheme,
     StepVariant,
     integrate,
-    linear_flow,
-    nonlinear_flow,
     step,
+    trig_interpolate,
 )
+
+
+def linear_flow(f, t):
+    """Exact free-Schroedinger flow: coefficient j picks up e^{-i |j|^2 t}."""
+    return SpectralField(f.grid, f.coeffs * np.exp(-1j * t * f.grid.mode_norm2))
+
+
+def nonlinear_flow(f, lam, t):
+    """Exact flow of i u_t = lam |u|^2 u at the collocation points."""
+    vals = f.values()
+    vals *= np.exp(-1j * lam * t * np.abs(vals) ** 2)
+    return trig_interpolate(vals, f.grid)
 
 
 def _random_field(grid, rng, scale=1.0):

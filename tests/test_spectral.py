@@ -189,8 +189,9 @@ def test_plane_wave_field(grid16):
 def test_plane_wave_validation():
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=-1.0, ell=(0,), lam=-1.0)
-    with pytest.raises(DomainError, match="rho"):
-        PlaneWaveSpec(rho=math.nan, ell=(0,), lam=-1.0)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="rho"):
+            PlaneWaveSpec(rho=rho, ell=(0,), lam=-1.0)
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=1.0, ell=(0,), lam=0.5)
 

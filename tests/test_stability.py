@@ -1,47 +1,54 @@
 """Per-mode linearized analysis: coupling index, propagation matrix,
-stability margin, frequencies, CFL bound, and the non-resonance checker."""
+stability margin, frequencies, CFL bound, and the non-resonance checker.
+
+Per-mode values are read off the frequency table's arrays and checked
+against hand values or against tests/frequency_oracle.py, which recomputes
+them one mode at a time from the closed forms."""
 
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
 
+import frequency_oracle as oracle
 from torusnls import (
-    DegenerateSignError,
     DomainError,
     Grid,
-    NegativeDiscriminantError,
     NotLinearlyStableError,
-    UnstableModeError,
     build_diagonalizers,
     build_frequency_table,
     cfl_max_h,
     check_assumption1,
     check_assumption2,
-    growth_factor,
-    mode_matrix,
-    mu,
-    n_of_j,
-    omega,
-    varpi,
+    mod_reduce,
 )
 
 RHO = math.sqrt(0.4)
 
 
+def _at(table, j):
+    """Position of mode j (any representative) in the table's arrays."""
+    return table.grid.index_of(mod_reduce(j, table.grid))
+
+
+def _n(j, ell, grid):
+    # n does not depend on the step, amplitude or sign of the nonlinearity
+    t = build_frequency_table(1.0, 0.0, 1, ell, grid)
+    return int(t.n[_at(t, j)])
+
+
 def test_n_of_j_zero_carrier(grid16):
-    assert n_of_j((3,), (0,), grid16) == 9
-    assert n_of_j((-16,), (0,), grid16) == 256
+    assert _n((3,), (0,), grid16) == 9
+    assert _n((-16,), (0,), grid16) == 256
 
 
 def test_n_of_j_hand_value_with_wrap(grid2):
     # ell=1, j=1: ell+j = 2 wraps to -2, so n = (4 + 0)/2 - 1 = 1
-    assert n_of_j((1,), (1,), grid2) == 1
+    assert _n((1,), (1,), grid2) == 1
     # ell=1, j=-2: both ell+j and ell-j wrap to modulus 1, n = 1 - 1 = 0
-    assert n_of_j((-2,), (1,), grid2) == 0
+    assert _n((-2,), (1,), grid2) == 0
 
 
 def test_n_of_j_symmetry(grid16, rng):
@@ -50,22 +57,20 @@ def test_n_of_j_symmetry(grid16, rng):
         j = (int(rng.integers(-16, 16)),)
         if j == (0,):
             continue
-        assert n_of_j(j, ell, grid16) == n_of_j(tuple(-c for c in j), ell, grid16)
+        assert _n(j, ell, grid16) == _n(tuple(-c for c in j), ell, grid16)
 
 
 def test_n_of_j_reduces_inputs(grid16):
-    assert n_of_j((17,), (0,), grid16) == n_of_j((-15,), (0,), grid16)
-
-
-def test_n_of_j_origin_rejected(grid16):
-    with pytest.raises(DomainError):
-        n_of_j((0,), (0,), grid16)
-    with pytest.raises(DomainError):
-        n_of_j((32,), (0,), grid16)
+    # the carrier is taken modulo 2K as well: ell = 17 is ell = -15
+    a = build_frequency_table(0.04, RHO, -1, (17,), grid16)
+    b = build_frequency_table(0.04, RHO, -1, (-15,), grid16)
+    assert a.ell == (-15,)
+    assert np.array_equal(a.n, b.n) and np.array_equal(a.shift, b.shift)
 
 
 def test_mode_matrix_reference_values(grid16):
-    a, b = mode_matrix((1,), (0,), 0.04, RHO, -1, grid16)
+    t = build_frequency_table(0.04, RHO, -1, (0,), grid16)
+    a, b = t.alpha[_at(t, (1,))], t.beta[_at(t, (1,))]
     assert a == pytest.approx(0.9998399360079641 - 0.024002132480058513j, rel=1e-13)
     assert b == pytest.approx(0.0006398293469861466 + 0.015987201706575648j, rel=1e-13)
 
@@ -78,27 +83,29 @@ def test_mode_matrix_norm_invariant(grid16, rng):
         h = float(rng.uniform(0.001, 0.2))
         rho = float(rng.uniform(0.0, 1.5))
         lam = int(rng.choice([-1, 1]))
-        a, b = mode_matrix(j, (0,), h, rho, lam, grid16)
+        t = build_frequency_table(h, rho, lam, (0,), grid16)
+        a, b = t.alpha[_at(t, j)], t.beta[_at(t, j)]
         assert abs(a) ** 2 - abs(b) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_mode_matrix_zero_amplitude(grid16):
-    a, b = mode_matrix((2,), (0,), 0.1, 0.0, -1, grid16)
+    t = build_frequency_table(0.1, 0.0, -1, (0,), grid16)
+    a, b = t.alpha[_at(t, (2,))], t.beta[_at(t, (2,))]
     assert a == pytest.approx(complex(math.cos(0.4), -math.sin(0.4)), rel=1e-14)
     assert b == 0.0
 
 
 def test_assumption1_reference_margins(grid16):
-    r = check_assumption1(0.04, RHO, -1, (0,), grid16)
+    r = check_assumption1(build_frequency_table(0.04, RHO, -1, (0,), grid16))
     assert r.holds
     assert r.c1_certified == pytest.approx(0.20006397724398051, rel=1e-12)
     assert r.worst_j == (-1,)
 
-    r = check_assumption1(0.044, RHO, -1, (0,), grid16)
+    r = check_assumption1(build_frequency_table(0.044, RHO, -1, (0,), grid16))
     assert r.holds
     assert r.c1_certified == pytest.approx(0.20007740668266422, rel=1e-12)
 
-    r = check_assumption1(0.042, RHO, -1, (0,), grid16)
+    r = check_assumption1(build_frequency_table(0.042, RHO, -1, (0,), grid16))
     assert not r.holds
     assert r.c1_certified == pytest.approx(-0.11976433456211927, rel=1e-12)
     assert r.worst_j == (-15,)
@@ -111,7 +118,8 @@ def test_assumption1_agrees_with_diagonalizers(grid16):
     cases = [(0.04, (0,), grid16), (0.042, (0,), grid16), (1e-8, (0,), grid16),
              (0.245, (1, -2), Grid(K=4, d=2)), (0.01, (1, -2), Grid(K=4, d=2))]
     for h, ell, grid in cases:
-        r = check_assumption1(h, RHO, -1, ell, grid)
+        table = build_frequency_table(h, RHO, -1, ell, grid)
+        r = check_assumption1(table)
         try:
             build_diagonalizers(h, RHO, -1, ell, grid)
             built = True
@@ -119,20 +127,19 @@ def test_assumption1_agrees_with_diagonalizers(grid16):
             built = False
         assert r.holds == built, f"h={h} ell={ell}"
         if r.holds:
-            status = build_frequency_table(h, RHO, -1, ell, grid).omega_status
-            assert set(np.unique(status)) == {"ok", "excluded"}
-    assert check_assumption1(1e-8, RHO, -1, (0,), grid16).c1_certified == (
-        pytest.approx(0.2, rel=1e-6)
-    )
+            assert set(np.unique(table.omega_status)) == {"ok", "excluded"}
+    assert check_assumption1(
+        build_frequency_table(1e-8, RHO, -1, (0,), grid16)
+    ).c1_certified == pytest.approx(0.2, rel=1e-6)
     for h in (-0.04, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            check_assumption1(h, RHO, -1, (0,), grid16)
+            build_frequency_table(h, RHO, -1, (0,), grid16)
     with pytest.raises(DomainError):
-        check_assumption1(0.04, math.nan, -1, (0,), grid16)
+        build_frequency_table(0.04, math.nan, -1, (0,), grid16)
 
 
 def test_assumption1_report_serialization(grid16):
-    r = check_assumption1(0.04, RHO, -1, (0,), grid16)
+    r = check_assumption1(build_frequency_table(0.04, RHO, -1, (0,), grid16))
     doc = json.loads(r.to_json())
     assert doc["holds"] is True
     assert doc["worst_j"] == [-1]
@@ -149,38 +156,38 @@ def test_omega_is_eigenvalue_phase(grid16, rng):
         h = float(rng.uniform(0.005, 0.05))
         rho = float(rng.uniform(0.1, 0.8))
         lam = int(rng.choice([-1, 1]))
-        try:
-            w = omega(j, (0,), h, rho, lam, grid16)
-        except UnstableModeError:
+        t = build_frequency_table(h, rho, lam, (0,), grid16)
+        if t.omega_status[_at(t, j)] == "unstable":
             continue
-        a, b = mode_matrix(j, (0,), h, rho, lam, grid16)
-        eig = np.linalg.eigvals(np.array([[a, b], [np.conj(b), np.conj(a)]]))
+        w = float(t.omega[_at(t, j)])
+        eig = np.linalg.eigvals(oracle.block(j, (0,), h, rho, lam, grid16.K))
         assert min(abs(eig - np.exp(-1j * w * h))) < 1e-12
         checked += 1
     assert checked >= 20
 
 
 def test_omega_even_at_zero_carrier(grid16):
-    w1 = omega((4,), (0,), 0.04, RHO, -1, grid16)
-    w2 = omega((-4,), (0,), 0.04, RHO, -1, grid16)
-    assert w1 == w2
-
-
-def test_omega_unstable_mode_rejected(grid16):
-    with pytest.raises(UnstableModeError):
-        omega((-15,), (0,), 0.042, RHO, -1, grid16)
+    # every mode, in d = 1 and d = 2: omega_{-j} = omega_j around carrier 0
+    for grid in (grid16, Grid(K=4, d=2)):
+        t = build_frequency_table(0.04, RHO, -1, (0,) * grid.d, grid)
+        assert np.array_equal(t.omega[grid.negation], t.omega, equal_nan=True)
 
 
 def test_omega_degenerate_sign_rejected(grid2):
     # aliasing makes n vanish at j=-2 for ell=1; with rho=0 the branch
-    # selector sin(nh) + h*lam*rho^2*cos(nh) is exactly zero
-    with pytest.raises(DegenerateSignError):
-        omega((-2,), (1,), 0.1, 0.0, -1, grid2)
+    # selector sin(nh) + h*lam*rho^2*cos(nh) is exactly zero, and the table
+    # flags the mode instead of giving it a frequency
+    t = build_frequency_table(0.1, 0.0, -1, (1,), grid2)
+    i = grid2.index_of((-2,))
+    assert t.omega_status[i] == "degenerate-sign"
+    assert math.isnan(t.omega[i])
 
 
 def test_growth_factor(grid16):
-    assert growth_factor((1,), (0,), 0.04, RHO, -1, grid16) == 1.0
-    g = growth_factor((-15,), (0,), 0.042, RHO, -1, grid16)
+    t = build_frequency_table(0.04, RHO, -1, (0,), grid16)
+    assert t.growth[_at(t, (1,))] == 1.0
+    t = build_frequency_table(0.042, RHO, -1, (0,), grid16)
+    g = t.growth[_at(t, (-15,))]
     assert g == pytest.approx(1.0146405598691435, rel=1e-12)
     assert g > 1.0
 
@@ -207,83 +214,90 @@ def test_cfl_validation():
 
 
 def test_mu_value_and_lower_bound():
-    assert mu(9, 0.04) == pytest.approx(9.410071291050674, rel=1e-13)
+    # the oracle's mu, which the varpi comparisons below rely on
+    assert oracle.mu(9, 0.04) == pytest.approx(9.410071291050674, rel=1e-13)
     # tan x >= x on (0, pi/2) makes mu_n >= n
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(1, 40))
         h = float(rng.uniform(1e-4, (math.pi / 2) / n * 0.999))
-        assert mu(n, h) >= n
-
-
-def test_mu_domain():
-    with pytest.raises(DomainError):
-        mu(0, 0.1)
-    with pytest.raises(DomainError):
-        mu(-3, 0.1)
-    with pytest.raises(DomainError):
-        mu(16, 0.1)  # n*h = 1.6 > pi/2
-    with pytest.raises(DomainError):
-        mu(1, 0.0)
+        assert oracle.mu(n, h) >= n
 
 
 def test_varpi_values(grid2, grid16):
-    assert varpi((1,), 0.1, 0.0, -1, grid2) == pytest.approx(1.0, rel=1e-13)
-    assert varpi((1,), 0.1, 0.4, -1, grid2) == pytest.approx(
-        0.44834705325123153, rel=1e-12
-    )
-    assert varpi((1,), 0.04, 0.4, -1, grid16) == pytest.approx(
-        0.4473956662746935, rel=1e-12
-    )
+    def vp(h, sigma, grid):
+        t = build_frequency_table(h, math.sqrt(sigma), -1, (0,), grid)
+        return t.varpi[_at(t, (1,))]
+
+    assert vp(0.1, 0.0, grid2) == pytest.approx(1.0, rel=1e-13)
+    assert vp(0.1, 0.4, grid2) == pytest.approx(0.44834705325123153, rel=1e-12)
+    assert vp(0.04, 0.4, grid16) == pytest.approx(0.4473956662746935, rel=1e-12)
 
 
 def test_varpi_domain(grid2, grid16):
-    with pytest.raises(DomainError):
-        varpi((0,), 0.1, 0.4, -1, grid2)
-    with pytest.raises(DomainError):
-        varpi((7,), 0.04, 0.4, -1, grid16)  # n*h = 1.96 outside the tan branch
-    with pytest.raises(NegativeDiscriminantError):
-        varpi((1,), 0.1, 1.0, -1, grid2)  # mu < 2*sigma makes the radicand negative
-    with pytest.raises(DomainError, match="sigma"):
-        varpi((1,), 0.1, math.nan, -1, grid2)
+    # varpi is NaN where it is undefined: at the origin, outside the tan
+    # branch, and where mu^2 + 2*lam*sigma*mu < 0; a NaN amplitude is rejected
+    t = build_frequency_table(0.1, math.sqrt(0.4), -1, (0,), grid2)
+    assert math.isnan(t.varpi[grid2.index_of((0,))])
+    t = build_frequency_table(0.04, math.sqrt(0.4), -1, (0,), grid16)
+    assert math.isnan(t.varpi[grid16.index_of((7,))])  # n*h = 1.96 > pi/2
+    t = build_frequency_table(0.1, 1.0, -1, (0,), grid2)
+    assert math.isnan(t.varpi[grid2.index_of((1,))])  # mu < 2*sigma
+    with pytest.raises(DomainError, match="rho"):
+        build_frequency_table(0.1, math.nan, -1, (0,), grid2)
 
 
-def test_frequency_table_entries_match_scalars(grid16):
-    t = build_frequency_table(0.04, RHO, -1, (0,), grid16)
-    for j in ((1,), (-7,), (12,), (-16,)):
-        e = t.entry(j)
-        a, b = mode_matrix(j, (0,), 0.04, RHO, -1, grid16)
-        assert e.n == n_of_j(j, (0,), grid16)
-        assert e.alpha == pytest.approx(a, rel=1e-14)
-        assert e.beta == pytest.approx(b, rel=1e-14)
-        assert e.omega == pytest.approx(omega(j, (0,), 0.04, RHO, -1, grid16), rel=1e-14)
-        assert e.growth == growth_factor(j, (0,), 0.04, RHO, -1, grid16)
-        assert e.status == "ok"
+# (d, K, ell, h, rho, lam): the default point, unstable modes at h = 0.042,
+# a nonzero frequency shift at ell = 3, an aliased 2-D carrier with four unstable modes, d = 2
+# with lam = +1, a degenerate branch sign (rho = 0, n = 0 at j = -2), and a
+# grid small enough that every varpi exists, so eps_hat is defined
+ORACLE_POINTS = [
+    (1, 16, (0,), 0.04, RHO, -1),
+    (1, 16, (0,), 0.042, RHO, -1),
+    (1, 16, (3,), 0.01, RHO, -1),
+    (2, 4, (1, -2), 0.245, RHO, -1),
+    (2, 8, (0, 0), 0.04, RHO, 1),
+    (1, 2, (1,), 0.1, 0.0, -1),
+    (1, 4, (0,), 0.05, RHO, -1),
+]
 
-    # 2-D, nonzero carrier, every nonzero mode.  No h satisfies assumption 1
-    # here (aliasing gives n = 0 at j = (0, -4)); at h = 0.245 the four n = 13
-    # modes sit just past n*h = pi, are unstable, and omega raises for them.
-    g2 = Grid(K=4, d=2)
-    ell, h = (1, -2), 0.245
-    t = build_frequency_table(h, RHO, -1, ell, g2)
-    unstable = 0
-    for j in g2.modes():
+
+def _close(a, b):
+    """Equal within 1e-12 relative, NaN matching NaN."""
+    if b != b:
+        return a != a
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+def _point_id(point):
+    d, K, ell, h, rho, lam = point
+    return f"d{d}-K{K}-ell{','.join(map(str, ell))}-h{h}-rho2_{rho * rho:.1f}-lam{lam:+d}"
+
+
+@pytest.mark.parametrize(
+    "d, K, ell, h, rho, lam", ORACLE_POINTS, ids=[_point_id(p) for p in ORACLE_POINTS]
+)
+def test_frequency_table_matches_oracle(d, K, ell, h, rho, lam):
+    grid = Grid(K=K, d=d)
+    t = build_frequency_table(h, rho, lam, ell, grid)
+    gaps = []
+    for j in grid.modes():
+        m = oracle.mode(j, ell, h, rho, lam, K)
+        i = grid.index_of(j)
+        assert (int(t.n[i]), int(t.shift[i])) == (m.n, m.shift), f"j={j}"
+        assert t.omega_status[i] == m.status, f"j={j}"
         if not any(j):
             continue
-        e = t.entry(j)
-        a, b = mode_matrix(j, ell, h, RHO, -1, g2)
-        assert e.n == n_of_j(j, ell, g2)
-        assert e.alpha == pytest.approx(a, rel=1e-14)
-        assert e.beta == pytest.approx(b, rel=1e-14)
-        assert e.growth == growth_factor(j, ell, h, RHO, -1, g2)
-        if e.status == "ok":
-            assert e.omega == pytest.approx(omega(j, ell, h, RHO, -1, g2), rel=1e-14)
-        else:
-            assert e.status == "unstable"
-            with pytest.raises(UnstableModeError, match=f"mode {re.escape(str(e.j))}"):
-                omega(j, ell, h, RHO, -1, g2)
-            unstable += 1
-    assert unstable == 4
+        # the table's half-angle q2 and the oracle's direct 1 - R^2 agree here
+        assert m.n == 0 or abs(1.0 - m.r * m.r) > 1e-9, f"j={j} too close to q2 = 0"
+        for name in ("alpha", "beta", "omega", "growth", "varpi"):
+            got, want = getattr(t, name)[i].item(), getattr(m, name)
+            assert _close(got, want), f"{name} at j={j}: table {got}, oracle {want}"
+        gaps.append(abs(m.varpi - m.omega))
+    if any(ell) or any(math.isnan(gap) for gap in gaps):
+        assert t.eps_hat is None
+    else:
+        assert _close(t.eps_hat, max(gaps))
 
 
 def test_frequency_table_statuses_and_growth(grid16):
@@ -291,15 +305,16 @@ def test_frequency_table_statuses_and_growth(grid16):
     statuses = dict(zip(*np.unique(t.omega_status, return_counts=True)))
     assert int(statuses["unstable"]) == 2
     assert int(statuses["excluded"]) == 1
-    assert t.entry((-15,)).status == "unstable"
-    assert math.isnan(t.entry((-15,)).omega)
+    i = grid16.index_of((-15,))
+    assert t.omega_status[i] == "unstable"
+    assert math.isnan(t.omega[i])
     assert t.max_growth() == pytest.approx(1.0146405598691435, rel=1e-12)
 
 
 def test_frequency_table_omega_even(grid16):
     t = build_frequency_table(0.04, RHO, -1, (0,), grid16)
     for j in ((1,), (5,), (11,)):
-        assert t.entry(j).omega == t.entry(tuple(-c for c in j)).omega
+        assert t.omega[_at(t, j)] == t.omega[_at(t, tuple(-c for c in j))]
 
 
 def test_frequency_table_eps_hat(grid2, grid16):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import frequency_oracle as oracle
 from torusnls import (
     DomainError,
     Grid,
@@ -17,7 +18,6 @@ from torusnls import (
     build_diagonalizers,
     build_frequency_table,
     check_assumption1,
-    omega,
     project_away,
     sobolev_norm,
     u_to_xi,
@@ -50,21 +50,23 @@ def test_inverse_consistency(diag16, grid16):
 
 
 def test_conjugation_diagonalizes(diag16, grid16):
-    # S A S^{-1} must be diagonal with phases e^{-i omega_j h}, e^{+i omega_{-j} h};
-    # the carrier 3 exercises the integer frequency shift, which vanishes at 0
+    # S A S^{-1} must be diagonal with phases e^{-i omega_j h}, e^{+i omega_{-j} h},
+    # A the oracle's propagation block; the carrier 3 exercises the integer
+    # frequency shift, which vanishes at 0
     for diag in (diag16, build_diagonalizers(0.01, RHO, -1, (3,), grid16)):
         worst = 0.0
+        omega, omega_neg = diag.table.omega, diag.table.omega[grid16.negation]
         for j in _nonzero(grid16):
-            m = diag.S(j) @ diag.propagation_matrix(j) @ diag.S_inv(j)
-            wj = omega(j, diag.ell, diag.h, RHO, -1, grid16)
-            wm = omega(tuple(-c for c in j), diag.ell, diag.h, RHO, -1, grid16)
+            a = oracle.block(j, diag.ell, diag.h, RHO, -1, grid16.K)
+            m = diag.S(j) @ a @ diag.S_inv(j)
+            wj, wm = omega[grid16.index_of(j)], omega_neg[grid16.index_of(j)]
             expect = np.diag([np.exp(-1j * wj * diag.h), np.exp(1j * wm * diag.h)])
             worst = max(worst, float(np.max(np.abs(m - expect))))
         assert worst < 1e-12
 
 
 def test_entry_bound(diag16, grid16):
-    c1 = check_assumption1(H, RHO, -1, (0,), grid16).c1_certified
+    c1 = check_assumption1(diag16.table).c1_certified
     bound = math.sqrt(1.0 + RHO**2 / (2.0 * math.sqrt(c1)))
     assert diag16.entry_bound() <= bound
     for j in ((1,), (-2,), (9,)):
