@@ -325,15 +325,13 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     numpy versions and the core count.
     """
     started = time.perf_counter()
-    grid = config.grid()
     datum = random_initial_datum(config)
+    table = build_frequency_table(
+        config.h, config.rho, config.lam, config.ell, config.grid()
+    )
     recorder = TrajectoryRecorder(
-        grid=grid,
-        ell=config.ell,
-        h=config.h,
-        rho=config.rho,
-        lam=config.lam,
-        s=config.s,
+        table,
+        config.s,
         snapshot_windows=default_snapshot_windows(config.horizon),
         metadata={
             "runid": runid or _run_id(config),

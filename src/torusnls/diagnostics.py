@@ -7,6 +7,10 @@ weighted deviation D = sum_m max(1,m)^s |I_m - I_m(0)| is the long-time
 stability diagnostic.  Orbital distance is the H^s norm of the field with
 the carrier mode removed.
 
+TrajectoryRecorder takes the run's plane-wave context as one FrequencyTable
+(grid, carrier, h, rho, lambda): it builds the diagonalizers from that table
+and writes those parameters into the metadata from it.
+
 File emission writes three artifacts per run id: a series CSV
 (t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
 magnitudes inside configured time windows, and a JSON metadata sidecar.
@@ -31,7 +35,8 @@ from .errors import (
     NotLinearlyStableError,
     ZeroCarrierModeError,
 )
-from .spectral import Grid, SpectralField, as_mode, mod_reduce, project_away, sobolev_norm
+from .spectral import Grid, SpectralField, project_away, sobolev_norm
+from .stability import FrequencyTable
 from .transforms import DiagonalizerSet, XiField, build_diagonalizers, u_to_xi
 
 __all__ = [
@@ -188,31 +193,30 @@ class TrajectoryRecorder:
     and a mode-magnitude snapshot when the time falls inside one of the
     snapshot windows.  Non-finite field values raise BlowUpError.  Pass the
     instance as the observer to integrate(), then call finalize().
+
+    table is the frequency table of the run's plane wave; when its
+    parameters are not linearly stable the deviation is NaN throughout
+    (transform_ok false).  s, the Sobolev exponent of the orbital distance
+    and the class weights, must be finite and nonnegative (DomainError).
     """
 
     def __init__(
         self,
-        grid: Grid,
-        ell: int | tuple,
-        h: float,
-        rho: float,
-        lam: int,
+        table: FrequencyTable,
         s: float,
         snapshot_windows: tuple[tuple[float, float], ...] = (),
         metadata: dict | None = None,
     ):
-        self.grid = grid
-        self.ell = mod_reduce(as_mode(ell, grid.d), grid)
-        self.h = float(h)
-        self.rho = float(rho)
-        self.lam = int(lam)
+        if not (s >= 0.0 and math.isfinite(s)):
+            raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+        self.table = table
         self.s = float(s)
         self.windows = tuple((float(a), float(b)) for a, b in snapshot_windows)
         self.metadata = dict(metadata or {})
 
         self._ctx: DiagonalizerSet | None
         try:
-            self._ctx = build_diagonalizers(h, rho, lam, self.ell, grid)
+            self._ctx = build_diagonalizers(table)
             self.transform_ok = True
         except NotLinearlyStableError:
             self._ctx = None
@@ -226,12 +230,12 @@ class TrajectoryRecorder:
         self._snapshots: list[tuple[float, np.ndarray]] = []
 
     def __call__(self, n: int, u: SpectralField) -> None:
-        t = n * self.h
+        t = n * self.table.h
         if not np.all(np.isfinite(u.coeffs)):
             raise BlowUpError(n, t)
         self._times.append(t)
         self._mass.append(u.mass())
-        self._orbital.append(sobolev_norm(project_away(u, self.ell), self.s))
+        self._orbital.append(sobolev_norm(project_away(u, self.table.ell), self.s))
         self._deviation.append(self._deviation_of(u))
         if any(lo <= t <= hi for lo, hi in self.windows):
             self._snapshots.append((t, np.abs(u.coeffs)))
@@ -248,18 +252,19 @@ class TrajectoryRecorder:
         return weighted_deviation(sa, self._sa0, self.s)
 
     def finalize(self) -> TrajectoryDiagnostics:
+        table = self.table
         meta = dict(self.metadata)
-        meta.setdefault("h", self.h)
-        meta.setdefault("K", self.grid.K)
-        meta.setdefault("d", self.grid.d)
-        meta.setdefault("ell", list(self.ell))
-        meta.setdefault("lambda", self.lam)
-        meta.setdefault("rho", self.rho)
+        meta.setdefault("h", table.h)
+        meta.setdefault("K", table.grid.K)
+        meta.setdefault("d", table.grid.d)
+        meta.setdefault("ell", list(table.ell))
+        meta.setdefault("lambda", table.lam)
+        meta.setdefault("rho", table.rho)
         meta.setdefault("s", self.s)
         meta["transform_ok"] = self.transform_ok
         meta["snapshot_windows"] = [list(w) for w in self.windows]
         return TrajectoryDiagnostics(
-            grid=self.grid,
+            grid=table.grid,
             times=np.asarray(self._times, dtype=np.float64),
             mass=np.asarray(self._mass, dtype=np.float64),
             orbital_distance=np.asarray(self._orbital, dtype=np.float64),

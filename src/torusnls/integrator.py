@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ObserverError
+from .errors import DomainError, ObserverError
 from .spectral import Grid, SpectralField
 
 __all__ = [
@@ -49,9 +49,12 @@ class StepScheme:
     h: float
 
     def __post_init__(self):
+        known = tuple(v.value for v in StepVariant)
+        if self.variant not in known:  # members of the str enum equal their values
+            raise DomainError(f"variant must be one of {known}, got {self.variant!r}")
         object.__setattr__(self, "variant", StepVariant(self.variant))
         if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError("step size h must be positive and finite")
+            raise DomainError(f"step size h must be positive and finite, got {self.h!r}")
 
 
 class _Stepper:
@@ -119,11 +122,11 @@ def integrate(
     unprojected scheme.
     """
     if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+        raise DomainError(f"n_steps must be >= 0, got {n_steps}")
     if cadence is None:
         cadence = max(1, math.ceil(n_steps / 2000))
     if cadence < 1:
-        raise ValueError("cadence must be >= 1")
+        raise DomainError(f"cadence must be >= 1, got {cadence}")
 
     def notify(n: int, field: SpectralField):
         try:

@@ -44,11 +44,11 @@ def as_mode(j: int | Sequence[int], d: int) -> Mode:
     """Normalize a mode index to a length-d tuple of ints."""
     if isinstance(j, (int, np.integer)):
         if d != 1:
-            raise ValueError(f"scalar mode index for d={d}")
+            raise DomainError(f"scalar mode index {int(j)} for d={d}")
         return (int(j),)
     t = tuple(int(c) for c in j)
     if len(t) != d:
-        raise ValueError(f"mode index {t} has length {len(t)}, expected {d}")
+        raise DomainError(f"mode index {t} has length {len(t)}, expected {d}")
     return t
 
 
@@ -66,9 +66,9 @@ class Grid:
 
     def __post_init__(self):
         if self.K < 1:
-            raise ValueError("K must be >= 1")
+            raise DomainError(f"K must be >= 1, got {self.K}")
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise DomainError(f"d must be >= 1, got {self.d}")
 
     @property
     def n_axis(self) -> int:
@@ -116,6 +116,8 @@ class Grid:
 
     def shift(self, a: np.ndarray, ell: Sequence[int]) -> np.ndarray:
         """New array whose entry at j is a[mod_reduce(j + ell)] (recentering at ell)."""
+        if len(ell) != self.d:
+            raise DomainError(f"ell {tuple(ell)} has length {len(ell)}, expected {self.d}")
         return np.roll(a, tuple(-c for c in ell), axis=tuple(range(self.d)))
 
     def mode_at(self, mask: np.ndarray) -> Mode:
@@ -266,7 +268,7 @@ class PlaneWaveSpec:
         if not (self.rho >= 0 and math.isfinite(self.rho)):
             raise DomainError(f"rho must be nonnegative and finite, got {self.rho!r}")
         if self.lam not in (-1.0, 1.0):
-            raise ValueError("lam must be -1 or +1")
+            raise DomainError(f"lam must be -1 or +1, got {self.lam!r}")
         object.__setattr__(self, "ell", tuple(int(c) for c in self.ell))
 
     @property

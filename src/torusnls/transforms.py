@@ -21,6 +21,11 @@ xi_j -> exp(-i*omega_j*h)*xi_j, up to terms quadratic in the perturbation.
 The zero-mode polar data (theta, a) is retained so the chain is exactly
 invertible; the carrier modulus is recomputed on inversion from the mass
 budget a = sqrt(rho^2 - sum|w_j|^2).
+
+The plane-wave context (grid, carrier ell, h, rho, lambda and the per-mode
+alpha, beta, q2) is a FrequencyTable from stability.build_frequency_table;
+build_diagonalizers(table) reads it and DiagonalizerSet.table keeps it, so
+the parameters are validated once, where the table is built.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .errors import (
     NotLinearlyStableError,
     ZeroCarrierModeError,
 )
-from .spectral import Grid, Mode, SpectralField, as_mode, mod_reduce
-from .stability import FrequencyTable, build_frequency_table
+from .spectral import Grid, Mode, SpectralField, mod_reduce
+from .stability import FrequencyTable
 
 __all__ = [
     "DiagonalizerSet",
@@ -70,33 +75,13 @@ class DiagonalizerSet:
         for name in ("s00", "s01", "t00", "t01"):
             getattr(self, name).flags.writeable = False
 
-    @property
-    def grid(self) -> Grid:
-        return self.table.grid
-
-    @property
-    def ell(self) -> Mode:
-        return self.table.ell
-
-    @property
-    def h(self) -> float:
-        return self.table.h
-
-    @property
-    def rho(self) -> float:
-        return self.table.rho
-
-    @property
-    def lam(self) -> int:
-        return self.table.lam
-
     def S(self, j: int | tuple) -> np.ndarray:
-        idx = self.grid.index_of(mod_reduce(as_mode(j, self.grid.d), self.grid))
+        idx = self.table.grid.index_of(mod_reduce(j, self.table.grid))
         a, b = complex(self.s00[idx]), complex(self.s01[idx])
         return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=np.complex128)
 
     def S_inv(self, j: int | tuple) -> np.ndarray:
-        idx = self.grid.index_of(mod_reduce(as_mode(j, self.grid.d), self.grid))
+        idx = self.table.grid.index_of(mod_reduce(j, self.table.grid))
         a, b = complex(self.t00[idx]), complex(self.t01[idx])
         return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=np.complex128)
 
@@ -112,10 +97,8 @@ class DiagonalizerSet:
         )
 
 
-def build_diagonalizers(
-    h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
-) -> DiagonalizerSet:
-    """Assemble S_j, S_j^{-1} for all nonzero modes from the frequency table.
+def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
+    """Assemble S_j, S_j^{-1} for all nonzero modes from a frequency table.
 
     Requires linear stability: every half-angle margin q2 = 1 - Re(alpha_j)^2
     must be positive (exactly when check_assumption1 holds) and every
@@ -124,9 +107,8 @@ def build_diagonalizers(
     coupling (beta = 0) and yields identity matrices with the
     degenerate_coupling flag set.
     """
-    table = build_frequency_table(h, rho, lam, ell, grid)
-
-    if rho == 0.0:
+    grid = table.grid
+    if table.rho == 0.0:
         ident = np.ones(grid.shape, dtype=np.complex128)
         zeros = np.zeros(grid.shape, dtype=np.complex128)
         return DiagonalizerSet(
@@ -207,11 +189,11 @@ class XiField:
 
     @property
     def grid(self) -> Grid:
-        return self.ctx.grid
+        return self.ctx.table.grid
 
     @property
     def ell(self) -> Mode:
-        return self.ctx.ell
+        return self.ctx.table.ell
 
     def sobolev_norm(self, s: float) -> float:
         w = self.grid.sobolev_weights(s)
@@ -224,17 +206,18 @@ def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
     The field's mass must match the context's rho^2 budget (the inverse
     recomputes the carrier modulus from that budget).
     """
-    grid = ctx.grid
+    table = ctx.table
+    grid = table.grid
     if u.grid != grid:
         raise DomainError("field grid does not match the diagonalizer grid")
-    mass2 = float(np.sum(np.abs(u.coeffs) ** 2))
-    rho2 = ctx.rho * ctx.rho
+    mass2 = u.mass()
+    rho2 = table.rho * table.rho
     if abs(mass2 - rho2) > 1e-6 * max(rho2, 1.0):
         raise DomainError(
             f"field mass {mass2} does not match the context budget rho^2 = {rho2}"
         )
 
-    v = grid.shift(u.coeffs, ctx.ell)
+    v = grid.shift(u.coeffs, table.ell)
     origin = grid.origin
     v0 = complex(v[origin])
     a = abs(v0)
@@ -258,13 +241,13 @@ def xi_to_u(xi: XiField) -> SpectralField:
     MassDeficitError if the non-carrier block exceeds the budget.
     """
     ctx = xi.ctx
-    grid = ctx.grid
+    grid = xi.grid
     origin = grid.origin
 
     w = ctx.t00 * xi.xi + ctx.t01 * np.conj(xi.xi[grid.negation])
     w[origin] = 0.0
 
-    rho2 = ctx.rho * ctx.rho
+    rho2 = ctx.table.rho * ctx.table.rho
     rad = rho2 - float(np.sum(np.abs(w) ** 2))
     if rad < 0.0:
         raise MassDeficitError(
@@ -274,4 +257,4 @@ def xi_to_u(xi: XiField) -> SpectralField:
 
     v = w * np.exp(1j * xi.theta)
     v[origin] = a * np.exp(1j * xi.theta)
-    return SpectralField(grid, grid.shift(v, tuple(-c for c in ctx.ell)))
+    return SpectralField(grid, grid.shift(v, tuple(-c for c in xi.ell)))

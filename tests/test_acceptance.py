@@ -99,9 +99,8 @@ def stable_run():
                 "horizon": 1e4, "cadence": cadence,
             })
             u = random_initial_datum(cfg)
-            rec = TrajectoryRecorder(
-                grid=cfg.grid(), ell=cfg.ell, h=h, rho=cfg.rho, lam=cfg.lam, s=cfg.s,
-            )
+            table = build_frequency_table(h, cfg.rho, cfg.lam, cfg.ell, cfg.grid())
+            rec = TrajectoryRecorder(table, s=cfg.s)
             integrate(u, cfg.step_scheme(), cfg.lam, cfg.n_steps,
                       observer=rec, cadence=cadence)
             d = rec.finalize()
@@ -172,7 +171,7 @@ def test_criterion_05_instability_detection(stable_run):
 def test_criterion_06_frequency_validation():
     grid = Grid(K=16, d=1)
     h, lam, ell = 0.04, -1, (0,)
-    ctx = build_diagonalizers(h, RHO, lam, ell, grid)
+    ctx = build_diagonalizers(build_frequency_table(h, RHO, lam, ell, grid))
     omega = ctx.table.omega
     eta = 1e-6
     steps = 100
@@ -226,11 +225,12 @@ def test_criterion_07_transform_integrity():
         h = float(rng.uniform(0.2, 1.0)) * cfl_max_h(d, K, rho, N)
         ell = tuple(int(rng.integers(-K, K)) for _ in range(d))
         grid = Grid(K=K, d=d)
-        a1 = check_assumption1(build_frequency_table(h, rho, lam, ell, grid))
+        table = build_frequency_table(h, rho, lam, ell, grid)
+        a1 = check_assumption1(table)
         if not a1.holds or a1.c1_certified <= 0.0:
             continue
         checked += 1
-        ctx = build_diagonalizers(h, rho, lam, ell, grid)
+        ctx = build_diagonalizers(table)
 
         # u -> xi -> u round trip on a random field of total mass rho^2
         c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

@@ -148,6 +148,33 @@ def test_cmd_simulate_outputs(tmp_path, capsys):
     assert os.path.exists(tmp_path / f"{runid}_spectrum.csv")
 
 
+def test_cmd_simulate_builds_one_plane_wave_context(tmp_path, monkeypatch, capsys):
+    # the run's one FrequencyTable comes through the cli attribute and is the
+    # very object the recorder's diagonalizers are built from
+    import torusnls.cli
+    import torusnls.diagnostics
+
+    real_table = torusnls.cli.build_frequency_table
+    real_diagonalizers = torusnls.diagnostics.build_diagonalizers
+    tables, diagonalized = [], []
+
+    def table_spy(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    def diagonalizers_spy(table):
+        diagonalized.append(table)
+        return real_diagonalizers(table)
+
+    monkeypatch.setattr(torusnls.cli, "build_frequency_table", table_spy)
+    monkeypatch.setattr(torusnls.diagnostics, "build_diagonalizers", diagonalizers_spy)
+    cfg = build_config(None, {"K": 4, "N": 2, "steps": 10, "out": str(tmp_path)})
+    assert cmd_simulate(cfg) == 0
+    capsys.readouterr()
+    assert len(tables) == 1 and len(diagonalized) == 1
+    assert diagonalized[0] is tables[0]
+
+
 def test_cmd_simulate_repeats_byte_for_byte(tmp_path, capsys):
     runs = []
     for name in ("a", "b"):

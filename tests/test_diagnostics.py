@@ -19,6 +19,7 @@ from torusnls import (
     SuperActionSet,
     TrajectoryRecorder,
     build_diagonalizers,
+    build_frequency_table,
     default_snapshot_windows,
     detect_instability,
     emit,
@@ -35,8 +36,13 @@ H = 0.04
 
 
 @pytest.fixture
-def diag16(grid16):
-    return build_diagonalizers(H, RHO, -1, (0,), grid16)
+def table16(grid16):
+    return build_frequency_table(H, RHO, -1, (0,), grid16)
+
+
+@pytest.fixture
+def diag16(table16):
+    return build_diagonalizers(table16)
 
 
 def test_super_actions_partition(grid16, make_datum, diag16):
@@ -64,7 +70,7 @@ def test_super_actions_group_negated_modes(grid16, diag16):
 @pytest.mark.parametrize("d, ell", [(1, (0,)), (2, (1, -2))])
 def test_super_actions_match_unique_bincount(make_datum, d, ell):
     grid = Grid(K=16 if d == 1 else 5, d=d)
-    ctx = build_diagonalizers(H, RHO, -1, ell, grid)
+    ctx = build_diagonalizers(build_frequency_table(H, RHO, -1, ell, grid))
     labels = ctx.table.n[grid.nonzero]
     for seed in (1, 2):  # the second call reuses the context's class labels
         xi = u_to_xi(make_datum(grid, ell, RHO, 0.01, seed=seed), ctx)
@@ -167,10 +173,10 @@ def test_default_snapshot_windows():
     assert default_snapshot_windows(300.0) == ((0.0, 300.0),)
 
 
-def test_recorder_series(grid16, make_datum):
+def test_recorder_series(grid16, table16, make_datum):
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
     rec = TrajectoryRecorder(
-        grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0,
+        table16, s=5.0,
         snapshot_windows=((0.0, 100.0),),
     )
     integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
@@ -187,12 +193,16 @@ def test_recorder_series(grid16, make_datum):
     assert t0 == 0.0 and mags0.shape == (32,)
     assert d.metadata["transform_ok"] is True
     assert d.metadata["K"] == 16 and d.metadata["lambda"] == -1
+    # an s that would make every distance and D NaN is refused up front
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="s must be"):
+            TrajectoryRecorder(table16, s=bad)
 
 
-def test_recorder_snapshot_windows_filter(grid16, make_datum):
+def test_recorder_snapshot_windows_filter(grid16, table16, make_datum):
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
     rec = TrajectoryRecorder(
-        grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0,
+        table16, s=5.0,
         snapshot_windows=((0.0, 0.1),),  # only the first samples qualify
     )
     integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
@@ -202,8 +212,8 @@ def test_recorder_snapshot_windows_filter(grid16, make_datum):
     assert len(d.snapshots) < 11
 
 
-def test_recorder_blow_up(grid16):
-    rec = TrajectoryRecorder(grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0)
+def test_recorder_blow_up(grid16, table16):
+    rec = TrajectoryRecorder(table16, s=5.0)
     c = np.zeros(grid16.shape, dtype=complex)
     c[grid16.index_of((0,))] = RHO
     rec(0, SpectralField(grid16, c))
@@ -218,7 +228,9 @@ def test_recorder_without_linear_stability(grid16, make_datum):
     # h = 0.042 has unstable modes: the transform is disabled, the
     # orbital distance is still recorded
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
-    rec = TrajectoryRecorder(grid=grid16, ell=(0,), h=0.042, rho=RHO, lam=-1, s=5.0)
+    rec = TrajectoryRecorder(
+        build_frequency_table(0.042, RHO, -1, (0,), grid16), s=5.0
+    )
     integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.042), -1, 50,
               observer=rec, cadence=10)
     d = rec.finalize()
@@ -227,10 +239,10 @@ def test_recorder_without_linear_stability(grid16, make_datum):
     assert np.all(np.isfinite(d.orbital_distance))
 
 
-def test_emit_files(grid16, make_datum, tmp_path):
+def test_emit_files(grid16, table16, make_datum, tmp_path):
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
     rec = TrajectoryRecorder(
-        grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0,
+        table16, s=5.0,
         snapshot_windows=((0.0, 100.0),),
         metadata={"runid": "unit", "note": float("nan")},
     )
@@ -258,9 +270,8 @@ def test_emit_files(grid16, make_datum, tmp_path):
     assert meta["h"] == H
 
 
-def test_emit_empty_trajectory(grid16, tmp_path):
-    rec = TrajectoryRecorder(grid=grid16, ell=(0,), h=H, rho=RHO, lam=-1, s=5.0,
-                             metadata={"runid": "empty"})
+def test_emit_empty_trajectory(table16, tmp_path):
+    rec = TrajectoryRecorder(table16, s=5.0, metadata={"runid": "empty"})
     emit(rec.finalize(), str(tmp_path))
     series = open(tmp_path / "empty_series.csv").read()
     assert series == "t,mass,orbital_distance,D\n"
@@ -271,7 +282,7 @@ def test_emit_empty_trajectory(grid16, tmp_path):
 def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):
     u = make_datum(grid2d, (0, 0), RHO, 0.005, seed=7)
     rec = TrajectoryRecorder(
-        grid=grid2d, ell=(0, 0), h=0.02, rho=RHO, lam=-1, s=2.0,
+        build_frequency_table(0.02, RHO, -1, (0, 0), grid2d), s=2.0,
         snapshot_windows=((0.0, 10.0),), metadata={"runid": "two"},
     )
     integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.02), -1, 5,
@@ -297,7 +308,7 @@ def _reference_spectrum(diag):
 def test_emit_spectrum_text_of_recorded_run(make_datum, tmp_path, d, ell):
     grid = Grid(K=16 if d == 1 else 4, d=d)
     rec = TrajectoryRecorder(
-        grid=grid, ell=ell, h=H, rho=RHO, lam=-1, s=5.0,
+        build_frequency_table(H, RHO, -1, ell, grid), s=5.0,
         snapshot_windows=((0.0, 0.5),), metadata={"runid": "ref"},
     )
     integrate(make_datum(grid, ell, RHO, 0.01, seed=4),

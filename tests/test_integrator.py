@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torusnls import (
+    DomainError,
     Grid,
     ObserverError,
     PlaneWaveSpec,
@@ -240,3 +241,15 @@ def test_scheme_validation():
         StepScheme(StepVariant.LIE_TROTTER, 0.0)
     with pytest.raises(ValueError):
         StepScheme(StepVariant.LIE_TROTTER, -0.1)
+    # the package's own error type, naming the argument
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match="step size h"):
+            StepScheme(StepVariant.LIE_TROTTER, h)
+    with pytest.raises(DomainError, match="variant"):
+        StepScheme("leapfrog", 0.1)
+    f = SpectralField.from_modes(Grid(K=2), {(0,): 0.5})
+    scheme = StepScheme(StepVariant.LIE_TROTTER, 0.1)
+    with pytest.raises(DomainError, match="n_steps"):
+        integrate(f, scheme, -1.0, -1)
+    with pytest.raises(DomainError, match="cadence"):
+        integrate(f, scheme, -1.0, 5, cadence=0)

@@ -30,6 +30,10 @@ def test_grid_validation():
         Grid(K=0)
     with pytest.raises(ValueError):
         Grid(K=2, d=0)
+    # the package's own error type, naming the argument
+    for kwargs, name in (({"K": 0}, "K"), ({"K": 2, "d": 0}, "d")):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            Grid(**kwargs)
 
 
 def test_index_of_round_trip(grid16):
@@ -40,6 +44,10 @@ def test_index_of_round_trip(grid16):
         grid16.index_of((16,))
     with pytest.raises(IndexError):
         grid16.index_of((-17,))
+    with pytest.raises(DomainError, match="length 2, expected 1"):
+        grid16.index_of((1, 2))
+    with pytest.raises(DomainError, match="for d=2"):
+        Grid(K=2, d=2).index_of(1)
 
 
 def test_modes_enumeration_matches_storage_order(grid2d):
@@ -169,6 +177,9 @@ def test_project_away_2d_unreduced_carrier(rng):
     neg = f.coeffs[g.negation]
     for j in g.modes():
         assert neg[g.index_of(j)] == f.coeff(mod_reduce((-j[0], -j[1]), g))
+    # a one-component ell would otherwise roll both axes
+    with pytest.raises(DomainError, match="ell"):
+        g.shift(c, (1,))
 
 
 def test_plane_wave_dispersion():
@@ -194,6 +205,9 @@ def test_plane_wave_validation():
             PlaneWaveSpec(rho=rho, ell=(0,), lam=-1.0)
     with pytest.raises(ValueError):
         PlaneWaveSpec(rho=1.0, ell=(0,), lam=0.5)
+    for lam in (0.5, 0.0, math.nan):
+        with pytest.raises(DomainError, match="lam"):
+            PlaneWaveSpec(rho=1.0, ell=(0,), lam=lam)
 
 
 def test_sobolev_weights_cached_read_only(grid2d):

@@ -121,7 +121,7 @@ def test_assumption1_agrees_with_diagonalizers(grid16):
         table = build_frequency_table(h, RHO, -1, ell, grid)
         r = check_assumption1(table)
         try:
-            build_diagonalizers(h, RHO, -1, ell, grid)
+            build_diagonalizers(table)
             built = True
         except NotLinearlyStableError:
             built = False

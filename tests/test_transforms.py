@@ -30,7 +30,7 @@ H = 0.04
 
 @pytest.fixture
 def diag16(grid16):
-    return build_diagonalizers(H, RHO, -1, (0,), grid16)
+    return build_diagonalizers(build_frequency_table(H, RHO, -1, (0,), grid16))
 
 
 def _nonzero(grid):
@@ -53,14 +53,16 @@ def test_conjugation_diagonalizes(diag16, grid16):
     # S A S^{-1} must be diagonal with phases e^{-i omega_j h}, e^{+i omega_{-j} h},
     # A the oracle's propagation block; the carrier 3 exercises the integer
     # frequency shift, which vanishes at 0
-    for diag in (diag16, build_diagonalizers(0.01, RHO, -1, (3,), grid16)):
+    table3 = build_frequency_table(0.01, RHO, -1, (3,), grid16)
+    for diag in (diag16, build_diagonalizers(table3)):
         worst = 0.0
-        omega, omega_neg = diag.table.omega, diag.table.omega[grid16.negation]
+        t = diag.table
+        omega, omega_neg = t.omega, t.omega[grid16.negation]
         for j in _nonzero(grid16):
-            a = oracle.block(j, diag.ell, diag.h, RHO, -1, grid16.K)
+            a = oracle.block(j, t.ell, t.h, RHO, -1, grid16.K)
             m = diag.S(j) @ a @ diag.S_inv(j)
             wj, wm = omega[grid16.index_of(j)], omega_neg[grid16.index_of(j)]
-            expect = np.diag([np.exp(-1j * wj * diag.h), np.exp(1j * wm * diag.h)])
+            expect = np.diag([np.exp(-1j * wj * t.h), np.exp(1j * wm * t.h)])
             worst = max(worst, float(np.max(np.abs(m - expect))))
         assert worst < 1e-12
 
@@ -75,7 +77,7 @@ def test_entry_bound(diag16, grid16):
 
 
 def test_zero_amplitude_is_identity(grid16):
-    d = build_diagonalizers(H, 0.0, -1, (0,), grid16)
+    d = build_diagonalizers(build_frequency_table(H, 0.0, -1, (0,), grid16))
     assert d.degenerate_coupling
     for j in ((1,), (-7,)):
         assert np.max(np.abs(d.S(j) - np.eye(2))) == 0.0
@@ -83,7 +85,7 @@ def test_zero_amplitude_is_identity(grid16):
 
 def test_unstable_parameters_rejected(grid16):
     with pytest.raises(NotLinearlyStableError) as info:
-        build_diagonalizers(0.042, RHO, -1, (0,), grid16)
+        build_diagonalizers(build_frequency_table(0.042, RHO, -1, (0,), grid16))
     assert "(-15," in str(info.value) or "(15," in str(info.value)
 
 
@@ -110,7 +112,7 @@ def test_round_trip_xi_u_xi(grid16, diag16, rng):
 
 def test_round_trip_nonzero_carrier(grid16, make_datum):
     ell = (3,)
-    d = build_diagonalizers(H, RHO, -1, ell, grid16)
+    d = build_diagonalizers(build_frequency_table(H, RHO, -1, ell, grid16))
     u = make_datum(grid16, ell, RHO, 0.01, seed=5)
     xi = u_to_xi(u, d)
     back = xi_to_u(xi)
@@ -170,7 +172,7 @@ def test_xi_field_norm_matches_spectral(grid16, diag16, rng):
 
 
 def test_dimension_two_round_trip(grid2d, make_datum):
-    d = build_diagonalizers(0.02, RHO, -1, (0, 0), grid2d)
+    d = build_diagonalizers(build_frequency_table(0.02, RHO, -1, (0, 0), grid2d))
     u = make_datum(grid2d, (0, 0), RHO, 0.005, seed=11)
     xi = u_to_xi(u, d)
     back = xi_to_u(xi)
