@@ -1,8 +1,9 @@
 """Command-line harness: assumption checks, simulations, parameter sweeps,
 and the three preset long-time experiments.
 
-Subcommands: check, simulate, sweep, figures.  Configuration comes from an
-optional JSON file (--config) overridden by flags; every run is fully
+Subcommands: check, simulate, sweep, figures.  Configuration comes from the
+RunConfig defaults, overridden by an optional JSON file (--config), overridden
+by flags; the CLI only parses, and RunConfig checks.  Every run is fully
 reproducible from config plus seed (counter-based PRNG).  Exit codes:
 0 ok, 1 assumption failed, 2 config error, 3 blow-up.
 """
@@ -54,30 +55,35 @@ _SCHEMES = tuple(v.value for v in StepVariant)
 # envelope 10*epsilon used by the stable-run criterion.
 _THRESHOLD_FACTOR = 10.0
 
+# Default run length in time units: n_steps = round(_HORIZON / h) when unset.
+_HORIZON = 1e4
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated experiment configuration.
+    """Fully validated experiment configuration: every default, derived value
+    and check of a run lives here.
 
-    rho2 is the squared plane-wave amplitude; n_steps is resolved from the
-    horizon (n_steps = round(horizon / h)) when only the horizon is given.
-    s2 defaults to 5N when not set.
+    rho2 is the squared plane-wave amplitude.  Left unset (None), ell is the
+    origin of the d-dimensional grid, n_steps is round(_HORIZON / h) and s2 is 5N;
+    ell is always reduced mod 2K into the grid.
     """
 
     d: int = 1
     K: int = 16
-    ell: Mode = (0,)
+    ell: Mode | None = None
     lam: int = -1
     rho2: float = 0.4
     h: float = 0.04
     scheme: str = StepVariant.LIE_TROTTER.value
-    n_steps: int = 250000
+    n_steps: int | None = None
     s: float = 5.0
     epsilon: float = 0.01
     seed: int = 1
     N: int = 5
     c2: float = 8.0
     delta2: float = 0.1
-    s2: float = 25.0
+    s2: float | None = None
     out: str = "out"
     cadence: int | None = None
     exhaustive: bool = False
@@ -109,23 +115,25 @@ class RunConfig:
             raise ConfigError(f"h must be positive, got {self.h}")
         if self.rho2 <= 0.0:
             raise ConfigError(f"rho2 must be positive, got {self.rho2}")
+        if self.ell is None:
+            object.__setattr__(self, "ell", (0,) * self.d)
         if len(self.ell) != self.d:
             raise ConfigError(f"ell {self.ell} does not have d={self.d} components")
+        object.__setattr__(self, "ell", mod_reduce(self.ell, self.grid()))
+        if self.n_steps is None:
+            object.__setattr__(self, "n_steps", round(_HORIZON / self.h))
         if self.n_steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.n_steps}")
         if self.s < 0.0:
             raise ConfigError(f"s must be nonnegative, got {self.s}")
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.epsilon >= self.rho:
-            raise ConfigError(
-                f"epsilon = {self.epsilon} must stay below rho = {self.rho} "
-                "(carrier mass budget)"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
+        if self.s2 is None:
+            object.__setattr__(self, "s2", 5.0 * self.N)
         if self.c2 <= 0.0 or self.delta2 <= 0.0 or self.s2 <= 0.0:
             raise ConfigError("c2, delta2 and s2 must be positive")
         if self.cadence is not None and self.cadence < 1:
@@ -139,84 +147,68 @@ class RunConfig:
 # Config-file and flag keys are the RunConfig field names, except these two;
 # the step count may also be given as a horizon.
 _KEY_OF_FIELD = {"lam": "lambda", "n_steps": "steps"}
-_DEFAULTS = {_KEY_OF_FIELD.get(f.name, f.name): f.default for f in fields(RunConfig)}
-# derived in build_config when unset: steps = round(horizon / h) with a 1e4
-# horizon, s2 = 5N
-_DEFAULTS.update(steps=None, horizon=None, s2=None)
-_CONFIG_KEYS = frozenset(_DEFAULTS)
+_FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
+_CONFIG_KEYS = frozenset(
+    [_KEY_OF_FIELD.get(f.name, f.name) for f in fields(RunConfig)] + ["horizon"]
+)
+# the field annotations are strings (postponed evaluation); ell is parsed apart
+_FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+_CASTS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def _parse_ell(raw, d: int, K: int) -> Mode:
+def _parse_ell(raw) -> Mode | None:
+    """Carrier mode from an int, a sequence or a comma-separated string.
+
+    A scalar 0 is the origin in any dimension, so it leaves ell unset (None).
+    """
     if isinstance(raw, int):
-        comps = [raw]
+        comps = (raw,)
     elif isinstance(raw, (list, tuple)):
-        comps = [int(c) for c in raw]
+        comps = tuple(int(c) for c in raw)
     elif isinstance(raw, str):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
         try:
-            comps = [int(p) for p in parts]
+            comps = tuple(int(p) for p in raw.split(",") if p.strip())
         except ValueError as exc:
             raise ConfigError(f"cannot parse ell from {raw!r}") from exc
     else:
         raise ConfigError(f"cannot parse ell from {raw!r}")
-    if len(comps) == 1 and d > 1 and comps[0] == 0:
-        comps = [0] * d
-    if len(comps) != d:
-        raise ConfigError(f"ell {comps} does not have d={d} components")
-    return mod_reduce(tuple(comps), Grid(K=K, d=d))
+    return None if comps == (0,) else comps
+
+
+def _cast(name: str, value):
+    """Coerce a config value to the type of its RunConfig field."""
+    if name == "ell":
+        return _parse_ell(value)
+    return _CASTS[_FIELD_TYPES[name]](value)
 
 
 def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides into a RunConfig.
+    """Merge config-file values and flag overrides into a RunConfig.
 
-    Defaults are the RunConfig field defaults, except steps = round(1e4 / h)
-    and s2 = 5N; a scalar ell of 0 is broadcast to d components.
+    Flags beat the file, and a None value counts as unset, so RunConfig's
+    default applies.  A horizon T gives steps = round(T / h).
     """
-    merged = dict(_DEFAULTS)
-    if file_values is not None:
-        unknown = set(file_values) - _CONFIG_KEYS
+    merged = {}
+    for source in (file_values or {}, overrides):
+        unknown = set(source) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-
-    try:
-        d = int(merged["d"])
-        K = int(merged["K"])
-        h = float(merged["h"])
-        n = int(merged["N"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid numeric config value: {exc}") from exc
-    if d < 1 or K < 1 or not (h > 0.0 and math.isfinite(h)):
-        raise ConfigError(f"invalid d={d}, K={K}, or h={h}")
-
-    steps = merged["steps"]
-    horizon = merged["horizon"]
-    if steps is not None and horizon is not None:
+        merged.update(
+            (_FIELD_OF_KEY.get(k, k), v) for k, v in source.items() if v is not None
+        )
+    horizon = merged.pop("horizon", None)
+    if horizon is not None and "n_steps" in merged:
         raise ConfigError("give either steps or horizon, not both")
-    if steps is None:
-        horizon = 1e4 if horizon is None else float(horizon)
-        steps = round(horizon / h)
-    if merged["s2"] is None:
-        merged["s2"] = 5.0 * n
-    merged.update(d=d, K=K, h=h, N=n, steps=steps, ell=_parse_ell(merged["ell"], d, K))
 
     try:
-        return RunConfig(**{
-            f.name: _cast(f.default, merged[_KEY_OF_FIELD.get(f.name, f.name)])
-            for f in fields(RunConfig)
-        })
-    except (TypeError, ValueError) as exc:
+        config = RunConfig(**{name: _cast(name, v) for name, v in merged.items()})
+        if horizon is not None:
+            config = replace(config, n_steps=round(float(horizon) / config.h))
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config value: {exc}") from exc
-
-
-def _cast(default, value):
-    """Coerce a config value to the type of its field's default."""
-    if default is None:  # the optional cadence
-        return None if value is None else int(value)
-    return type(default)(value)
+    return config
 
 
 def random_initial_datum(config: RunConfig) -> SpectralField:
@@ -228,7 +220,13 @@ def random_initial_datum(config: RunConfig) -> SpectralField:
     offset), rescales the non-carrier block so the recentered H^s norm is
     exactly epsilon, and sets the carrier coefficient to the positive real
     number restoring total mass rho^2.  Bit-reproducible for a given seed.
+    Raises ConfigError, before drawing, unless epsilon < rho.
     """
+    if config.epsilon >= config.rho:
+        raise ConfigError(
+            f"epsilon = {config.epsilon} must stay below rho = {config.rho} "
+            "(carrier mass budget)"
+        )
     grid = config.grid()
     rng = np.random.Generator(np.random.Philox(config.seed))
     pairs = rng.standard_normal(grid.shape + (2,))
@@ -477,11 +475,15 @@ _FIGURE_PRESETS = {
 
 
 def cmd_figures(config: RunConfig, which: str) -> int:
-    """Run one of the three preset long-time experiments (fig1/fig2/fig3)."""
+    """Run one of the three preset long-time experiments (fig1/fig2/fig3).
+
+    The preset fixes h and runs to the default horizon t = _HORIZON, so a
+    configured step count or horizon is ignored.
+    """
     if which not in _FIGURE_PRESETS:
         raise ConfigError(f"unknown figure preset {which!r}")
     preset = _FIGURE_PRESETS[which]
-    cfg = replace(config, h=preset["h"], n_steps=round(1e4 / preset["h"]))
+    cfg = replace(config, h=preset["h"], n_steps=None)
     return cmd_simulate(cfg, runid=which)
 
 
@@ -492,7 +494,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=int, help="modes per axis half-width")
     p.add_argument("--d", type=int, help="spatial dimension")
     p.add_argument("--ell", help="carrier mode, comma-separated components")
-    p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 1),
+    p.add_argument("--lambda", dest="lambda", type=int, choices=(-1, 1),
                    help="nonlinearity sign: +1 defocusing, -1 focusing")
     p.add_argument("--scheme", choices=_SCHEMES, help="splitting variant")
     p.add_argument("--steps", type=int, help="number of time steps")
@@ -510,21 +512,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="keep enumerating after the first violation")
 
 
-def _point_flag(raw: str | None, name: str, sweep: bool) -> float | None:
-    """Value of --h or --rho2 for the base config.
-
-    In sweep the flag may be a comma list (an axis), which leaves the base
-    config at its default.
-    """
-    if raw is None or (sweep and ("," in raw or not raw.strip())):
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --{name} {raw!r}") from exc
-
-
-def _config_from_args(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = None
     if args.config is not None:
         try:
@@ -537,11 +525,14 @@ def _config_from_args(args: argparse.Namespace, sweep: bool = False) -> RunConfi
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
 
-    overrides = {
-        key: getattr(args, "lam" if key == "lambda" else key) for key in _CONFIG_KEYS
-    }
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
     for key in ("h", "rho2"):
-        overrides[key] = _point_flag(overrides[key], key, sweep)
+        raw = overrides[key]
+        axis = _parse_axis(raw, key)
+        if raw is not None and len(axis) != 1 and args.command != "sweep":
+            raise ConfigError(f"--{key} takes one value outside sweep, got {raw!r}")
+        # a sweep axis of several points leaves the base config's value alone
+        overrides[key] = axis[0] if len(axis) == 1 else None
     return build_config(file_values, overrides)
 
 
@@ -573,14 +564,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
+        config = _config_from_args(args)
         if args.command == "check":
-            return cmd_check(_config_from_args(args))
+            return cmd_check(config)
         if args.command == "simulate":
-            return cmd_simulate(_config_from_args(args))
+            return cmd_simulate(config)
         if args.command == "sweep":
-            return cmd_sweep(_config_from_args(args, sweep=True), args.h, args.rho2)
+            return cmd_sweep(config, args.h, args.rho2)
         if args.command == "figures":
-            return cmd_figures(_config_from_args(args), args.which)
+            return cmd_figures(config, args.which)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

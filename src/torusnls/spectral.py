@@ -5,8 +5,11 @@ A field is represented by its Fourier coefficients u_j on the mode set
 per axis (array position p corresponds to mode j = p - K along each axis).
 Collocation values live on the points x_j = pi*j/K with the same ordering.
 numpy's FFT routines use the 0..2K-1 ordering instead; the bijection between
-the two is one fftshift/ifftshift pair and is confined to the two conversion
-helpers below.
+the two is one fftshift/ifftshift pair.  In this module it is confined to the
+two conversion helpers below.  The integrator (integrator.py) keeps its state
+in numpy order and converts at its boundary: `_Stepper.__init__` reorders the
+|j|^2 table, `_Stepper.wrap` converts back for every field it hands out, and
+`step` and `integrate` convert the input field once.
 
 Grid owns this layout: it alone knows where mode 0 (origin, nonzero), mode
 -j (negation) and mode j + ell (shift) sit, so the plane-wave reduction
@@ -195,7 +198,7 @@ class SpectralField:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != self.grid.shape:
-            raise ValueError(f"coefficient shape {c.shape} != grid shape {self.grid.shape}")
+            raise DomainError(f"coefficient shape {c.shape} != grid shape {self.grid.shape}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -231,7 +234,7 @@ def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
     """
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != grid.shape:
-        raise ValueError(f"value shape {v.shape} != grid shape {grid.shape}")
+        raise DomainError(f"value shape {v.shape} != grid shape {grid.shape}")
     return SpectralField(grid, _values_to_coeffs(v))
 
 

@@ -386,14 +386,13 @@ class _FrequencyClasses:
             rep = min(members, key=lambda m: (mod2(m), m))
             mx = max(mod2(m) for m in members)
             max_mode = min((m for m in members if mod2(m) == mx), key=tuple)
-            items.append((rep, val, mod2(rep), mx, max_mode, tuple(members)))
+            items.append((rep, val, mod2(rep), mx, max_mode))
         items.sort(key=lambda it: (it[2], it[0]))
         self.reps = [it[0] for it in items]
         self.freqs = [it[1] for it in items]
         self.rep_mod2 = [it[2] for it in items]
         self.max_mod2 = [it[3] for it in items]
         self.max_mode = [it[4] for it in items]
-        self.members = [it[5] for it in items]
 
     def __len__(self) -> int:
         return len(self.reps)

@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusnls
 from torusnls import ConfigError, SpectralField, project_away, sobolev_norm
 from torusnls.cli import (
     RunConfig,
@@ -52,13 +56,30 @@ def test_build_config_rejects_unknown_keys():
         build_config({"stepsize": 0.01}, {})
 
 
+def test_run_config_and_build_config_agree():
+    # RunConfig holds every default; build_config only parses and merges
+    cases = [
+        ({}, {}),
+        ({"h": 0.05}, {"h": 0.05}),
+        ({"N": 2}, {"N": 2}),
+        ({"ell": (17,)}, {"ell": 17}),
+        ({"d": 2}, {"d": 2}),
+    ]
+    for fields_, keys in cases:
+        assert RunConfig(**fields_) == build_config(None, keys)
+    assert RunConfig(h=0.05).n_steps == 200000
+    assert RunConfig(N=2).s2 == 10.0
+    assert RunConfig(ell=(17,)).ell == (-15,)  # mod-reduced into the grid
+    assert RunConfig(d=2).ell == (0, 0)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(lam=0)
     with pytest.raises(ConfigError):
         RunConfig(rho2=-1.0)
-    with pytest.raises(ConfigError):
-        RunConfig(epsilon=0.7)  # >= rho = sqrt(0.4)
+    with pytest.raises(ConfigError, match="carrier mass budget"):
+        random_initial_datum(RunConfig(epsilon=0.7))  # >= rho = sqrt(0.4)
     with pytest.raises(ConfigError):
         RunConfig(scheme="euler")
     with pytest.raises(ConfigError):
@@ -74,14 +95,14 @@ def test_config_validation():
 
 
 def test_parse_ell():
-    assert _parse_ell("0", 2, 16) == (0, 0)  # scalar zero broadcasts
-    assert _parse_ell("17", 1, 16) == (-15,)  # mod-reduced into the grid
-    assert _parse_ell([1, 2], 2, 4) == (1, 2)
-    assert _parse_ell(3, 1, 16) == (3,)
+    assert _parse_ell("0") is None  # scalar zero: the origin in any dimension
+    assert build_config(None, {"d": 2, "ell": "0"}).ell == (0, 0)
+    assert _parse_ell([1, 2]) == (1, 2)
+    assert _parse_ell(3) == (3,)
     with pytest.raises(ConfigError):
-        _parse_ell("1,2,3", 2, 16)
+        build_config(None, {"d": 2, "ell": "1,2,3"})
     with pytest.raises(ConfigError):
-        _parse_ell("x", 1, 16)
+        _parse_ell("x")
 
 
 def test_random_datum_properties():
@@ -224,6 +245,13 @@ def test_cmd_sweep_rows(tmp_path):
     assert rows[2][4] == "skipped"
     assert float(rows[2][5]) == 1.0146405598691435
 
+    # epsilon plays no part in a sweep, so a small rho2 gets real verdicts
+    assert cmd_sweep(cfg, "0.04", "1e-4,0.4") == 0
+    rows = list(csv.reader(open(tmp_path / "sweep_summary.csv")))
+    assert [r[2] for r in rows[1:]] == ["true", "true"]
+    assert [r[4] for r in rows[1:]] == ["true", "true"]
+    assert float(rows[1][1]) == 0.01
+
 
 def test_cmd_sweep_error_rows(tmp_path):
     cfg = build_config(None, {"N": 2, "out": str(tmp_path)})
@@ -265,6 +293,7 @@ def test_cmd_figures_presets(monkeypatch):
 def test_main_check_paths(tmp_path, capsys):
     assert main(["check", "--N", "2"]) == 0
     assert main(["check", "--N", "2", "--h", "0.042"]) == 1
+    assert main(["check", "--N", "2", "--rho2", "1e-4"]) == 0  # rho = epsilon = 0.01
     capsys.readouterr()
 
     path = tmp_path / "cfg.json"
@@ -279,6 +308,8 @@ def test_main_config_errors(tmp_path, capsys):
     assert main(["simulate", "--steps", "10", "--epsilon", "1.0"]) == 2
     assert main(["check", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    assert main(["check", "--h", "0.04,0.05"]) == 2
+    assert "--h takes one value outside sweep" in capsys.readouterr().err
 
 
 def test_main_argparse_exits(capsys):
@@ -292,8 +323,23 @@ def test_main_simulate_end_to_end(tmp_path):
     code = main([
         "simulate", "--K", "8", "--N", "2", "--steps", "20",
         "--cadence", "10", "--out", str(tmp_path),
-        "--scheme", "strang-linear-outside",
+        "--scheme", "strang-linear-outside", "--lambda", "1",
     ])
     assert code == 0
     runid = "nls_strang-linear-outside_h0.04_K8_seed1"
-    assert (tmp_path / f"{runid}_meta.json").exists()
+    meta = json.loads((tmp_path / f"{runid}_meta.json").read_text())
+    assert meta["lambda"] == 1
+
+
+def test_module_entry_point_runs_check():
+    # python3 -m torusnls goes through __main__.py and entrypoint()
+    src = str(Path(torusnls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusnls", "check", "--N", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["parameters"]["s2"] == 10.0

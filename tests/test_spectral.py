@@ -10,6 +10,7 @@ from torusnls import (
     Grid,
     PlaneWaveSpec,
     SpectralField,
+    TorusNLSError,
     mod_reduce,
     project_away,
     sobolev_norm,
@@ -127,6 +128,11 @@ def test_field_immutability(grid2):
 def test_field_shape_mismatch(grid2):
     with pytest.raises(ValueError):
         SpectralField(grid2, np.zeros((5,), dtype=complex))
+    # the package's own error type, so `except TorusNLSError` catches it
+    with pytest.raises(TorusNLSError):
+        SpectralField(Grid(K=2), np.zeros(5))
+    with pytest.raises(TorusNLSError):
+        trig_interpolate(np.zeros(5), Grid(K=2))
 
 
 def test_sobolev_norm_hand_value(grid16):
