@@ -121,7 +121,13 @@ class RunConfig:
             raise ConfigError(f"ell {self.ell} does not have d={self.d} components")
         object.__setattr__(self, "ell", mod_reduce(self.ell, self.grid()))
         if self.n_steps is None:
-            object.__setattr__(self, "n_steps", round(_HORIZON / self.h))
+            steps = _HORIZON / self.h
+            if not math.isfinite(steps):
+                raise ConfigError(
+                    f"h = {self.h} is too small: the default horizon {_HORIZON:g} "
+                    "would take infinitely many steps"
+                )
+            object.__setattr__(self, "n_steps", round(steps))
         if self.n_steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.n_steps}")
         if self.s < 0.0:
@@ -153,7 +159,7 @@ _CONFIG_KEYS = frozenset(
 )
 # the field annotations are strings (postponed evaluation); ell is parsed apart
 _FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
-_CASTS = {"int": int, "float": float, "str": str, "bool": bool}
+_CASTS = {"int": int, "float": float, "str": str}
 
 
 def _parse_ell(raw) -> Mode | None:
@@ -179,6 +185,13 @@ def _cast(name: str, value):
     """Coerce a config value to the type of its RunConfig field."""
     if name == "ell":
         return _parse_ell(value)
+    if _FIELD_TYPES[name] == "bool":
+        # a JSON boolean or its spelling; bool() would turn "false" into True
+        if isinstance(value, bool):
+            return value
+        if value in ("true", "false"):
+            return value == "true"
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return _CASTS[_FIELD_TYPES[name]](value)
 
 
@@ -303,9 +316,22 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
     return payload, ok
 
 
+def _environment() -> dict:
+    """The Python and numpy versions and the core count of this process."""
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def cmd_check(config: RunConfig) -> int:
-    """Run CFL, linear-stability, and non-resonance checks; print a JSON report."""
+    """Run CFL, linear-stability, and non-resonance checks; print a JSON report.
+
+    The report ends with an "environment" block, as in simulate's meta JSON.
+    """
     payload, ok = _check_payload(config)
+    payload["environment"] = _environment()
     print(dumps(payload))
     return 0 if ok else 1
 
@@ -379,11 +405,7 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
             diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
         )
         diag.metadata["instability"] = inst.as_dict()
-    diag.metadata["environment"] = {
-        "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-    }
+    diag.metadata["environment"] = _environment()
     diag.metadata["timing"] = {
         "steps_per_s": steps / step_s if step_s > 0.0 else None,
         "step_s": step_s,

@@ -23,7 +23,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,9 +35,11 @@ from .errors import (
     NotLinearlyStableError,
     ZeroCarrierModeError,
 )
-from .spectral import Grid, SpectralField, project_away, sobolev_norm
+from .spectral import Grid, SpectralField, sobolev_norm
+from .spectral import project_away  # noqa: F401 (a perfbench probe wraps this name)
 from .stability import FrequencyTable
-from .transforms import DiagonalizerSet, XiField, build_diagonalizers, u_to_xi
+from .transforms import DiagonalizerSet, XiField, _recentered_to_xi, build_diagonalizers
+from .transforms import u_to_xi  # noqa: F401 (a perfbench probe wraps this name)
 
 __all__ = [
     "SuperActionSet",
@@ -66,6 +68,13 @@ class SuperActionSet:
     ms: tuple[int, ...]
     values: tuple[float, ...]
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The values as a read-only float64 array (weighted_deviation reads it)."""
+        a = np.array(self.values, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+
     def total(self) -> float:
         return float(sum(self.values))
 
@@ -82,26 +91,25 @@ def super_actions(xi: XiField) -> SuperActionSet:
 
 
 @lru_cache(maxsize=16)
-def _class_weights(ms: tuple[int, ...], s: float) -> tuple[float, ...]:
-    return tuple(float(max(1, m)) ** s for m in ms)
+def _class_weights(ms: tuple[int, ...], s: float) -> np.ndarray:
+    w = np.array([float(max(1, m)) ** s for m in ms])
+    w.flags.writeable = False
+    return w
 
 
 def weighted_deviation(now: SuperActionSet, initial: SuperActionSet, s: float) -> float:
     """D = sum_m max(1, m)^s |I_m - I_m(0)|.
 
-    The weights are computed once per class set and s; the sum runs left to
-    right over the classes in Python floats.
+    The weights are computed once per class set and s.  The terms are
+    formed elementwise in float64 and summed left to right over the classes
+    in Python floats, so D does not depend on numpy's pairwise summation.
     """
     if now.ms != initial.ms:
         raise ClassSetMismatchError(
             f"class sets differ: {now.ms} vs {initial.ms}"
         )
-    return float(
-        sum(
-            w * abs(a - b)
-            for w, a, b in zip(_class_weights(now.ms, s), now.values, initial.values)
-        )
-    )
+    terms = _class_weights(now.ms, s) * np.abs(now._array - initial._array)
+    return float(sum(terms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -230,21 +238,29 @@ class TrajectoryRecorder:
         self._snapshots: list[tuple[float, np.ndarray]] = []
 
     def __call__(self, n: int, u: SpectralField) -> None:
-        t = n * self.table.h
-        if not np.all(np.isfinite(u.coeffs)):
+        table = self.table
+        t = n * table.h
+        if not np.isfinite(u.coeffs).all():
             raise BlowUpError(n, t)
+        # one recentering and one mass serve the orbital distance and the
+        # xi map: sobolev_norm(project_away(u, ell), s) and u_to_xi(u, ctx)
+        v = table.grid.shift(u.coeffs, table.ell)
+        mass = u.mass()
+        deviation = self._deviation_of(v, mass)
+        v[table.grid.origin] = 0.0
+        orbital = sobolev_norm(SpectralField(table.grid, v), self.s)
         self._times.append(t)
-        self._mass.append(u.mass())
-        self._orbital.append(sobolev_norm(project_away(u, self.table.ell), self.s))
-        self._deviation.append(self._deviation_of(u))
+        self._mass.append(mass)
+        self._orbital.append(orbital)
+        self._deviation.append(deviation)
         if any(lo <= t <= hi for lo, hi in self.windows):
             self._snapshots.append((t, np.abs(u.coeffs)))
 
-    def _deviation_of(self, u: SpectralField) -> float:
+    def _deviation_of(self, v: np.ndarray, mass: float) -> float:
         if self._ctx is None:
             return math.nan
         try:
-            sa = super_actions(u_to_xi(u, self._ctx))
+            sa = super_actions(_recentered_to_xi(v, mass, self._ctx))
         except (ZeroCarrierModeError, DomainError):
             return math.nan
         if self._sa0 is None:

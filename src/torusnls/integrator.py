@@ -11,6 +11,12 @@ Integration, IV.4): the state is rescaled by sqrt(m0/m). In exact arithmetic
 the factor is 1; in floating point it stops FFT rounding from random-walking
 the mass, which the nonlinear phase lam |u|^2 would otherwise integrate into
 a phase drift growing linearly in t.
+
+Between steps the state stays in numpy's FFT order; `_Stepper.reorder`, one
+Grid.shift gather, converts at the boundary (spectral.py describes the two
+orders).  A nonlinear substep calls np.fft.ifft and np.fft.fft once per axis,
+last axis first, exactly as np.fft.ifftn and fftn do, so its result equals
+theirs bit for bit without their argument handling.
 """
 
 from __future__ import annotations
@@ -58,22 +64,38 @@ class StepScheme:
 
 
 class _Stepper:
-    """Precomputed one-step map working on numpy-ordered coefficient arrays."""
+    """Precomputed one-step map working on numpy-ordered coefficient arrays.
+
+    numpy's FFT order puts mode 0 at position 0 along each axis, storage
+    order puts it at K; `reorder` converts either way (see spectral.py).
+    """
 
     def __init__(self, grid: Grid, scheme: StepScheme, lam: float):
         self.grid = grid
         self.scheme = scheme
         self.lam = lam
         h = scheme.h
-        n2 = np.fft.ifftshift(grid.mode_norm2)
+        n2 = self.reorder(grid.mode_norm2)
         self._lin_full = np.exp(-1j * h * n2)
         self._lin_half = np.exp(-1j * (h / 2) * n2)
         self._size = grid.size
+        # the last d axes, last first: the order np.fft.ifftn and fftn use
+        self._axes = tuple(range(-1, -grid.d - 1, -1))
+
+    def reorder(self, a: np.ndarray) -> np.ndarray:
+        """Storage order <-> numpy order: a shift by K along every axis."""
+        return self.grid.shift(a, self.grid.origin)
 
     def _nl(self, c: np.ndarray, t: float) -> np.ndarray:
-        vals = np.fft.ifftn(c) * self._size
+        # ifftn(c) * size, the phase, then fftn(vals) / size, with the 1-D
+        # transforms called directly (the n-D wrappers only add overhead)
+        for axis in self._axes:
+            c = np.fft.ifft(c, axis=axis)
+        vals = c * self._size
         vals *= np.exp(-1j * self.lam * t * np.abs(vals) ** 2)
-        return np.fft.fftn(vals) / self._size
+        for axis in self._axes:
+            vals = np.fft.fft(vals, axis=axis)
+        return vals / self._size
 
     def advance(self, c: np.ndarray) -> np.ndarray:
         h = self.scheme.h
@@ -85,7 +107,7 @@ class _Stepper:
         return self._nl(self._nl(c, h / 2) * self._lin_full, h / 2)
 
     def wrap(self, c: np.ndarray) -> SpectralField:
-        return SpectralField(self.grid, np.fft.fftshift(c))
+        return SpectralField(self.grid, self.reorder(c))
 
 
 def _mass(c: np.ndarray) -> float:
@@ -95,7 +117,7 @@ def _mass(c: np.ndarray) -> float:
 def step(f: SpectralField, scheme: StepScheme, lam: float) -> SpectralField:
     """Advance one time step with the given splitting variant (no mass projection)."""
     st = _Stepper(f.grid, scheme, lam)
-    return st.wrap(st.advance(np.fft.ifftshift(f.coeffs)))
+    return st.wrap(st.advance(st.reorder(f.coeffs)))
 
 
 def integrate(
@@ -135,7 +157,7 @@ def integrate(
             raise ObserverError(n, exc) from exc
 
     st = _Stepper(f0.grid, scheme, lam)
-    c = np.fft.ifftshift(f0.coeffs)
+    c = st.reorder(f0.coeffs)
     m0 = _mass(c)
     project = 0.0 < m0 < math.inf
     if observer is not None:

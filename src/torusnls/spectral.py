@@ -4,17 +4,22 @@ A field is represented by its Fourier coefficients u_j on the mode set
 {-K, ..., K-1}^d, stored in lexicographic order of the shifted index j + K
 per axis (array position p corresponds to mode j = p - K along each axis).
 Collocation values live on the points x_j = pi*j/K with the same ordering.
-numpy's FFT routines use the 0..2K-1 ordering instead; the bijection between
-the two is one fftshift/ifftshift pair.  In this module it is confined to the
-two conversion helpers below.  The integrator (integrator.py) keeps its state
-in numpy order and converts at its boundary: `_Stepper.__init__` reorders the
-|j|^2 table, `_Stepper.wrap` converts back for every field it hands out, and
-`step` and `integrate` convert the input field once.
+numpy's FFT routines use the 0..2K-1 ordering instead.  The bijection between
+the two is a cyclic shift by K along every axis, its own inverse since the axes
+have even length: np.fft.fftshift and ifftshift compute it, and so does
+Grid.shift by the origin position.  In this module it is confined to the two
+conversion helpers below.  The integrator (integrator.py) keeps its state in
+numpy order and converts at its boundary with `_Stepper.reorder`, a
+Grid.shift: `_Stepper.__init__` reorders the |j|^2 table, `_Stepper.wrap`
+converts back for every field it hands out, and `step` and `integrate`
+convert the input field once.
 
 Grid owns this layout: it alone knows where mode 0 (origin, nonzero), mode
 -j (negation) and mode j + ell (shift) sit, so the plane-wave reduction
 (recenter at the carrier, pair j with -j, drop the zero mode) is written
-with its members and never with raw index arithmetic.
+with its members and never with raw index arithmetic.  A shift is one gather
+through a flat index cached per ell, so a recentering costs one pass over
+the coefficients.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ def as_mode(j: int | Sequence[int], d: int) -> Mode:
     if len(t) != d:
         raise DomainError(f"mode index {t} has length {len(t)}, expected {d}")
     return t
+
+
+# gather indices Grid.shift keeps per grid; a run shifts by two to four distinct ell
+_SHIFT_CACHE = 8
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -117,11 +126,30 @@ class Grid:
         neg = _read_only((self.n_axis - np.arange(self.n_axis)) % self.n_axis)
         return np.ix_(*([neg] * self.d))
 
+    @cached_property
+    def _shift_index(self) -> dict:
+        return {}
+
     def shift(self, a: np.ndarray, ell: Sequence[int]) -> np.ndarray:
-        """New array whose entry at j is a[mod_reduce(j + ell)] (recentering at ell)."""
-        if len(ell) != self.d:
-            raise DomainError(f"ell {tuple(ell)} has length {len(ell)}, expected {self.d}")
-        return np.roll(a, tuple(-c for c in ell), axis=tuple(range(self.d)))
+        """New array whose entry at j is a[mod_reduce(j + ell)] (recentering at ell).
+
+        One gather through a flat index: the np.roll of the positions,
+        built once per ell and cached on the grid (read-only; at most
+        _SHIFT_CACHE of them, the cache is emptied when full).
+        """
+        ell = tuple(ell)
+        idx = self._shift_index.get(ell)
+        if idx is None:
+            if len(ell) != self.d:
+                raise DomainError(f"ell {ell} has length {len(ell)}, expected {self.d}")
+            positions = np.arange(self.size).reshape(self.shape)
+            idx = np.roll(positions, tuple(-c for c in ell), axis=tuple(range(self.d)))
+            if len(self._shift_index) >= _SHIFT_CACHE:
+                self._shift_index.clear()
+            self._shift_index[ell] = _read_only(idx)
+        if a.shape != idx.shape:
+            raise DomainError(f"array shape {a.shape} != grid shape {idx.shape}")
+        return a.take(idx)
 
     def mode_at(self, mask: np.ndarray) -> Mode:
         """First mode in storage order where mask is set."""
@@ -223,7 +251,7 @@ class SpectralField:
 
     def mass(self) -> float:
         """Discrete L2 mass sum_j |u_j|^2 (Parseval: (2K)^-d sum_x |u(x)|^2)."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float((np.abs(self.coeffs) ** 2).sum())
 
 
 def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
@@ -244,7 +272,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     s = 0 gives the square root of the discrete mass.
     """
     w = f.grid.sobolev_weights(s)
-    return math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return math.sqrt(float((w * np.abs(f.coeffs) ** 2).sum()))
 
 
 def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:

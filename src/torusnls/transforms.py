@@ -206,18 +206,26 @@ def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
     The field's mass must match the context's rho^2 budget (the inverse
     recomputes the carrier modulus from that budget).
     """
-    table = ctx.table
-    grid = table.grid
+    grid = ctx.table.grid
     if u.grid != grid:
         raise DomainError("field grid does not match the diagonalizer grid")
-    mass2 = u.mass()
+    return _recentered_to_xi(grid.shift(u.coeffs, ctx.table.ell), u.mass(), ctx)
+
+
+def _recentered_to_xi(v: np.ndarray, mass: float, ctx: DiagonalizerSet) -> XiField:
+    """u_to_xi from the recentered coefficients v_j = u_{ell+j} and the mass of u.
+
+    Lets a caller that already holds v and the mass (TrajectoryRecorder)
+    skip a second shift and a second pass over |u_j|^2.  v is not modified.
+    """
+    table = ctx.table
+    grid = table.grid
     rho2 = table.rho * table.rho
-    if abs(mass2 - rho2) > 1e-6 * max(rho2, 1.0):
+    if abs(mass - rho2) > 1e-6 * max(rho2, 1.0):
         raise DomainError(
-            f"field mass {mass2} does not match the context budget rho^2 = {rho2}"
+            f"field mass {mass} does not match the context budget rho^2 = {rho2}"
         )
 
-    v = grid.shift(u.coeffs, table.ell)
     origin = grid.origin
     v0 = complex(v[origin])
     a = abs(v0)

@@ -51,6 +51,17 @@ def test_build_config_steps_and_horizon():
         build_config(None, {"steps": 7, "horizon": 100.0})
 
 
+def test_build_config_bool_fields():
+    # only a JSON boolean or its spelling: bool("false") would be True
+    assert build_config({"exhaustive": "false"}, {}).exhaustive is False
+    assert build_config({"exhaustive": "true"}, {}).exhaustive is True
+    assert build_config({"exhaustive": True}, {}).exhaustive is True
+    assert build_config({"exhaustive": False}, {}).exhaustive is False
+    for value in ("False", "yes", "", 0, 1, [True]):
+        with pytest.raises(ConfigError, match="exhaustive must be true or false"):
+            build_config({"exhaustive": value}, {})
+
+
 def test_build_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         build_config({"stepsize": 0.01}, {})
@@ -88,6 +99,8 @@ def test_config_validation():
         RunConfig(cadence=0)
     with pytest.raises(ConfigError):
         RunConfig(h=0.0)
+    with pytest.raises(ConfigError, match="h = 1e-320 is too small"):
+        RunConfig(h=1e-320)  # the default horizon over h is infinite
     for key in ("rho2", "h", "epsilon", "c2", "delta2", "s2", "s"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"^{key} must be finite"):
@@ -142,6 +155,21 @@ def test_cmd_check_passes(capsys):
     assert timing["vectors_per_s"] == pytest.approx(
         payload["assumption2"]["n_vectors"] / timing["assumption2_s"], rel=1e-12
     )
+
+
+def test_cmd_check_reports_environment(tmp_path, capsys):
+    assert cmd_check(build_config(None, {"N": 2})) == 0
+    environment = json.loads(capsys.readouterr().out)["environment"]
+    assert environment == {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    cfg = build_config(None, {"K": 4, "N": 2, "steps": 2, "out": str(tmp_path)})
+    assert cmd_simulate(cfg) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "nls_lie-trotter_h0.04_K4_seed1_meta.json").read_text())
+    assert meta["environment"] == environment
 
 
 def test_cmd_check_fails_on_unstable_step(capsys):

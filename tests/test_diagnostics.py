@@ -24,6 +24,8 @@ from torusnls import (
     detect_instability,
     emit,
     integrate,
+    project_away,
+    sobolev_norm,
     super_actions,
     u_to_xi,
     weighted_deviation,
@@ -96,6 +98,8 @@ def test_weighted_deviation_zero_class_uses_unit_weight():
 
 def test_weighted_deviation_matches_scalar_sum():
     # reference: the scalar formula, Python pow and abs, summed left to right
+    # by a generator; the elementwise float64 terms summed from a list must
+    # give the same float
     def scalar(now, initial, s):
         return float(sum(
             float(max(1, m)) ** s * abs(a - b)
@@ -114,6 +118,7 @@ def test_weighted_deviation_matches_scalar_sum():
         b = SuperActionSet(ms=ms, values=tuple((scale * rng.random(n)).tolist()))
         for s in (0.0, 1.5, 5.0, 25.0):
             assert weighted_deviation(a, b, s) == scalar(a, b, s)
+            assert weighted_deviation(b, a, s) == scalar(b, a, s)
 
 
 def test_weighted_deviation_class_mismatch():
@@ -197,6 +202,48 @@ def test_recorder_series(grid16, table16, make_datum):
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match="s must be"):
             TrajectoryRecorder(table16, s=bad)
+    # a field on another grid is refused, not recorded with D = NaN
+    with pytest.raises(DomainError, match="shape"):
+        rec(101, make_datum(Grid(K=8), (0,), RHO, 0.01, seed=2))
+
+
+@pytest.mark.parametrize("d, K, ell, stable", [
+    (1, 16, (3,), True),
+    # mode (0, -4) is its own partner about this carrier (q2 = 0): no xi map
+    (2, 4, (1, -2), False),
+    (2, 8, (0, 0), True),
+])
+def test_recorder_sample_matches_public_composition(make_datum, d, K, ell, stable):
+    # the recorder recenters once and sums the mass once per sample; each
+    # recorded value must equal, bit for bit, the public functions composed
+    grid = Grid(K=K, d=d)
+    table = build_frequency_table(H, RHO, -1, ell, grid)
+    rec = TrajectoryRecorder(table, s=5.0)
+    fields = []
+
+    def observe(n, u):
+        fields.append(u)
+        rec(n, u)
+
+    integrate(make_datum(grid, ell, RHO, 0.01, seed=3),
+              StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, 20,
+              observer=observe, cadence=5)
+    got = rec.finalize()
+    assert got.metadata["transform_ok"] is stable
+    assert len(fields) == got.times.size == 5
+    for i, u in enumerate(fields):
+        assert got.mass[i] == u.mass()
+        assert got.orbital_distance[i] == sobolev_norm(project_away(u, ell), 5.0)
+    if stable:
+        ctx = build_diagonalizers(table)
+        sa0 = super_actions(u_to_xi(fields[0], ctx))
+        for i, u in enumerate(fields):
+            assert got.deviation[i] == weighted_deviation(
+                super_actions(u_to_xi(u, ctx)), sa0, 5.0
+            )
+        assert got.deviation[-1] > 0.0
+    else:
+        assert np.all(np.isnan(got.deviation))
 
 
 def test_recorder_snapshot_windows_filter(grid16, table16, make_datum):

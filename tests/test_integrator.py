@@ -236,6 +236,38 @@ def test_observer_error_wrapping(grid16):
     assert isinstance(info.value.cause, ValueError)
 
 
+@pytest.mark.parametrize("d, K", [(1, 16), (1, 5), (2, 3), (2, 8), (3, 2)])
+@pytest.mark.parametrize("variant", list(StepVariant))
+def test_stepper_advance_matches_fftn_reference(rng, d, K, variant):
+    # the per-axis 1-D transforms must give what np.fft.ifftn/fftn give,
+    # bit for bit, on every grid (2K = 10 and 6 are not powers of two)
+    from torusnls.integrator import _Stepper
+
+    grid = Grid(K=K, d=d)
+    h, lam = 0.04, -1.0
+    n2 = np.fft.ifftshift(grid.mode_norm2)
+    lin_full, lin_half = np.exp(-1j * h * n2), np.exp(-1j * (h / 2) * n2)
+
+    def nl(c, t):
+        vals = np.fft.ifftn(c) * grid.size
+        vals *= np.exp(-1j * lam * t * np.abs(vals) ** 2)
+        return np.fft.fftn(vals) / grid.size
+
+    reference = {
+        StepVariant.LIE_TROTTER: lambda c: nl(c, h) * lin_full,
+        StepVariant.STRANG_LINEAR_OUTSIDE: lambda c: nl(c * lin_half, h) * lin_half,
+        StepVariant.STRANG_NONLINEAR_OUTSIDE:
+            lambda c: nl(nl(c, h / 2) * lin_full, h / 2),
+    }[variant]
+    st = _Stepper(grid, StepScheme(variant, h), lam)
+    c = np.fft.ifftshift(_random_field(grid, rng, scale=0.3).coeffs)
+    for _ in range(3):
+        got = st.advance(c)
+        assert np.array_equal(got, reference(c))
+        c = got
+    assert np.array_equal(st.wrap(c).coeffs, np.fft.fftshift(c))
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         StepScheme(StepVariant.LIE_TROTTER, 0.0)

@@ -188,6 +188,25 @@ def test_project_away_2d_unreduced_carrier(rng):
         g.shift(c, (1,))
 
 
+@pytest.mark.parametrize("d, K", [(1, 16), (2, 3), (3, 2)])
+def test_shift_matches_roll(rng, d, K):
+    # the cached gather must reproduce np.roll bit for bit, for an ell that
+    # is negative, zero or at least 2K, and again from the cache
+    g = Grid(K=K, d=d)
+    c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    ells = [(0,) * d, (-1,) * d, (2 * K,) * d, (2 * K + 1,) * d, (-5 * K - 1,) * d,
+            tuple(int(v) for v in rng.integers(-3 * K, 3 * K, size=d))]
+    for ell in ells + ells:
+        expect = np.roll(c, tuple(-v for v in ell), axis=tuple(range(d)))
+        got = g.shift(c, ell)
+        assert np.array_equal(got, expect)
+        got[(0,) * d] = 99.0  # a new array each call, not a view of the cache
+    assert np.array_equal(g.shift(g.mode_norm2, ells[1]),
+                          np.roll(g.mode_norm2, (1,) * d, axis=tuple(range(d))))
+    with pytest.raises(DomainError, match="shape"):
+        g.shift(np.zeros(g.shape + (1,)), ells[0])
+
+
 def test_plane_wave_dispersion():
     pw = PlaneWaveSpec(rho=math.sqrt(0.4), ell=(1,), lam=-1.0)
     assert pw.omega == pytest.approx(1.0 - 0.4, rel=1e-14)

@@ -1,0 +1,114 @@
+"""In-process timings of the step kernel and the observer, one JSON line.
+
+    PYTHONPATH=src python3 tools/bench_layers.py [--repeats 7] [--calls 2000]
+    PYTHONPATH=src python3 tools/bench_layers.py --baseline OTHER/src
+
+Two figures per grid (d = 1, K = 16 and d = 2, K = 8; rho^2 = 0.4,
+epsilon = 0.01, s = 5, carrier at the origin):
+
+- observe_us: one observed sample as `integrate` delivers it, the
+  numpy-ordered state wrapped into a SpectralField and handed to a
+  TrajectoryRecorder whose snapshot window covers the sample;
+- advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04.
+
+Each loop times --calls calls; a figure is the best (and the median) over
+--repeats loops.  With --baseline, the torusnls package under that src/
+directory is loaded as a second package in the same process, and its loops
+alternate with the current package's, so both see the same host speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+GRIDS = ((1, 16), (2, 8))
+
+
+def load_package(src: str, name: str) -> str:
+    """Import the torusnls package found under src as a package called name."""
+    root = os.path.join(src, "torusnls")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"), submodule_search_locations=[root]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return name
+
+
+def cases(pkg: str, d: int, K: int) -> dict:
+    """Figure name -> a factory returning the call to time."""
+    cli = importlib.import_module(f"{pkg}.cli")
+    diagnostics = importlib.import_module(f"{pkg}.diagnostics")
+    integrator = importlib.import_module(f"{pkg}.integrator")
+    stability = importlib.import_module(f"{pkg}.stability")
+
+    config = cli.RunConfig(d=d, K=K)
+    datum = cli.random_initial_datum(config)
+    table = stability.build_frequency_table(
+        config.h, config.rho, config.lam, config.ell, config.grid()
+    )
+    c = np.fft.ifftshift(datum.coeffs)  # the state as integrate holds it
+    stepper = integrator._Stepper(datum.grid, config.step_scheme(), config.lam)
+
+    def observe():  # a fresh recorder per loop keeps its lists short
+        recorder = diagnostics.TrajectoryRecorder(
+            table, config.s, snapshot_windows=((0.0, 1.0),)
+        )
+        return lambda: recorder(1, stepper.wrap(c))
+
+    out = {"observe_us": observe}
+    for variant in integrator.StepVariant:
+        st = integrator._Stepper(
+            datum.grid, integrator.StepScheme(variant, config.h), config.lam
+        )
+        out[f"advance_us.{variant.value}"] = lambda st=st: lambda: st.advance(c)
+    return out
+
+
+def loop_us(fn, calls: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - t0) / calls * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--calls", type=int, default=2000)
+    parser.add_argument("--baseline", help="src/ directory of the checkout to compare with")
+    args = parser.parse_args()
+
+    sides = {"current": "torusnls"}
+    if args.baseline:
+        sides["baseline"] = load_package(args.baseline, "torusnls_baseline")
+    result: dict = {side: {} for side in sides}
+    for d, K in GRIDS:
+        grid_cases = {side: cases(pkg, d, K) for side, pkg in sides.items()}
+        for name in grid_cases["current"]:
+            times: dict = {side: [] for side in sides}
+            for r in range(args.repeats):
+                order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+                for side in order:
+                    times[side].append(loop_us(grid_cases[side][name](), args.calls))
+            for side, ts in times.items():
+                result[side].setdefault(f"d{d}_K{K}", {})[name] = {
+                    "best": min(ts), "median": statistics.median(ts)
+                }
+    result["cpu_count"] = os.cpu_count()
+    result["loadavg"] = list(os.getloadavg())
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()
