@@ -159,7 +159,7 @@ _CONFIG_KEYS = frozenset(
 )
 # the field annotations are strings (postponed evaluation); ell is parsed apart
 _FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
-_CASTS = {"int": int, "float": float, "str": str}
+_CASTS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 def _parse_ell(raw) -> Mode | None:
@@ -182,17 +182,22 @@ def _parse_ell(raw) -> Mode | None:
 
 
 def _cast(name: str, value):
-    """Coerce a config value to the type of its RunConfig field."""
+    """Coerce a config value to the type of its RunConfig field.
+
+    Only a bool field takes a bool, or its spelling (bool() would turn "false"
+    into True), and an int field takes no fraction (int() would drop it).
+    """
     if name == "ell":
         return _parse_ell(value)
-    if _FIELD_TYPES[name] == "bool":
-        # a JSON boolean or its spelling; bool() would turn "false" into True
-        if isinstance(value, bool):
-            return value
-        if value in ("true", "false"):
-            return value == "true"
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return _CASTS[_FIELD_TYPES[name]](value)
+    kind = _FIELD_TYPES[name]
+    if kind == "bool" and value in ("true", "false"):
+        value = value == "true"
+    if (kind == "bool") != isinstance(value, bool) or (
+        kind == "int" and isinstance(value, float) and not value.is_integer()
+    ):
+        expected = "true or false" if kind == "bool" else kind
+        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} must be {expected}, got {value!r}")
+    return _CASTS[kind](value)
 
 
 def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
@@ -431,28 +436,28 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     return 0
 
 
-def _parse_axis(raw, name: str) -> list[float]:
+def _parse_axis(raw: str | None, name: str) -> list[float]:
+    """The values of a comma-separated --h or --rho2 flag; none when it is unset."""
     if raw is None:
         return []
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
     try:
-        return [float(p) for p in str(raw).split(",") if p.strip()]
+        values = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name} axis from {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"--{name} gives no values: {raw!r}")
+    return values
 
 
-def cmd_sweep(config: RunConfig, h_axis, rho2_axis) -> int:
+def cmd_sweep(config: RunConfig, h_axis: str | None, rho2_axis: str | None) -> int:
     """Run the assumption checks over a grid of (h, rho2) points, one by one.
 
     Writes <out>/sweep_summary.csv with one row per grid point
     (h, rho, assumption1, c1, assumption2, max_growth); per-point failures
     are recorded in the row and the sweep continues.
     """
-    hs = _parse_axis(h_axis, "h") if h_axis is not None else [config.h]
-    rho2s = _parse_axis(rho2_axis, "rho2") if rho2_axis is not None else [config.rho2]
+    hs = _parse_axis(h_axis, "h") or [config.h]
+    rho2s = _parse_axis(rho2_axis, "rho2") or [config.rho2]
     points = [(h, r2) for h in hs for r2 in rho2s]
 
     def one(point: tuple[float, float]) -> dict:
@@ -551,7 +556,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in ("h", "rho2"):
         raw = overrides[key]
         axis = _parse_axis(raw, key)
-        if raw is not None and len(axis) != 1 and args.command != "sweep":
+        if len(axis) > 1 and args.command != "sweep":
             raise ConfigError(f"--{key} takes one value outside sweep, got {raw!r}")
         # a sweep axis of several points leaves the base config's value alone
         overrides[key] = axis[0] if len(axis) == 1 else None

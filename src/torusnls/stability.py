@@ -15,14 +15,17 @@ surrogates built from mu_n = tan(n*h)/h that admit a non-resonance analysis.
 
 The non-resonance checker enumerates signed integer combinations of frequency
 classes and verifies a small-divisor lower bound plus the absence of complete
-resonances.  The combinations come one total order at a time, each order in
-a fixed lexicographic order, in numpy blocks of at most 4096 vectors (one
-small-integer row per class), so memory stays bounded whatever the count.
-numpy sums k.freq over a block column by column in class order, which is
-the scalar left-to-right sum, and screens out the rows that can be neither
-small divisors nor complete resonances; the few rows left are decided by
-scalar code with math.remainder, math.sin and Python powers.  The report is
-therefore the same bit for bit as a one-vector-at-a-time enumeration.
+resonances.  A class is the set of nonzero modes sharing the integer pair
+(n(j), shift(j)), on which omega_j and varpi_j depend alone, so two modes whose
+frequencies agree only by coincidence stay in separate classes.  The
+combinations come one total order at a time, each order in a fixed
+lexicographic order, in numpy blocks of at most 4096 vectors (one small-integer
+row per class), so memory stays bounded whatever the count.  numpy sums k.freq
+over a block column by column in class order, which is the scalar
+left-to-right sum, and screens out the rows that can be neither small divisors
+nor complete resonances; the few rows left are decided by scalar code with
+math.remainder, math.sin and Python powers.  The report is therefore the same
+bit for bit as a one-vector-at-a-time enumeration.
 """
 
 from __future__ import annotations
@@ -186,6 +189,29 @@ class FrequencyTable:
         ms, inverse = np.unique(self.n[self.grid.nonzero], return_inverse=True)
         inverse.flags.writeable = False
         return tuple(int(m) for m in ms), inverse
+
+    @cached_property
+    def frequency_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero modes grouped by the integer pair (n(j), shift(j)), as flat
+        grid positions (rep, top, rep_of): per class, the member of smallest and
+        of largest |j|^2, ties going to the first in storage order (which is
+        lexicographic in j), the classes ordered by (|rep|^2, rep); and each
+        mode's rep (the origin its own), shaped like the grid."""
+        pos = np.flatnonzero(self.grid.nonzero)
+        norm2 = self.grid.mode_norm2.reshape(-1)
+        keys = np.stack((self.n.reshape(-1)[pos], self.shift.reshape(-1)[pos]), axis=1)
+        _, cls = np.unique(keys, axis=0, return_inverse=True)
+        first = np.r_[0, np.cumsum(np.bincount(cls))[:-1]]  # class starts once sorted
+        # np.lexsort sorts on its last key first
+        rep = pos[np.lexsort((pos, norm2[pos], cls))[first]]
+        top = pos[np.lexsort((pos, -norm2[pos], cls))[first]]
+        rep_of = np.arange(self.grid.size)
+        rep_of[pos] = rep[cls]
+        order = np.lexsort((rep, norm2[rep]))
+        out = rep[order], top[order], rep_of.reshape(self.grid.shape)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 def build_frequency_table(
@@ -364,40 +390,6 @@ class ResonanceReport:
         return dumps(self.as_dict())
 
 
-class _FrequencyClasses:
-    """Nonzero modes grouped by exact frequency value, in deterministic order.
-
-    Classes are sorted by (representative |j|^2, representative tuple); the
-    representative is the member of smallest modulus (lexicographic tie-break),
-    max_mode the member of maximal modulus (same tie-break).
-    """
-
-    def __init__(self, table: FrequencyTable, freqs: np.ndarray):
-        groups: dict[float, list[Mode]] = {}
-        for j in table.grid.nonzero_modes():
-            val = float(freqs[table.grid.index_of(j)])
-            groups.setdefault(val, []).append(j)
-
-        def mod2(m: Mode) -> int:
-            return sum(c * c for c in m)
-
-        items = []
-        for val, members in groups.items():
-            rep = min(members, key=lambda m: (mod2(m), m))
-            mx = max(mod2(m) for m in members)
-            max_mode = min((m for m in members if mod2(m) == mx), key=tuple)
-            items.append((rep, val, mod2(rep), mx, max_mode))
-        items.sort(key=lambda it: (it[2], it[0]))
-        self.reps = [it[0] for it in items]
-        self.freqs = [it[1] for it in items]
-        self.rep_mod2 = [it[2] for it in items]
-        self.max_mod2 = [it[3] for it in items]
-        self.max_mode = [it[4] for it in items]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-
 # Most k-vectors one enumeration block holds: the block's int8 codes and the
 # float64 arrays derived from them stay within a few hundred kilobytes.
 _BLOCK_ROWS = 4096
@@ -543,8 +535,22 @@ def check_assumption2(
         freq_source = "varpi"
         part_a_ok = table.eps_hat <= eps_hat
 
-    classes = _FrequencyClasses(table, freqs)
-    ncls = len(classes)
+    grid = table.grid
+    rep_pos, top_pos, rep_of = table.frequency_classes
+    bits = freqs.view(np.int64)
+    split = bits != bits.reshape(-1)[rep_of]
+    if split.any():
+        raise DomainError(
+            f"mode {grid.mode_at(split)}: {freq_source} differs from that of its "
+            "class representative, with which it shares (n, shift)"
+        )
+    ncls = len(rep_pos)
+    j = np.stack(np.unravel_index(np.r_[rep_pos, top_pos], grid.shape), 1) - grid.K
+    modes = list(map(tuple, j.tolist()))
+    reps, max_mode = modes[:ncls], modes[ncls:]
+    class_freqs = freqs.reshape(-1)[rep_pos].tolist()
+    norm2 = grid.mode_norm2.reshape(-1)
+    rep_mod2, max_mod2 = norm2[rep_pos].tolist(), norm2[top_pos].tolist()
     h = table.h
     exponent = N / s2
     top = N + 1
@@ -554,7 +560,7 @@ def check_assumption2(
     # has r <= _RESONANCE_TOL.  Rows above the widened bound below are neither,
     # whatever the last-ulp differences between the round-based remainder, the
     # float 2*pi and math.sin; every other row is decided by the scalar code.
-    theta_max = h * top * max(abs(f) for f in classes.freqs)
+    theta_max = h * top * max(abs(f) for f in class_freqs)
     rem_hi = (
         max(2.0 * math.asin(min(1.0, 0.5 * delta2 * h)), _RESONANCE_TOL) * (1.0 + 1e-9)
         + 1e-15 * (1.0 + theta_max)
@@ -573,14 +579,14 @@ def check_assumption2(
         kvec: list[int], delta: float, lhs: float, rhs: float, kind: str
     ) -> ComboWitness:
         support = tuple(
-            (classes.reps[c], kvec[c]) for c in range(ncls) if kvec[c] != 0
+            (reps[c], kvec[c]) for c in range(ncls) if kvec[c] != 0
         )
         lmax = max((c for c in range(ncls) if kvec[c] != 0),
-                   key=lambda c: classes.max_mod2[c])
+                   key=lambda c: max_mod2[c])
         return ComboWitness(
             k=support,
             delta=delta,
-            l=classes.max_mode[lmax],
+            l=max_mode[lmax],
             lhs=lhs,
             rhs=rhs,
             kind=kind,
@@ -593,8 +599,8 @@ def check_assumption2(
         num_mod2 = 0
         for c, v in enumerate(kvec):
             if v:
-                denom = denom * float(classes.rep_mod2[c]) ** abs(v)
-                num_mod2 = max(num_mod2, classes.max_mod2[c])
+                denom = denom * float(rep_mod2[c]) ** abs(v)
+                num_mod2 = max(num_mod2, max_mod2[c])
         theta = h * dot
         lhs = float(num_mod2) ** 2 / denom
         if abs(math.remainder(theta, _TWO_PI)) <= _RESONANCE_TOL:
@@ -626,7 +632,7 @@ def check_assumption2(
         # k.freq summed left to right in class order, as the scalar sum would be
         dot = np.zeros(rows)
         for c in range(ncls):
-            dot += np.multiply(k[c], classes.freqs[c], dtype=np.float64)
+            dot += np.multiply(k[c], class_freqs[c], dtype=np.float64)
         theta = h * dot
         rem = np.abs(theta - _TWO_PI * np.rint(theta / _TWO_PI))
         for i in np.flatnonzero(rem <= rem_hi).tolist():

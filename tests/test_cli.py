@@ -105,6 +105,10 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"^{key} must be finite"):
                 RunConfig(**{key: value})
+    # int() would truncate a fraction and turn a bool into 0 or 1
+    for key, value in (("K", 2.7), ("steps", 100.9), ("N", 5.5), ("K", True), ("h", True)):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            build_config(None, {key: value})
 
 
 def test_parse_ell():
@@ -338,6 +342,10 @@ def test_main_config_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--h", "0.04,0.05"]) == 2
     assert "--h takes one value outside sweep" in capsys.readouterr().err
+    # an axis with no values is an error, not an empty sweep
+    assert main(["sweep", "--h", "", "--rho2", "0.4", "--out", str(tmp_path)]) == 2
+    assert "--h gives no values" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 def test_main_argparse_exits(capsys):

@@ -83,21 +83,24 @@ def test_oracle_counts_class_aggregation(grid2):
 
 
 @pytest.mark.parametrize(
-    "d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors",
+    "d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors, ell",
     [
         # first-violation exits at K = 12, out of the mode-level oracle's reach
-        (1, 12, 0.042, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 14249),
-        (1, 12, 0.05, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 84904),
-        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 5640),
-        (2, 3, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 0.0, True, 5640),
-        (1, 4, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 1.0, False, 320),
-        (1, 4, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 1.0, True, 320),
+        (1, 12, 0.042, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 14249, (0,)),
+        (1, 12, 0.05, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 84904, (0,)),
+        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 5640, (0, 0)),
+        (2, 3, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 0.0, True, 5640, (0, 0)),
+        (1, 4, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 1.0, False, 320, (0,)),
+        (1, 4, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 1.0, True, 320, (0,)),
+        # nonzero carriers, where the class key (n, shift) has shift != 0
+        (1, 16, 0.01, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 228, (3,)),
+        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, True, 172040, (1, 0)),
     ],
 )
 def test_checker_matches_class_level_reference(
-    d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors
+    d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors, ell
 ):
-    table = build_frequency_table(h, math.sqrt(rho2), -1, (0,) * d, Grid(K=K, d=d))
+    table = build_frequency_table(h, math.sqrt(rho2), -1, ell, Grid(K=K, d=d))
     c2, delta2, s2 = constants
     report = check_assumption2(table, N, c2, delta2, s2, eps_hat, exhaustive)
     reference = class_level_report(table, N, c2, delta2, s2, eps_hat, exhaustive)

@@ -370,10 +370,34 @@ def test_assumption2_varpi_routing(grid2, grid16):
         check_assumption2(t16, N=2, c2=8.0, delta2=0.1, s2=10.0, eps_hat=1.0)
 
 
-def test_assumption2_rejects_flagged_tables(grid16):
+def test_assumption2_rejects_flagged_tables(grid16, grid2):
     t = build_frequency_table(0.042, RHO, -1, (0,), grid16)
     with pytest.raises(DomainError):
         check_assumption2(t, N=2, c2=8.0, delta2=0.1, s2=10.0)
+    # -1 and +1 share (n, shift), so a table giving them different omega has
+    # no frequency for their class
+    base = build_frequency_table(0.1, RHO, -1, (0,), grid2)
+    omega = base.omega.copy()
+    omega[grid2.index_of((1,))] += 0.5
+    split = dataclasses.replace(base, omega=omega)
+    with pytest.raises(DomainError, match=r"^mode \(1,\): omega differs"):
+        check_assumption2(split, N=2, c2=8.0, delta2=0.1, s2=10.0)
+
+
+def test_assumption2_keeps_coincident_frequencies_apart(grid2):
+    # mode -2 (n = 4) given the omega of +-1 (n = 1) stays in its own class,
+    # so e_{-1} - e_{-2} is a complete resonance; grouping the modes by their
+    # float omega would merge the two classes and hide it
+    base = build_frequency_table(0.1, RHO, -1, (0,), grid2)
+    omega = base.omega.copy()
+    shared = omega[grid2.index_of((1,))]
+    omega[grid2.index_of((-2,))] = shared
+    assert abs(math.remainder(base.h * shared, 2.0 * math.pi)) > 0.01
+    t = dataclasses.replace(base, omega=omega)
+    r = check_assumption2(t, N=1, c2=8.0, delta2=0.1, s2=5.0)
+    assert not r.part_c_verdict
+    assert r.witnesses[0].kind == "complete-resonance"
+    assert r.witnesses[0].k == (((-1,), 1), ((-2,), -1))
 
 
 def test_assumption2_parameter_validation(grid2):

@@ -1,0 +1,100 @@
+"""Byte-for-byte comparison of the CLI's outputs with another checkout's, one JSON line.
+
+    python3 tools/same_outputs.py --baseline OTHER/src
+
+Runs a fixed set of torusnls commands with the package under this
+checkout's src/ and again with the one under --baseline, each run in a fresh
+temporary directory with --out out, and compares the exit codes, stdout,
+stderr and every file the run wrote.  JSON (the check report on stdout and
+*_meta.json) is compared with its numbers kept as written and with the
+"timing" and "environment" keys left out at every depth, since those
+measure the host; everything else is compared byte for byte.
+
+Prints one JSON line, {"identical": ..., "commands": {name: [what differs]}},
+and exits 1 when any output differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = {
+    "check-defaults": ("check",),
+    "check-n2": ("check", "--N", "2", "--h", "0.042"),
+    "check-2d-carrier": ("check", "--d", "2", "--K", "3", "--ell", "1,0", "--h", "0.05",
+                         "--N", "3", "--exhaustive"),
+    "sweep-k12": ("sweep", "--K", "12", "--N", "5",
+                  "--h", "0.042,0.05,0.06", "--rho2", "0.2,0.4,0.6"),
+    "dense-2d-300": ("simulate", "--d", "2", "--K", "8", "--scheme",
+                     "strang-nonlinear-outside", "--steps", "300", "--cadence", "1"),
+}
+
+# keys whose values measure the host rather than the computation
+VOLATILE = frozenset(("timing", "environment"))
+
+
+def run(src: Path, args: tuple[str, ...], workdir: Path) -> dict:
+    """Run one command in workdir; return name -> bytes of everything it produced."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusnls", *args, "--out", "out"],
+        cwd=workdir, env=env, capture_output=True, timeout=600,
+    )
+    out = {"returncode": str(proc.returncode).encode(), "stdout": proc.stdout,
+           "stderr": proc.stderr}
+    for path in sorted((workdir / "out").rglob("*")):  # none when the run wrote nothing
+        if path.is_file():
+            out[str(path.relative_to(workdir))] = path.read_bytes()
+    return out
+
+
+def comparable(name: str, data: bytes):
+    """The bytes, or for JSON the document without VOLATILE keys, numbers as text."""
+    if name == "stdout" or name.endswith(".json"):
+        try:
+            return json.loads(
+                data,
+                object_pairs_hook=lambda pairs: [p for p in pairs if p[0] not in VOLATILE],
+                parse_float=str, parse_int=str, parse_constant=str,
+            )
+        except ValueError:
+            pass
+    return data
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", required=True,
+                        help="src/ directory of the checkout to compare with")
+    args = parser.parse_args()
+    baseline = Path(args.baseline).resolve()
+
+    differs: dict[str, list[str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command in COMMANDS.items():
+            outputs = []
+            for side, src in (("current", SRC), ("baseline", baseline)):
+                workdir = Path(tmp) / side / name
+                workdir.mkdir(parents=True)
+                outputs.append(run(src, command, workdir))
+            current, base = outputs
+            differs[name] = [
+                key for key in sorted(set(current) | set(base))
+                if key not in current or key not in base
+                or comparable(key, current[key]) != comparable(key, base[key])
+            ]
+    identical = not any(differs.values())
+    print(json.dumps({"identical": identical, "commands": differs}))
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
