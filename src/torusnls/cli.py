@@ -157,47 +157,51 @@ _FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
 _CONFIG_KEYS = frozenset(
     [_KEY_OF_FIELD.get(f.name, f.name) for f in fields(RunConfig)] + ["horizon"]
 )
-# the field annotations are strings (postponed evaluation); ell is parsed apart
+# the field annotations are strings (postponed evaluation); ell is parsed apart,
+# and the horizon is a float key without a field
 _FIELD_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+_FIELD_TYPES["horizon"] = "float"
 _CASTS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _coerce(key: str, kind: str, value):
+    """value as a `kind` ("int", "float", "str" or "bool"); ConfigError names key.
+
+    Only a bool kind takes a bool, or its spelling (bool() would turn "false"
+    into True), and an int kind takes no fraction (int() would drop it).
+    """
+    if kind == "bool" and value in ("true", "false"):
+        value = value == "true"
+    expected = "true or false" if kind == "bool" else kind
+    if (kind == "bool") != isinstance(value, bool) or (
+        kind == "int" and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    try:
+        return _CASTS[kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from exc
 
 
 def _parse_ell(raw) -> Mode | None:
     """Carrier mode from an int, a sequence or a comma-separated string.
 
-    A scalar 0 is the origin in any dimension, so it leaves ell unset (None).
+    Each component follows the int-field rule of _coerce.  A scalar 0 is the
+    origin in any dimension, so it leaves ell unset (None).
     """
-    if isinstance(raw, int):
-        comps = (raw,)
-    elif isinstance(raw, (list, tuple)):
-        comps = tuple(int(c) for c in raw)
-    elif isinstance(raw, str):
-        try:
-            comps = tuple(int(p) for p in raw.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse ell from {raw!r}") from exc
-    else:
-        raise ConfigError(f"cannot parse ell from {raw!r}")
+    if isinstance(raw, str):
+        raw = [p for p in raw.split(",") if p.strip()]
+    elif not isinstance(raw, (list, tuple)):
+        raw = [raw]
+    comps = tuple(_coerce("ell components", "int", c) for c in raw)
     return None if comps == (0,) else comps
 
 
 def _cast(name: str, value):
-    """Coerce a config value to the type of its RunConfig field.
-
-    Only a bool field takes a bool, or its spelling (bool() would turn "false"
-    into True), and an int field takes no fraction (int() would drop it).
-    """
+    """Coerce a config value to the type of its RunConfig field (or the horizon)."""
     if name == "ell":
         return _parse_ell(value)
-    kind = _FIELD_TYPES[name]
-    if kind == "bool" and value in ("true", "false"):
-        value = value == "true"
-    if (kind == "bool") != isinstance(value, bool) or (
-        kind == "int" and isinstance(value, float) and not value.is_integer()
-    ):
-        expected = "true or false" if kind == "bool" else kind
-        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} must be {expected}, got {value!r}")
-    return _CASTS[kind](value)
+    return _coerce(_KEY_OF_FIELD.get(name, name), _FIELD_TYPES[name], value)
 
 
 def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
@@ -220,12 +224,17 @@ def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
 
     try:
         config = RunConfig(**{name: _cast(name, v) for name, v in merged.items()})
-        if horizon is not None:
-            config = replace(config, n_steps=round(float(horizon) / config.h))
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config value: {exc}") from exc
+    if horizon is not None:
+        steps = _cast("horizon", horizon) / config.h
+        if not math.isfinite(steps):
+            raise ConfigError(
+                f"horizon {horizon!r} over h = {config.h} gives no finite step count"
+            )
+        config = replace(config, n_steps=round(steps))
     return config
 
 

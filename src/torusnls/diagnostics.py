@@ -75,9 +75,6 @@ class SuperActionSet:
         a.flags.writeable = False
         return a
 
-    def total(self) -> float:
-        return float(sum(self.values))
-
     def as_dict(self) -> dict:
         return {str(m): v for m, v in zip(self.ms, self.values)}
 

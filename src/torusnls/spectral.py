@@ -3,12 +3,12 @@
 A field is represented by its Fourier coefficients u_j on the mode set
 {-K, ..., K-1}^d, stored in lexicographic order of the shifted index j + K
 per axis (array position p corresponds to mode j = p - K along each axis).
-Collocation values live on the points x_j = pi*j/K with the same ordering.
 numpy's FFT routines use the 0..2K-1 ordering instead.  The bijection between
 the two is a cyclic shift by K along every axis, its own inverse since the axes
 have even length: np.fft.fftshift and ifftshift compute it, and so does
-Grid.shift by the origin position.  In this module it is confined to the two
-conversion helpers below.  The integrator (integrator.py) keeps its state in
+Grid.shift by the origin position.  In this module it is confined to
+trig_interpolate, which takes collocation values on the points x_j = pi*j/K
+in the modes' ordering.  The integrator (integrator.py) keeps its state in
 numpy order and converts at its boundary with `_Stepper.reorder`, a
 Grid.shift: `_Stepper.__init__` reorders the |j|^2 table, `_Stepper.wrap`
 converts back for every field it hands out, and `step` and `integrate`
@@ -187,27 +187,12 @@ class Grid:
         for pos in np.ndindex(*self.shape):
             yield tuple(p - self.K for p in pos)
 
-    def nonzero_modes(self) -> tuple[Mode, ...]:
-        """Modes with j != 0, in storage order."""
-        return tuple(m for m in self.modes() if any(m))
-
-    def collocation_axis(self) -> np.ndarray:
-        """Collocation points along one axis: x_j = pi*j/K, j = -K..K-1."""
-        return math.pi * self.axis_modes / self.K
-
 
 def mod_reduce(v: int | Sequence[int], grid: Grid) -> Mode:
     """Reduce an integer vector entrywise into {-K, ..., K-1} modulo 2K."""
     m = as_mode(v, grid.d)
     K = grid.K
     return tuple((c + K) % (2 * K) - K for c in m)
-
-
-def _coeffs_to_values(coeffs: np.ndarray) -> np.ndarray:
-    # shifted coeffs -> shifted values; u(x_q) = sum_j u_j e^{i j.x_q}
-    std = np.fft.ifftshift(coeffs)
-    vals = np.fft.ifftn(std) * coeffs.size
-    return np.fft.fftshift(vals)
 
 
 def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
@@ -244,10 +229,6 @@ class SpectralField:
 
     def coeff(self, j: int | Sequence[int]) -> complex:
         return complex(self.coeffs[self.grid.index_of(j)])
-
-    def values(self) -> np.ndarray:
-        """Collocation values u(x_j), same shifted ordering as the modes."""
-        return _coeffs_to_values(self.coeffs)
 
     def mass(self) -> float:
         """Discrete L2 mass sum_j |u_j|^2 (Parseval: (2K)^-d sum_x |u(x)|^2)."""

@@ -41,7 +41,7 @@ from .errors import (
     NotLinearlyStableError,
     ZeroCarrierModeError,
 )
-from .spectral import Grid, Mode, SpectralField, mod_reduce
+from .spectral import Grid, Mode, SpectralField
 from .stability import FrequencyTable
 
 __all__ = [
@@ -74,27 +74,6 @@ class DiagonalizerSet:
     def __post_init__(self):
         for name in ("s00", "s01", "t00", "t01"):
             getattr(self, name).flags.writeable = False
-
-    def S(self, j: int | tuple) -> np.ndarray:
-        idx = self.table.grid.index_of(mod_reduce(j, self.table.grid))
-        a, b = complex(self.s00[idx]), complex(self.s01[idx])
-        return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=np.complex128)
-
-    def S_inv(self, j: int | tuple) -> np.ndarray:
-        idx = self.table.grid.index_of(mod_reduce(j, self.table.grid))
-        a, b = complex(self.t00[idx]), complex(self.t01[idx])
-        return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=np.complex128)
-
-    def entry_bound(self) -> float:
-        """Largest entry modulus over all modes (compare with the stability margin bound)."""
-        return float(
-            max(
-                np.max(np.abs(self.s00)),
-                np.max(np.abs(self.s01)),
-                np.max(np.abs(self.t00)),
-                np.max(np.abs(self.t01)),
-            )
-        )
 
 
 def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
@@ -194,10 +173,6 @@ class XiField:
     @property
     def ell(self) -> Mode:
         return self.ctx.table.ell
-
-    def sobolev_norm(self, s: float) -> float:
-        w = self.grid.sobolev_weights(s)
-        return float(math.sqrt(np.sum(w * np.abs(self.xi) ** 2)))
 
 
 def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:

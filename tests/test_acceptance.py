@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import frequency_oracle
+from field_helpers import entry_bound, nonzero_modes, s_inv_matrix, s_matrix
 from resonance_oracle import canonical_witness, oracle_violations
 from torusnls import (
     Grid,
@@ -178,7 +179,7 @@ def test_criterion_06_frequency_validation():
     scheme = StepScheme(StepVariant.LIE_TROTTER, h)
     gauge = np.exp(1j * lam * RHO * RHO * steps * h)
     worst = 0.0
-    for j in grid.nonzero_modes():
+    for j in nonzero_modes(grid):
         pj = grid.index_of(j)
         nj = mod_reduce(tuple(-c for c in j), grid)
         pn = grid.index_of(nj)
@@ -190,7 +191,7 @@ def test_criterion_06_frequency_validation():
         for _ in range(steps):
             f = step(f, scheme, lam)
         w1 = np.array([f.coeffs[pj] * gauge, np.conj(f.coeffs[pn] * gauge)])
-        smat = ctx.S(j)
+        smat = s_matrix(ctx, j)
         xi0, xi1 = smat @ w0, smat @ w1
         expected = np.exp(-1j * omega[pj] * steps * h)
         ratio = xi1[0] / xi0[0]
@@ -199,7 +200,7 @@ def test_criterion_06_frequency_validation():
 
     # modified frequencies approach the numerical ones at second order in h
     hs = (0.04, 0.02, 0.01, 0.005)
-    small = [j for j in grid.nonzero_modes()
+    small = [j for j in nonzero_modes(grid)
              if sum(c * c for c in j) * max(hs) < math.pi / 2]
     errs = []
     for hh in hs:
@@ -244,13 +245,13 @@ def test_criterion_07_transform_integrity():
         assert float(np.max(np.abs(u2.coeffs - u.coeffs))) <= 1e-12
 
         bound = math.sqrt(1.0 + rho * rho / (2.0 * math.sqrt(a1.c1_certified)))
-        assert ctx.entry_bound() <= bound + 1e-12
+        assert entry_bound(ctx) <= bound + 1e-12
 
-        for j in grid.nonzero_modes():
-            S = ctx.S(j)
+        for j in nonzero_modes(grid):
+            S = s_matrix(ctx, j)
             assert abs(np.linalg.det(S) - 1.0) <= 1e-12
             block = frequency_oracle.block(j, ell, h, rho, lam, K)
-            D = S @ block @ ctx.S_inv(j)
+            D = S @ block @ s_inv_matrix(ctx, j)
             nj = mod_reduce(tuple(-comp for comp in j), grid)
             om_j = float(ctx.table.omega[grid.index_of(j)])
             om_nj = float(ctx.table.omega[grid.index_of(nj)])

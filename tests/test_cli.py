@@ -49,6 +49,9 @@ def test_build_config_steps_and_horizon():
     assert build_config(None, {"steps": 7}).n_steps == 7
     with pytest.raises(ConfigError):
         build_config(None, {"steps": 7, "horizon": 100.0})
+    for horizon in (1e308, math.nan):
+        with pytest.raises(ConfigError, match="^horizon .* gives no finite step count"):
+            build_config(None, {"horizon": horizon, "h": 1e-10})
 
 
 def test_build_config_bool_fields():
@@ -105,8 +108,10 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"^{key} must be finite"):
                 RunConfig(**{key: value})
-    # int() would truncate a fraction and turn a bool into 0 or 1
-    for key, value in (("K", 2.7), ("steps", 100.9), ("N", 5.5), ("K", True), ("h", True)):
+    # int() would truncate a fraction and turn a bool into 0 or 1; a value
+    # int() or float() rejects is named by its key, the horizon's included
+    for key, value in (("K", 2.7), ("steps", 100.9), ("N", 5.5), ("K", True), ("h", True),
+                       ("K", "2.7"), ("h", "abc"), ("horizon", True), ("horizon", [1])):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             build_config(None, {key: value})
 
@@ -120,6 +125,11 @@ def test_parse_ell():
         build_config(None, {"d": 2, "ell": "1,2,3"})
     with pytest.raises(ConfigError):
         _parse_ell("x")
+    # each component follows the int-field rule: no bool, no fraction
+    assert _parse_ell([3.0]) == (3,)
+    for raw in (True, [True], [1.7], ["a"], "1,x"):
+        with pytest.raises(ConfigError, match="^ell components must be int"):
+            build_config(None, {"ell": raw})
 
 
 def test_random_datum_properties():
@@ -346,6 +356,13 @@ def test_main_config_errors(tmp_path, capsys):
     assert main(["sweep", "--h", "", "--rho2", "0.4", "--out", str(tmp_path)]) == 2
     assert "--h gives no values" in capsys.readouterr().err
     assert not (tmp_path / "sweep_summary.csv").exists()
+    # config-file values that int() or float() would misread name their key
+    path = tmp_path / "bad.json"
+    for key, value in (("horizon", True), ("K", "2.7"), ("h", "abc"), ("horizon", [1]),
+                       ("ell", True), ("ell", [True]), ("ell", [1.7]), ("ell", ["a"])):
+        path.write_text(json.dumps({key: value}))
+        assert main(["check", "--config", str(path)]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
 
 
 def test_main_argparse_exits(capsys):

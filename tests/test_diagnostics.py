@@ -52,7 +52,7 @@ def test_super_actions_partition(grid16, make_datum, diag16):
     xi = u_to_xi(u, diag16)
     sa = super_actions(xi)
     total = float(np.sum(np.abs(xi.xi) ** 2))
-    assert sa.total() == pytest.approx(total, rel=1e-14)
+    assert sum(sa.values) == pytest.approx(total, rel=1e-14)
     assert list(sa.ms) == sorted(sa.ms)
 
 

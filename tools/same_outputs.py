@@ -35,6 +35,11 @@ COMMANDS = {
                   "--h", "0.042,0.05,0.06", "--rho2", "0.2,0.4,0.6"),
     "dense-2d-300": ("simulate", "--d", "2", "--K", "8", "--scheme",
                      "strang-nonlinear-outside", "--steps", "300", "--cadence", "1"),
+    # the other two step variants, one recentering at a nonzero carrier
+    "lie-trotter-ell3-300": ("simulate", "--scheme", "lie-trotter", "--ell", "3",
+                             "--steps", "300", "--cadence", "1"),
+    "strang-linear-300": ("simulate", "--scheme", "strang-linear-outside",
+                          "--steps", "300", "--cadence", "1"),
 }
 
 # keys whose values measure the host rather than the computation
