@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -109,6 +109,15 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.d < 1 or self.K < 1:
             raise ConfigError(f"d and K must be positive, got d={self.d} K={self.K}")
+        # numpy indexes the (2K)^d coefficients with np.intp.  Every d > 64
+        # overflows it (and numpy's axis limit); refusing those first keeps
+        # the exact power below 4096 bits.
+        limit = np.iinfo(np.intp).max
+        if self.d > 64 or (2 * min(self.K, limit)) ** self.d > limit:
+            raise ConfigError(
+                f"d = {self.d} with K = {self.K} gives (2K)^d coefficients, "
+                f"more than numpy can index ({limit})"
+            )
         if self.lam not in (-1, 1):
             raise ConfigError(f"lambda must be +1 or -1, got {self.lam}")
         if self.h <= 0.0:
@@ -291,7 +300,7 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
         "parameters": {
             "d": config.d,
             "K": config.K,
-            "ell": list(config.ell),
+            "ell": config.ell,
             "lambda": config.lam,
             "rho2": config.rho2,
             "h": config.h,
@@ -302,7 +311,7 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
         },
         "cfl_max_h": cfl,
         "cfl_satisfied": None if cfl is None else config.h <= cfl,
-        "assumption1": a1.as_dict(),
+        "assumption1": asdict(a1),
         "max_growth": table.max_growth(),
     }
     if a1.holds:
@@ -317,7 +326,7 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
             exhaustive=config.exhaustive,
         )
         elapsed = time.perf_counter() - start
-        payload["assumption2"] = a2.as_dict()
+        payload["assumption2"] = asdict(a2)
         payload["timing"] = {
             "assumption2_s": elapsed,
             "vectors_per_s": a2.n_vectors / elapsed,
@@ -418,7 +427,7 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
         inst = detect_instability(
             diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
         )
-        diag.metadata["instability"] = inst.as_dict()
+        diag.metadata["instability"] = asdict(inst)
     diag.metadata["environment"] = _environment()
     diag.metadata["timing"] = {
         "steps_per_s": steps / step_s if step_s > 0.0 else None,

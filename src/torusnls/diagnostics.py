@@ -75,9 +75,6 @@ class SuperActionSet:
         a.flags.writeable = False
         return a
 
-    def as_dict(self) -> dict:
-        return {str(m): v for m, v in zip(self.ms, self.values)}
-
 
 def super_actions(xi: XiField) -> SuperActionSet:
     """Group |xi_j|^2 over nonzero modes by the coupling index n(j)."""
@@ -124,15 +121,6 @@ class InstabilityReport:
     growth_rate: float
     threshold_factor: float
     epsilon: float
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "onset_time": self.onset_time,
-            "growth_rate": self.growth_rate,
-            "threshold_factor": self.threshold_factor,
-            "epsilon": self.epsilon,
-        }
 
 
 def detect_instability(
@@ -270,12 +258,12 @@ class TrajectoryRecorder:
         meta.setdefault("h", table.h)
         meta.setdefault("K", table.grid.K)
         meta.setdefault("d", table.grid.d)
-        meta.setdefault("ell", list(table.ell))
+        meta.setdefault("ell", table.ell)
         meta.setdefault("lambda", table.lam)
         meta.setdefault("rho", table.rho)
         meta.setdefault("s", self.s)
         meta["transform_ok"] = self.transform_ok
-        meta["snapshot_windows"] = [list(w) for w in self.windows]
+        meta["snapshot_windows"] = self.windows
         return TrajectoryDiagnostics(
             grid=table.grid,
             times=np.asarray(self._times, dtype=np.float64),

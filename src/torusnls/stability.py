@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._serialize import dumps
 from .errors import DomainError
 from .spectral import Grid, Mode, as_mode, mod_reduce
 
@@ -101,16 +100,6 @@ class LinearStabilityReport:
     holds: bool
     c1_certified: float
     worst_j: Mode
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "c1_certified": self.c1_certified,
-            "worst_j": list(self.worst_j),
-        }
-
-    def to_json(self) -> str:
-        return dumps(self.as_dict())
 
 
 def check_assumption1(table: FrequencyTable) -> LinearStabilityReport:
@@ -317,16 +306,6 @@ class ComboWitness:
     rhs: float
     kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "k": [[list(mode), coeff] for mode, coeff in self.k],
-            "delta": self.delta,
-            "l": list(self.l),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "kind": self.kind,
-        }
-
 
 _HEADER = (
     "non-resonance check over frequency classes (class-support reading: "
@@ -365,29 +344,6 @@ class ResonanceReport:
     n_vectors: int
     n_small_divisors: int
     n_violations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "N": self.N,
-            "c2": self.c2,
-            "delta2": self.delta2,
-            "s2": self.s2,
-            "eps_hat": self.eps_hat,
-            "freq_source": self.freq_source,
-            "header": self.header,
-            "part_a_ok": self.part_a_ok,
-            "part_b_ok": self.part_b_ok,
-            "part_c_verdict": self.part_c_verdict,
-            "tightest": None if self.tightest is None else self.tightest.as_dict(),
-            "witnesses": [w.as_dict() for w in self.witnesses],
-            "n_vectors": self.n_vectors,
-            "n_small_divisors": self.n_small_divisors,
-            "n_violations": self.n_violations,
-        }
-
-    def to_json(self) -> str:
-        return dumps(self.as_dict())
 
 
 # Most k-vectors one enumeration block holds: the block's int8 codes and the

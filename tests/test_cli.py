@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ def test_config_validation():
                        ("K", "2.7"), ("h", "abc"), ("horizon", True), ("horizon", [1])):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             build_config(None, {key: value})
+    # numpy indexes at most np.intp-many coefficients; a larger grid is refused
+    # by its d before any d-long tuple or array is built
+    tracemalloc.start()
+    try:
+        for d, K in ((65, 16), (70, 16), (10**9, 16), (10**20, 16), (3, 2**31), (63, 1)):
+            with pytest.raises(ConfigError, match=f"^d = {d} with K = {K} gives"):
+                build_config(None, {"d": d, "K": K})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert RunConfig(d=62, K=1).ell == (0,) * 62  # 2^62 coefficients fit; none is built
 
 
 def test_parse_ell():
@@ -352,14 +365,18 @@ def test_main_config_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "--h", "0.04,0.05"]) == 2
     assert "--h takes one value outside sweep" in capsys.readouterr().err
+    assert main(["check", "--d", "70"]) == 2
+    assert "config error: d = 70" in capsys.readouterr().err
     # an axis with no values is an error, not an empty sweep
     assert main(["sweep", "--h", "", "--rho2", "0.4", "--out", str(tmp_path)]) == 2
     assert "--h gives no values" in capsys.readouterr().err
     assert not (tmp_path / "sweep_summary.csv").exists()
-    # config-file values that int() or float() would misread name their key
+    # config-file values that int() or float() would misread, or a d that numpy
+    # cannot index, name their key
     path = tmp_path / "bad.json"
     for key, value in (("horizon", True), ("K", "2.7"), ("h", "abc"), ("horizon", [1]),
-                       ("ell", True), ("ell", [True]), ("ell", [1.7]), ("ell", ["a"])):
+                       ("ell", True), ("ell", [True]), ("ell", [1.7]), ("ell", ["a"]),
+                       ("d", 10**20)):
         path.write_text(json.dumps({key: value}))
         assert main(["check", "--config", str(path)]) == 2
         assert f"config error: {key}" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from torusnls import (
     check_assumption2,
     mod_reduce,
 )
+from torusnls._serialize import dumps
 
 RHO = math.sqrt(0.4)
 
@@ -140,7 +141,8 @@ def test_assumption1_agrees_with_diagonalizers(grid16):
 
 def test_assumption1_report_serialization(grid16):
     r = check_assumption1(build_frequency_table(0.04, RHO, -1, (0,), grid16))
-    doc = json.loads(r.to_json())
+    doc = json.loads(dumps(dataclasses.asdict(r)))
+    assert list(doc) == ["holds", "c1_certified", "worst_j"]
     assert doc["holds"] is True
     assert doc["worst_j"] == [-1]
     assert doc["c1_certified"] == r.c1_certified
@@ -437,7 +439,14 @@ def test_assumption2_complete_resonance():
 def test_assumption2_report_serialization(grid16):
     t = build_frequency_table(0.04, RHO, -1, (0,), grid16)
     r = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0)
-    doc = json.loads(r.to_json())
+    doc = json.loads(dumps(dataclasses.asdict(r)))
+    # the field names and their order are the JSON schema of the check report
+    assert list(doc) == [
+        "holds", "N", "c2", "delta2", "s2", "eps_hat", "freq_source", "header",
+        "part_a_ok", "part_b_ok", "part_c_verdict", "tightest", "witnesses",
+        "n_vectors", "n_small_divisors", "n_violations",
+    ]
+    assert list(doc["tightest"]) == ["k", "delta", "l", "lhs", "rhs", "kind"]
     assert doc["holds"] is True
     assert doc["n_vectors"] == r.n_vectors
     assert doc["tightest"]["delta"] == r.tightest.delta

@@ -31,6 +31,8 @@ COMMANDS = {
     "check-n2": ("check", "--N", "2", "--h", "0.042"),
     "check-2d-carrier": ("check", "--d", "2", "--K", "3", "--ell", "1,0", "--h", "0.05",
                          "--N", "3", "--exhaustive"),
+    # exits 1 at its first small-divisor witness: a non-exhaustive witness's JSON
+    "check-k12-witness": ("check", "--K", "12", "--N", "5", "--h", "0.042", "--rho2", "0.2"),
     "sweep-k12": ("sweep", "--K", "12", "--N", "5",
                   "--h", "0.042,0.05,0.06", "--rho2", "0.2,0.4,0.6"),
     "dense-2d-300": ("simulate", "--d", "2", "--K", "8", "--scheme",
