@@ -147,6 +147,8 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
+        if self.N > sys.float_info.max / 5.0:  # an exact int-float comparison
+            raise ConfigError("N is too large: s2 = 5N must be a finite float")
         if self.s2 is None:
             object.__setattr__(self, "s2", 5.0 * self.N)
         if self.c2 <= 0.0 or self.delta2 <= 0.0 or self.s2 <= 0.0:
@@ -231,12 +233,7 @@ def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
     if horizon is not None and "n_steps" in merged:
         raise ConfigError("give either steps or horizon, not both")
 
-    try:
-        config = RunConfig(**{name: _cast(name, v) for name, v in merged.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    config = RunConfig(**{name: _cast(name, v) for name, v in merged.items()})
     if horizon is not None:
         steps = _cast("horizon", horizon) / config.h
         if not math.isfinite(steps):

@@ -210,10 +210,8 @@ class TrajectoryRecorder:
         self._ctx: DiagonalizerSet | None
         try:
             self._ctx = build_diagonalizers(table)
-            self.transform_ok = True
         except NotLinearlyStableError:
             self._ctx = None
-            self.transform_ok = False
 
         self._sa0: SuperActionSet | None = None
         self._times: list[float] = []
@@ -262,7 +260,7 @@ class TrajectoryRecorder:
         meta.setdefault("lambda", table.lam)
         meta.setdefault("rho", table.rho)
         meta.setdefault("s", self.s)
-        meta["transform_ok"] = self.transform_ok
+        meta["transform_ok"] = self._ctx is not None
         meta["snapshot_windows"] = self.windows
         return TrajectoryDiagnostics(
             grid=table.grid,
@@ -292,9 +290,9 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
 
     The spectrum is written one snapshot at a time: a row template built once
     for the grid ("t,j,%.17g" per mode, in storage order) is filled with a
-    snapshot's magnitudes in one formatting call.  A snapshot holding a
-    non-finite magnitude is written cell by cell, so the file spells it NaN
-    or Infinity like every other output.
+    snapshot's magnitudes in one formatting call.  In a snapshot holding a
+    non-finite magnitude, the nan and inf that %.17g writes are then spelled
+    NaN and Infinity like every other output.
 
     started, a time.perf_counter() reading taken when the run began, adds to
     the metadata's "timing" block wall_s (seconds from started to the meta
@@ -318,14 +316,11 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     with open(os.path.join(path, f"{runid}_spectrum.csv"), "w", newline="\n") as fh:
         fh.write(",".join(["t", *mode_cols, "abs_uj"]) + "\n")
         for t, mags in diag.snapshots:
-            ts = format_float(float(t))
-            values = mags.reshape(-1).tolist()
-            if np.isfinite(mags).all():
-                fh.write(rows.replace(_TIME, ts) % tuple(values))
-            else:  # %.17g would spell these nan and inf
-                fh.write("".join(
-                    f"{ts},{j},{format_float(m)}\n" for j, m in zip(mode_text, values)
-                ))
+            values = tuple(mags.reshape(-1).tolist())
+            text = rows.replace(_TIME, format_float(float(t))) % values
+            if not np.isfinite(mags).all():  # %.17g spells NaN of either sign nan
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(text)
 
     meta = diag.metadata
     if started is not None:

@@ -179,7 +179,7 @@ class Grid:
         m = as_mode(j, self.d)
         for c in m:
             if not -self.K <= c < self.K:
-                raise IndexError(f"mode {m} outside {{-K, ..., K-1}}^d with K={self.K}")
+                raise DomainError(f"mode {m} outside {{-K, ..., K-1}}^d with K={self.K}")
         return tuple(c + self.K for c in m)
 
     def modes(self) -> Iterable[Mode]:

@@ -64,35 +64,6 @@ def _check_lambda(lam: int) -> int:
     return int(lam)
 
 
-def _mode_kernel(
-    ell: Mode, h: float, rho: float, lam: int, grid: Grid
-) -> tuple[np.ndarray, ...]:
-    """Per-mode split-step quantities over the whole grid: (n, shift, R, G, q2).
-
-    n(j) = (|ell+j|^2 + |ell-j|^2)/2 - |ell|^2 and the integer frequency shift
-    (|ell+j|^2 - |ell-j|^2)/2 (norms mod-reduced, int64; both 0 at the
-    origin); R = cos(nh) - h*lam*rho^2*sin(nh) = Re(alpha)*e^{+inh} and
-    G = sin(nh) + h*lam*rho^2*cos(nh) = -Im(alpha)*e^{+inh}; q2 = 1 - R^2 as
-    the product of (1 - R) and (1 + R) in half-angle form, since the direct
-    difference loses ~eps/q2 relative accuracy as the margin shrinks with h.
-    """
-    # |ell + j|^2, and |ell - j|^2 = |j - ell|^2, read off the recentered norms
-    plus = grid.shift(grid.mode_norm2, ell)
-    minus = grid.shift(grid.mode_norm2, tuple(-c for c in ell))
-    n = (plus + minus) // 2 - sum(c * c for c in ell)
-    shift = (plus - minus) // 2
-    nh = n * h
-    hl = h * lam * rho * rho
-    sn = np.sin(nh)
-    cs = np.cos(nh)
-    r = cs - hl * sn
-    g = sn + hl * cs
-    q2 = (2.0 * np.sin(0.5 * nh) ** 2 + hl * sn) * (
-        2.0 * np.cos(0.5 * nh) ** 2 - hl * sn
-    )
-    return n, shift, r, g, q2
-
-
 @dataclass(frozen=True)
 class LinearStabilityReport:
     """Certified linear-stability margin over all nonzero modes."""
@@ -206,13 +177,20 @@ class FrequencyTable:
 def build_frequency_table(
     h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
 ) -> FrequencyTable:
-    """Assemble the per-mode kernel, alpha, beta, omega, growth, varpi and eps_hat.
+    """Assemble n, shift, q2, alpha, beta, omega, growth, varpi and eps_hat.
 
-    With R and G from the kernel, omega_j = shift_j + arccos(R)/(h*sgn(G)) is
-    the eigenvalue phase of the mode's propagation block, growth_j =
-    max(1, |R| + sqrt(R^2 - 1)) its spectral radius (the eigenvalues have
-    product 1 and trace 2R), and, for carrier 0 only, varpi_j = n - mu +
-    sqrt(mu^2 + 2*lam*rho^2*mu) with mu = tan(n*h)/h for n*h in (0, pi/2).
+    n(j) = (|ell+j|^2 + |ell-j|^2)/2 - |ell|^2 and the integer frequency shift
+    (|ell+j|^2 - |ell-j|^2)/2 (norms mod-reduced, int64; both 0 at the
+    origin); R = cos(nh) - h*lam*rho^2*sin(nh) = Re(alpha)*e^{+inh} and
+    G = sin(nh) + h*lam*rho^2*cos(nh) = -Im(alpha)*e^{+inh}; q2 = 1 - R^2 as
+    the product of (1 - R) and (1 + R) in half-angle form, since the direct
+    difference loses ~eps/q2 relative accuracy as the margin shrinks with h.
+
+    omega_j = shift_j + arccos(R)/(h*sgn(G)) is the eigenvalue phase of the
+    mode's propagation block, growth_j = max(1, |R| + sqrt(R^2 - 1)) its
+    spectral radius (the eigenvalues have product 1 and trace 2R), and, for
+    carrier 0 only, varpi_j = n - mu + sqrt(mu^2 + 2*lam*rho^2*mu) with
+    mu = tan(n*h)/h for n*h in (0, pi/2).
     Per-mode omega failures are flagged in omega_status ("unstable" when the
     half-angle margin q2 is negative, "degenerate-sign" when the branch sign
     vanishes) with NaN entries rather than raised.
@@ -227,8 +205,20 @@ def build_frequency_table(
     ell = mod_reduce(as_mode(ell, grid.d), grid)
     origin = grid.origin
 
-    n, shift, r, g, q2 = _mode_kernel(ell, h, rho, lam, grid)
+    # |ell + j|^2, and |ell - j|^2 = |j - ell|^2, read off the recentered norms
+    plus = grid.shift(grid.mode_norm2, ell)
+    minus = grid.shift(grid.mode_norm2, tuple(-c for c in ell))
+    n = (plus + minus) // 2 - sum(c * c for c in ell)
+    shift = (plus - minus) // 2
+    nh = n * h
     hl = h * lam * rho * rho
+    sn = np.sin(nh)
+    cs = np.cos(nh)
+    r = cs - hl * sn
+    g = sn + hl * cs
+    q2 = (2.0 * np.sin(0.5 * nh) ** 2 + hl * sn) * (
+        2.0 * np.cos(0.5 * nh) ** 2 - hl * sn
+    )
     phase = np.exp(-1j * h * n)
     alpha = (1.0 - 1j * hl) * phase
     beta = (-1j * hl) * phase

@@ -13,13 +13,14 @@ i*sgn(Im(alpha))*sqrt(1 - Re(alpha)^2),
     S_j^{-1} = [[beta, lambda- - conj(alpha)], [lambda+ - alpha, conj(beta)]]
                / sqrt(|beta|^2 - |lambda+ - alpha|^2)
 
-and S_j is its adjugate (det = 1).  Under linear stability the normalizer
+and S_j is its adjugate (det = 1).  Only S_j is stored; xi_to_u applies
+S_j^{-1} as the adjugate of S_j.  Under linear stability the normalizer
 |beta|^2 - |lambda+ - alpha|^2 = 2q(|Im alpha| - q) with q = sqrt(1 - Re^2)
 is positive for rho > 0.  In xi variables one split step acts diagonally,
 xi_j -> exp(-i*omega_j*h)*xi_j, up to terms quadratic in the perturbation.
 
-The zero-mode polar data (theta, a) is retained so the chain is exactly
-invertible; the carrier modulus is recomputed on inversion from the mass
+The carrier's polar angle theta is retained so the chain is exactly
+invertible; its modulus is not, since the inverse recomputes it from the mass
 budget a = sqrt(rho^2 - sum|w_j|^2).
 
 The plane-wave context (grid, carrier ell, h, rho, lambda and the per-mode
@@ -55,48 +56,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagonalizerSet:
-    """Per-mode symplectic diagonalizers S_j and their inverses.
+    """Per-mode symplectic diagonalizers S_j.
 
-    Both matrices have the conjugate-swap row structure
-    [[a, b], [conj(b), conj(a)]], so only the first rows are stored:
-    S_j = [[s00, s01], ...], S_j^{-1} = [[t00, t01], ...].  The origin slot
-    holds the identity.  degenerate_coupling marks the rho = 0 limit where
-    the linear part is already diagonal and S_j := identity by convention.
+    S_j has the conjugate-swap row structure [[a, b], [conj(b), conj(a)]], so
+    only its first row is stored: S_j = [[s00, s01], ...].  The origin slot
+    holds the identity, and so does every slot in the rho = 0 limit, where
+    the linear part is already diagonal.
     """
 
     table: FrequencyTable
     s00: np.ndarray
     s01: np.ndarray
-    t00: np.ndarray
-    t01: np.ndarray
-    degenerate_coupling: bool
 
     def __post_init__(self):
-        for name in ("s00", "s01", "t00", "t01"):
+        for name in ("s00", "s01"):
             getattr(self, name).flags.writeable = False
 
 
 def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
-    """Assemble S_j, S_j^{-1} for all nonzero modes from a frequency table.
+    """Assemble S_j for all nonzero modes from a frequency table.
 
     Requires linear stability: every half-angle margin q2 = 1 - Re(alpha_j)^2
     must be positive (exactly when check_assumption1 holds) and every
     normalizer 2q(|Im alpha| - q) positive; otherwise NotLinearlyStableError
-    names the offending mode.  rho = 0 degenerates the
-    coupling (beta = 0) and yields identity matrices with the
-    degenerate_coupling flag set.
+    names the offending mode.  rho = 0 degenerates the coupling (beta = 0)
+    and yields identity matrices.
     """
     grid = table.grid
     if table.rho == 0.0:
-        ident = np.ones(grid.shape, dtype=np.complex128)
-        zeros = np.zeros(grid.shape, dtype=np.complex128)
         return DiagonalizerSet(
             table=table,
-            s00=ident,
-            s01=zeros,
-            t00=ident,
-            t01=zeros,
-            degenerate_coupling=True,
+            s00=np.ones(grid.shape, dtype=np.complex128),
+            s01=np.zeros(grid.shape, dtype=np.complex128),
         )
 
     nonzero = grid.nonzero
@@ -127,8 +118,8 @@ def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
     sg = np.where(im >= 0.0, 1.0, -1.0)
     rn = np.sqrt(np.where(nonzero, norm, 1.0))
 
-    # lam_minus - conj(alpha) = i*sg*(|im| - q), written through `gap`
-    t00 = beta / rn
+    # S_j^{-1}'s off-diagonal lam_minus - conj(alpha) = i*sg*(|im| - q),
+    # written through `gap`; its adjugate S_j negates it
     t01 = 1j * sg * gap / rn
     s00 = np.conj(beta) / rn
     s01 = -t01
@@ -136,32 +127,26 @@ def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
     origin = grid.origin
     s00[origin] = 1.0
     s01[origin] = 0.0
-    t00[origin] = 1.0
-    t01[origin] = 0.0
 
     return DiagonalizerSet(
         table=table,
         s00=s00,
         s01=s01,
-        t00=t00,
-        t01=t01,
-        degenerate_coupling=False,
     )
 
 
 @dataclass(frozen=True)
 class XiField:
-    """Diagonalized perturbation variables plus the retained zero-mode polar data.
+    """Diagonalized perturbation variables plus the carrier's polar angle.
 
-    xi is stored on the full grid (origin slot zero); theta and a are the
-    polar angle and modulus of the recentered carrier coefficient, so the
-    transform chain is exactly invertible.
+    xi is stored on the full grid (origin slot zero); theta is the polar
+    angle of the recentered carrier coefficient, so the transform chain is
+    exactly invertible.
     """
 
     ctx: DiagonalizerSet
     xi: np.ndarray
     theta: float
-    a: float
 
     def __post_init__(self):
         self.xi.flags.writeable = False
@@ -203,8 +188,7 @@ def _recentered_to_xi(v: np.ndarray, mass: float, ctx: DiagonalizerSet) -> XiFie
 
     origin = grid.origin
     v0 = complex(v[origin])
-    a = abs(v0)
-    if a == 0.0:
+    if v0 == 0.0:
         raise ZeroCarrierModeError(
             "carrier coefficient is zero; polar angle undefined"
         )
@@ -214,7 +198,7 @@ def _recentered_to_xi(v: np.ndarray, mass: float, ctx: DiagonalizerSet) -> XiFie
 
     xi = ctx.s00 * w + ctx.s01 * np.conj(w[grid.negation])
     xi[origin] = 0.0
-    return XiField(ctx=ctx, xi=xi, theta=theta, a=a)
+    return XiField(ctx=ctx, xi=xi, theta=theta)
 
 
 def xi_to_u(xi: XiField) -> SpectralField:
@@ -227,7 +211,8 @@ def xi_to_u(xi: XiField) -> SpectralField:
     grid = xi.grid
     origin = grid.origin
 
-    w = ctx.t00 * xi.xi + ctx.t01 * np.conj(xi.xi[grid.negation])
+    # det S_j = 1, so S_j^{-1} is its adjugate, first row (conj(s00), -s01)
+    w = np.conj(ctx.s00) * xi.xi - ctx.s01 * np.conj(xi.xi[grid.negation])
     w[origin] = 0.0
 
     rho2 = ctx.table.rho * ctx.table.rho

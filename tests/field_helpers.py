@@ -1,10 +1,11 @@
 """Per-mode and collocation views that only the tests need, rebuilt from the
 package's public arrays.
 
-The diagonalizers keep S_j and S_j^{-1} as the first rows s00/s01 and
-t00/t01 of [[a, b], [conj(b), conj(a)]]; the helpers here assemble the
-2x2 matrices, their largest entry, the collocation values of a field and the
-nonzero modes of a grid, so no accessor in the package exists for tests alone.
+The diagonalizers keep S_j as the first row s00/s01 of
+[[a, b], [conj(b), conj(a)]]; S_j^{-1} is its adjugate (det S_j = 1), whose
+first row is (conj(s00), -s01).  The helpers here assemble the 2x2 matrices,
+their largest entry, the collocation values of a field and the nonzero modes
+of a grid, so no accessor in the package exists for tests alone.
 """
 
 import math
@@ -26,13 +27,17 @@ def s_matrix(ctx, j):
 
 
 def s_inv_matrix(ctx, j):
-    """S_j^{-1} of a DiagonalizerSet at mode j (reduced mod 2K)."""
-    return _matrix(ctx.table.grid, ctx.t00, ctx.t01, j)
+    """S_j^{-1} of a DiagonalizerSet at mode j (reduced mod 2K): the adjugate of S_j."""
+    return _matrix(ctx.table.grid, np.conj(ctx.s00), -ctx.s01, j)
 
 
 def entry_bound(ctx):
-    """Largest entry modulus of S_j and S_j^{-1} over all modes."""
-    return float(max(np.max(np.abs(a)) for a in (ctx.s00, ctx.s01, ctx.t00, ctx.t01)))
+    """Largest entry modulus of S_j and S_j^{-1} over all modes.
+
+    The adjugate S_j^{-1} has the entries of S_j up to conjugation and sign,
+    so the maximum over s00 and s01 covers both.
+    """
+    return float(max(np.max(np.abs(a)) for a in (ctx.s00, ctx.s01)))
 
 
 def values(f):

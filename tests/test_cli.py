@@ -105,6 +105,8 @@ def test_config_validation():
         RunConfig(h=0.0)
     with pytest.raises(ConfigError, match="h = 1e-320 is too small"):
         RunConfig(h=1e-320)  # the default horizon over h is infinite
+    with pytest.raises(ConfigError, match="^N is too large"):
+        RunConfig(N=10**400)  # s2 = 5N would not fit a float
     for key in ("rho2", "h", "epsilon", "c2", "delta2", "s2", "s"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=f"^{key} must be finite"):
@@ -371,12 +373,12 @@ def test_main_config_errors(tmp_path, capsys):
     assert main(["sweep", "--h", "", "--rho2", "0.4", "--out", str(tmp_path)]) == 2
     assert "--h gives no values" in capsys.readouterr().err
     assert not (tmp_path / "sweep_summary.csv").exists()
-    # config-file values that int() or float() would misread, or a d that numpy
-    # cannot index, name their key
+    # config-file values that int() or float() would misread, a d that numpy
+    # cannot index, or an N whose s2 = 5N overflows a float, name their key
     path = tmp_path / "bad.json"
     for key, value in (("horizon", True), ("K", "2.7"), ("h", "abc"), ("horizon", [1]),
                        ("ell", True), ("ell", [True]), ("ell", [1.7]), ("ell", ["a"]),
-                       ("d", 10**20)):
+                       ("d", 10**20), ("N", 10**400)):
         path.write_text(json.dumps({key: value}))
         assert main(["check", "--config", str(path)]) == 2
         assert f"config error: {key}" in capsys.readouterr().err

@@ -63,7 +63,7 @@ def test_super_actions_group_negated_modes(grid16, diag16):
     c[grid16.index_of((-3,))] = 0.2
     from torusnls import XiField
 
-    xi = XiField(ctx=diag16, xi=c, theta=0.0, a=RHO)
+    xi = XiField(ctx=diag16, xi=c, theta=0.0)
     sa = super_actions(xi)
     by_m = dict(zip(sa.ms, sa.values))
     assert by_m[9] == pytest.approx(0.01 + 0.04, rel=1e-14)

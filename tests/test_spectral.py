@@ -42,9 +42,9 @@ def test_index_of_round_trip(grid16):
     assert grid16.index_of((-16,)) == (0,)
     assert grid16.index_of((0,)) == (16,)
     assert grid16.index_of((15,)) == (31,)
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError, match="outside"):
         grid16.index_of((16,))
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError, match="outside"):
         grid16.index_of((-17,))
     with pytest.raises(DomainError, match="length 2, expected 1"):
         grid16.index_of((1, 2))

@@ -115,7 +115,10 @@ def test_assumption1_reference_margins(grid16):
 def test_assumption1_agrees_with_diagonalizers(grid16):
     # one decision: holds iff the diagonalizers exist, and then every nonzero
     # mode has a frequency; h = 1e-8 lies far inside the CFL bound, and the
-    # aliased 2-D carrier has q2 = 0 exactly at j = (0, -4)
+    # aliased 2-D carrier has q2 = 0 exactly at j = (0, -4): ell + j and ell - j
+    # reduce to the same vector mod 8, so n = 0 at every h and the block
+    # [[1 - i*h*lam*rho^2, -i*h*lam*rho^2], [i*h*lam*rho^2, 1 + i*h*lam*rho^2]]
+    # is a Jordan block with eigenvalue 1: the carrier is rightly rejected
     cases = [(0.04, (0,), grid16), (0.042, (0,), grid16), (1e-8, (0,), grid16),
              (0.245, (1, -2), Grid(K=4, d=2)), (0.01, (1, -2), Grid(K=4, d=2))]
     for h, ell, grid in cases:
@@ -132,6 +135,10 @@ def test_assumption1_agrees_with_diagonalizers(grid16):
     assert check_assumption1(
         build_frequency_table(1e-8, RHO, -1, (0,), grid16)
     ).c1_certified == pytest.approx(0.2, rel=1e-6)
+    aliased = build_frequency_table(0.01, RHO, -1, (1, -2), Grid(K=4, d=2))
+    at = aliased.grid.index_of((0, -4))
+    assert aliased.n[at] == 0 and aliased.q2[at] == 0.0
+    assert check_assumption1(aliased).worst_j == (0, -4)
     for h in (-0.04, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             build_frequency_table(h, RHO, -1, (0,), grid16)

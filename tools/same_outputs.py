@@ -42,6 +42,9 @@ COMMANDS = {
                              "--steps", "300", "--cadence", "1"),
     "strang-linear-300": ("simulate", "--scheme", "strang-linear-outside",
                           "--steps", "300", "--cadence", "1"),
+    # a 2K = 10 FFT, and a nonzero carrier's diagonalizers (linearly stable)
+    "k5-ell2-300": ("simulate", "--K", "5", "--ell", "2", "--steps", "300",
+                    "--cadence", "1"),
 }
 
 # keys whose values measure the host rather than the computation
