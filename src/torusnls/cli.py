@@ -365,8 +365,9 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
 
     The meta JSON records the run's timing (time.perf_counter, in process):
     wall_s, step_s (integration minus observer time), steps_per_s (steps
-    over step_s), observe_s and emit_s; and its environment: the Python and
-    numpy versions and the core count.
+    over step_s), observe_s (the observer's calls plus the recorder's
+    finalize, which computes the last block of samples) and emit_s; and its
+    environment: the Python and numpy versions and the core count.
     """
     started = time.perf_counter()
     datum = random_initial_datum(config)
@@ -416,7 +417,9 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     step_s = time.perf_counter() - integrate_start - observe_s
     steps = config.n_steps if blown_up is None else blown_up.step
 
-    diag = recorder.finalize()
+    finalize_start = time.perf_counter()
+    diag = recorder.finalize()  # computes the last block of samples
+    observe_s += time.perf_counter() - finalize_start
     if blown_up is not None:
         diag.metadata["blow_up_step"] = blown_up.step
         diag.metadata["blow_up_time"] = blown_up.time

@@ -9,7 +9,18 @@ the carrier mode removed.
 
 TrajectoryRecorder takes the run's plane-wave context as one FrequencyTable
 (grid, carrier, h, rho, lambda): it builds the diagonalizers from that table
-and writes those parameters into the metadata from it.
+and writes those parameters into the metadata from it.  It keeps the observed
+fields and computes their observables per block of samples: each quantity
+has one kernel over arrays shaped (B, *grid.shape) (spectral._masses and
+_sobolev_norms, transforms._recentered_to_xi, _class_sums, _deviations), and
+the public per-sample functions (SpectralField.mass, sobolev_norm, u_to_xi,
+super_actions, weighted_deviation) are its B = 1 case, so a block gives the
+bits a sample at a time gives.  Three things keep those bits: a batch is
+gathered with take(idx, axis=1), which returns C-contiguous rows that a row
+sum adds pairwise (rows[:, idx] does not, and its sums add in sequence);
+the carrier angle is math.atan2 per row (np.arctan2 differs from it in the
+last bit on SIMD hosts); and every complex product keeps its operand order
+(numpy's SIMD complex multiply is not symmetric in its operands).
 
 File emission writes three artifacts per run id: a series CSV
 (t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
@@ -35,7 +46,8 @@ from .errors import (
     NotLinearlyStableError,
     ZeroCarrierModeError,
 )
-from .spectral import Grid, SpectralField, sobolev_norm
+from .spectral import Grid, SpectralField, _masses, _sobolev_norms
+from .spectral import sobolev_norm  # noqa: F401 (a perfbench probe wraps this name)
 from .spectral import project_away  # noqa: F401 (a perfbench probe wraps this name)
 from .stability import FrequencyTable
 from .transforms import DiagonalizerSet, XiField, _recentered_to_xi, build_diagonalizers
@@ -55,6 +67,9 @@ __all__ = [
 
 # stands for the time in the spectrum row template; no mode or number contains it
 _TIME = "{t}"
+
+# samples TrajectoryRecorder keeps before computing their observables in one pass
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -78,10 +93,24 @@ class SuperActionSet:
 
 def super_actions(xi: XiField) -> SuperActionSet:
     """Group |xi_j|^2 over nonzero modes by the coupling index n(j)."""
-    ms, inverse = xi.ctx.table.coupling_classes
-    weights = (np.abs(xi.xi) ** 2)[xi.grid.nonzero]
-    sums = np.bincount(inverse, weights=weights)
-    return SuperActionSet(ms=ms, values=tuple(sums.tolist()))
+    table = xi.ctx.table
+    sums = _class_sums(table, xi.xi[None])[0]
+    return SuperActionSet(ms=table.coupling_classes[0], values=tuple(sums.tolist()))
+
+
+def _class_sums(table: FrequencyTable, xi: np.ndarray) -> np.ndarray:
+    """The super-actions of each row of a batch xi (B, *grid.shape), as (B, classes).
+
+    One bincount over all rows, with row b's classes offset by b times
+    (classes + 1): a bin adds its weights in storage order, as a bincount of
+    the row alone does.  The extra class per row holds the origin, dropped.
+    """
+    ms, index = table.coupling_classes
+    rows, width = len(xi), len(ms) + 1
+    bins = index + width * np.arange(rows)[:, None]
+    weights = np.abs(xi) ** 2
+    sums = np.bincount(bins.reshape(-1), weights=weights.reshape(-1), minlength=rows * width)
+    return sums.reshape(rows, width)[:, :-1]
 
 
 @lru_cache(maxsize=16)
@@ -102,8 +131,15 @@ def weighted_deviation(now: SuperActionSet, initial: SuperActionSet, s: float) -
         raise ClassSetMismatchError(
             f"class sets differ: {now.ms} vs {initial.ms}"
         )
-    terms = _class_weights(now.ms, s) * np.abs(now._array - initial._array)
-    return float(sum(terms.tolist()))
+    return _deviations(now.ms, now._array[None], initial._array, s)[0]
+
+
+def _deviations(
+    ms: tuple[int, ...], now: np.ndarray, initial: np.ndarray, s: float
+) -> list[float]:
+    """weighted_deviation of each row of now (B, classes) from initial (classes,)."""
+    terms = _class_weights(ms, s) * np.abs(now - initial)
+    return [float(sum(row)) for row in terms.tolist()]
 
 
 @dataclass(frozen=True)
@@ -182,15 +218,28 @@ class TrajectoryRecorder:
     """Observer callback accumulating diagnostics during integration.
 
     Samples arrive at the integrator's cadence; each records time, mass,
-    orbital distance, super-action deviation (relative to the first sample),
-    and a mode-magnitude snapshot when the time falls inside one of the
-    snapshot windows.  Non-finite field values raise BlowUpError.  Pass the
-    instance as the observer to integrate(), then call finalize().
+    orbital distance, super-action deviation (relative to the first sample
+    whose xi map succeeds), and a mode-magnitude snapshot when the time falls
+    inside one of the snapshot windows.  Pass the instance as the observer
+    to integrate(), then call finalize().
+
+    A call checks the field and keeps it: non-finite values raise
+    BlowUpError and a field of another shape DomainError, both at once.
+    The observables are computed per block of _BLOCK_ROWS kept samples, each
+    kernel once over the block's leading axis (mass, recentering, orbital
+    distance, xi map, super-actions, D, snapshot magnitudes), with the same
+    bits as the per-sample public functions: the rows are gathered with
+    take(idx, axis=1), not rows[:, idx], and theta is math.atan2 per row,
+    not np.arctan2 (the module docstring says why).  finalize() computes the
+    last, partial block; after a BlowUpError it returns the samples before
+    it.
 
     table is the frequency table of the run's plane wave; when its
     parameters are not linearly stable the deviation is NaN throughout
-    (transform_ok false).  s, the Sobolev exponent of the orbital distance
-    and the class weights, must be finite and nonnegative (DomainError).
+    (transform_ok false), and a sample whose xi map fails (mass off the
+    rho^2 budget, zero carrier) has D = NaN.  s, the Sobolev exponent of
+    the orbital distance and the class weights, must be finite and
+    nonnegative (DomainError).
     """
 
     def __init__(
@@ -213,7 +262,8 @@ class TrajectoryRecorder:
         except NotLinearlyStableError:
             self._ctx = None
 
-        self._sa0: SuperActionSet | None = None
+        self._sa0: np.ndarray | None = None
+        self._pending: list[tuple[float, np.ndarray]] = []
         self._times: list[float] = []
         self._mass: list[float] = []
         self._orbital: list[float] = []
@@ -225,32 +275,58 @@ class TrajectoryRecorder:
         t = n * table.h
         if not np.isfinite(u.coeffs).all():
             raise BlowUpError(n, t)
-        # one recentering and one mass serve the orbital distance and the
-        # xi map: sobolev_norm(project_away(u, ell), s) and u_to_xi(u, ctx)
-        v = table.grid.shift(u.coeffs, table.ell)
-        mass = u.mass()
-        deviation = self._deviation_of(v, mass)
-        v[table.grid.origin] = 0.0
-        orbital = sobolev_norm(SpectralField(table.grid, v), self.s)
-        self._times.append(t)
-        self._mass.append(mass)
-        self._orbital.append(orbital)
-        self._deviation.append(deviation)
-        if any(lo <= t <= hi for lo, hi in self.windows):
-            self._snapshots.append((t, np.abs(u.coeffs)))
+        if u.coeffs.shape != table.grid.shape:
+            raise DomainError(
+                f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
+            )
+        self._pending.append((t, u.coeffs))  # read-only, so kept without a copy
+        if len(self._pending) == _BLOCK_ROWS:
+            self._flush()
 
-    def _deviation_of(self, v: np.ndarray, mass: float) -> float:
+    def _flush(self) -> None:
+        """Compute the kept samples' observables, each kernel once over the block."""
+        if not self._pending:
+            return
+        table = self.table
+        grid = table.grid
+        times = [t for t, _ in self._pending]
+        u = np.stack([c for _, c in self._pending])
+        self._pending = []
+        # |u_j| once serves the mass, the orbital distance (recentered, the
+        # carrier dropped) and the snapshots; one recentering of u and the
+        # mass serve the xi map
+        mags = np.abs(u)
+        mass = _masses(grid, mags).tolist()
+        deviation = self._deviations_of(grid.shift(u, table.ell), mass)
+        away = grid.shift(mags, table.ell)
+        away[(slice(None), *grid.origin)] = 0.0
+        orbital = _sobolev_norms(grid, away, self.s).tolist()
+        shown = [i for i, t in enumerate(times) if any(lo <= t <= hi for lo, hi in self.windows)]
+        self._times.extend(times)
+        self._mass.extend(mass)
+        self._orbital.extend(orbital)
+        self._deviation.extend(deviation)
+        self._snapshots.extend(zip([times[i] for i in shown], mags[shown]))
+
+    def _deviations_of(self, v: np.ndarray, mass: list[float]) -> list[float]:
+        """D of each recentered row; NaN without a xi map or where it fails."""
+        out = [math.nan] * len(mass)
         if self._ctx is None:
-            return math.nan
-        try:
-            sa = super_actions(_recentered_to_xi(v, mass, self._ctx))
-        except (ZeroCarrierModeError, DomainError):
-            return math.nan
+            return out
+        xi, _, errors = _recentered_to_xi(v, mass, self._ctx)
+        ok = [i for i, e in enumerate(errors) if e is None]
+        if not ok:
+            return out
+        sums = _class_sums(self.table, xi)[ok]  # a failed row's sums are dropped
         if self._sa0 is None:
-            self._sa0 = sa
-        return weighted_deviation(sa, self._sa0, self.s)
+            self._sa0 = sums[0]
+        ms = self.table.coupling_classes[0]
+        for i, dev in zip(ok, _deviations(ms, sums, self._sa0, self.s)):
+            out[i] = dev
+        return out
 
     def finalize(self) -> TrajectoryDiagnostics:
+        self._flush()
         table = self.table
         meta = dict(self.metadata)
         meta.setdefault("h", table.h)
@@ -312,12 +388,13 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     grid = diag.grid
     mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
     mode_text = [",".join(map(str, j)) for j in grid.modes()]
-    rows = "".join(f"{_TIME},{j},%.17g\n" for j in mode_text)
+    # the row template, cut at every time slot once; a snapshot's time joins the parts
+    parts = "".join(f"{_TIME},{j},%.17g\n" for j in mode_text).split(_TIME)
     with open(os.path.join(path, f"{runid}_spectrum.csv"), "w", newline="\n") as fh:
         fh.write(",".join(["t", *mode_cols, "abs_uj"]) + "\n")
         for t, mags in diag.snapshots:
             values = tuple(mags.reshape(-1).tolist())
-            text = rows.replace(_TIME, format_float(float(t))) % values
+            text = format_float(float(t)).join(parts) % values
             if not np.isfinite(mags).all():  # %.17g spells NaN of either sign nan
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(text)

@@ -107,7 +107,8 @@ class _Stepper:
         return self._nl(self._nl(c, h / 2) * self._lin_full, h / 2)
 
     def wrap(self, c: np.ndarray) -> SpectralField:
-        return SpectralField(self.grid, self.reorder(c))
+        """The field of a numpy-ordered state; the reorder gather is its only copy."""
+        return SpectralField._adopt(self.grid, self.reorder(c))
 
 
 def _mass(c: np.ndarray) -> float:

@@ -133,9 +133,14 @@ class Grid:
     def shift(self, a: np.ndarray, ell: Sequence[int]) -> np.ndarray:
         """New array whose entry at j is a[mod_reduce(j + ell)] (recentering at ell).
 
-        One gather through a flat index: the np.roll of the positions,
-        built once per ell and cached on the grid (read-only; at most
-        _SHIFT_CACHE of them, the cache is emptied when full).
+        a is one array of the grid's shape or a batch (B, *shape) of them,
+        each shifted alike.  One gather through a flat index: the np.roll of
+        the positions, built once per ell and cached on the grid (read-only;
+        at most _SHIFT_CACHE of them, the cache is emptied when full).  A
+        batch is gathered with `take(idx, axis=1)` over rows of length size,
+        which returns C-contiguous rows; `rows[:, idx]` does not, and a row
+        sum over its result then adds in sequence instead of pairwise, which
+        changes last bits.
         """
         ell = tuple(ell)
         idx = self._shift_index.get(ell)
@@ -146,10 +151,12 @@ class Grid:
             idx = np.roll(positions, tuple(-c for c in ell), axis=tuple(range(self.d)))
             if len(self._shift_index) >= _SHIFT_CACHE:
                 self._shift_index.clear()
-            self._shift_index[ell] = _read_only(idx)
-        if a.shape != idx.shape:
-            raise DomainError(f"array shape {a.shape} != grid shape {idx.shape}")
-        return a.take(idx)
+            self._shift_index[ell] = idx = _read_only(idx)
+        if a.shape == self.shape:
+            return a.take(idx)
+        if a.shape[1:] != self.shape:
+            raise DomainError(f"array shape {a.shape} != grid shape {self.shape}")
+        return a.reshape(len(a), self.size).take(idx.reshape(-1), axis=1).reshape(a.shape)
 
     def mode_at(self, mask: np.ndarray) -> Mode:
         """First mode in storage order where mask is set."""
@@ -217,6 +224,18 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _adopt(cls, grid: Grid, c: np.ndarray) -> "SpectralField":
+        """The field over c itself, made read-only, without the copy.
+
+        For a complex128 array of the grid's shape that the caller has just
+        made and keeps no other reference to (the integrator's gather).
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "coeffs", _read_only(c))
+        return f
+
+    @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
@@ -232,7 +251,22 @@ class SpectralField:
 
     def mass(self) -> float:
         """Discrete L2 mass sum_j |u_j|^2 (Parseval: (2K)^-d sum_x |u(x)|^2)."""
-        return float((np.abs(self.coeffs) ** 2).sum())
+        return float(_masses(self.grid, np.abs(self.coeffs)[None])[0])
+
+
+def _row_sums(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Sum of each row of a real batch (B, *grid.shape), pairwise as a 1-D sum of it."""
+    return a.reshape(-1, grid.size).sum(axis=1)
+
+
+def _masses(grid: Grid, mags: np.ndarray) -> np.ndarray:
+    """sum_j |u_j|^2 of each row of a batch of magnitudes |u_j|, (B, *grid.shape)."""
+    return _row_sums(grid, mags**2)
+
+
+def _sobolev_norms(grid: Grid, mags: np.ndarray, s: float) -> np.ndarray:
+    """The H^s norm of each row of a batch of magnitudes |u_j|, (B, *grid.shape)."""
+    return np.sqrt(_row_sums(grid, grid.sobolev_weights(s) * mags**2))
 
 
 def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
@@ -252,8 +286,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
     s = 0 gives the square root of the discrete mass.
     """
-    w = f.grid.sobolev_weights(s)
-    return math.sqrt(float((w * np.abs(f.coeffs) ** 2).sum()))
+    return float(_sobolev_norms(f.grid, np.abs(f.coeffs)[None], s)[0])
 
 
 def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:

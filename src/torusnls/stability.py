@@ -145,10 +145,14 @@ class FrequencyTable:
     @cached_property
     def coupling_classes(self) -> tuple[tuple[int, ...], np.ndarray]:
         """The distinct n(j) over nonzero modes, ascending, and the class index
-        of each nonzero mode in storage order (np.unique's inverse)."""
-        ms, inverse = np.unique(self.n[self.grid.nonzero], return_inverse=True)
-        inverse.flags.writeable = False
-        return tuple(int(m) for m in ms), inverse
+        of every mode in flat storage order: np.unique's inverse at the
+        nonzero modes, and one class past the last, len(ms), at the origin."""
+        nonzero = self.grid.nonzero.reshape(-1)
+        ms, inverse = np.unique(self.n.reshape(-1)[nonzero], return_inverse=True)
+        index = np.full(self.grid.size, len(ms))
+        index[nonzero] = inverse
+        index.flags.writeable = False
+        return tuple(int(m) for m in ms), index
 
     @cached_property
     def frequency_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

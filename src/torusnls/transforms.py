@@ -169,36 +169,59 @@ def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
     grid = ctx.table.grid
     if u.grid != grid:
         raise DomainError("field grid does not match the diagonalizer grid")
-    return _recentered_to_xi(grid.shift(u.coeffs, ctx.table.ell), u.mass(), ctx)
+    v = grid.shift(u.coeffs[None], ctx.table.ell)
+    xi, thetas, errors = _recentered_to_xi(v, [u.mass()], ctx)
+    if errors[0] is not None:
+        raise errors[0]
+    return XiField(ctx=ctx, xi=xi[0], theta=thetas[0])
 
 
-def _recentered_to_xi(v: np.ndarray, mass: float, ctx: DiagonalizerSet) -> XiField:
-    """u_to_xi from the recentered coefficients v_j = u_{ell+j} and the mass of u.
+def _recentered_to_xi(
+    v: np.ndarray, masses, ctx: DiagonalizerSet
+) -> tuple[np.ndarray, list[float], list[Exception | None]]:
+    """The xi map of a batch of recentered rows v_j = u_{ell+j}, given each u's mass.
 
-    Lets a caller that already holds v and the mass (TrajectoryRecorder)
-    skip a second shift and a second pass over |u_j|^2.  v is not modified.
+    v is (B, *grid.shape) and is overwritten: the xi rows are formed in it
+    and returned.  masses holds B floats.  Returns the xi rows, the carrier
+    angles theta and, per row, None or the error u_to_xi raises for it:
+    DomainError when the mass misses the rho^2 budget, ZeroCarrierModeError
+    when v_0 = 0.  A failed row's xi is meaningless.  TrajectoryRecorder
+    passes a block of samples it has already recentered and summed.
+
+    theta is math.atan2 per row: np.arctan2 differs from it in the last bit
+    for some arguments on some hosts (SIMD), and D would then move.
     """
     table = ctx.table
     grid = table.grid
     rho2 = table.rho * table.rho
-    if abs(mass - rho2) > 1e-6 * max(rho2, 1.0):
-        raise DomainError(
-            f"field mass {mass} does not match the context budget rho^2 = {rho2}"
-        )
-
-    origin = grid.origin
-    v0 = complex(v[origin])
-    if v0 == 0.0:
-        raise ZeroCarrierModeError(
-            "carrier coefficient is zero; polar angle undefined"
-        )
-    theta = math.atan2(v0.imag, v0.real)
-    w = v * np.exp(-1j * theta)
+    origin = (slice(None), *grid.origin)
+    carrier = v[origin].tolist()
+    errors: list[Exception | None] = [None] * len(carrier)
+    for i, (mass, c) in enumerate(zip(masses, carrier)):
+        if abs(mass - rho2) > 1e-6 * max(rho2, 1.0):
+            errors[i] = DomainError(
+                f"field mass {mass} does not match the context budget rho^2 = {rho2}"
+            )
+        elif c == 0.0:
+            errors[i] = ZeroCarrierModeError(
+                "carrier coefficient is zero; polar angle undefined"
+            )
+    thetas = [math.atan2(c.imag, c.real) for c in carrier]
+    phase = np.exp(-1j * np.array(thetas)).reshape((-1,) + (1,) * grid.d)
+    w = np.multiply(v, phase, out=v)
     w[origin] = 0.0
 
-    xi = ctx.s00 * w + ctx.s01 * np.conj(w[grid.negation])
+    # xi = s00 w + s01 conj(w_{-j}), formed in place: a block's temporaries
+    # are large enough that each fresh one costs page faults.  The products
+    # keep their operand order: numpy's SIMD complex multiply is not
+    # symmetric in its operands to the last bit.
+    partner = w[(slice(None), *grid.negation)]
+    np.conjugate(partner, out=partner)
+    np.multiply(ctx.s01, partner, out=partner)
+    xi = np.multiply(ctx.s00, w, out=w)
+    xi += partner
     xi[origin] = 0.0
-    return XiField(ctx=ctx, xi=xi, theta=theta)
+    return xi, thetas, errors
 
 
 def xi_to_u(xi: XiField) -> SpectralField:

@@ -12,6 +12,8 @@ from torusnls import (
     BlowUpError,
     ClassSetMismatchError,
     DomainError,
+    NotLinearlyStableError,
+    ZeroCarrierModeError,
     Grid,
     SpectralField,
     StepScheme,
@@ -31,7 +33,8 @@ from torusnls import (
     weighted_deviation,
 )
 from torusnls._serialize import format_float
-from torusnls.diagnostics import TrajectoryDiagnostics
+from torusnls.diagnostics import _BLOCK_ROWS, TrajectoryDiagnostics
+from torusnls.spectral import _row_sums
 
 RHO = math.sqrt(0.4)
 H = 0.04
@@ -244,6 +247,138 @@ def test_recorder_sample_matches_public_composition(make_datum, d, K, ell, stabl
         assert got.deviation[-1] > 0.0
     else:
         assert np.all(np.isnan(got.deviation))
+
+
+def _trajectory(make_datum, grid, ell, steps):
+    """The fields integrate hands its observer over `steps` steps at cadence 1."""
+    fields = []
+    integrate(make_datum(grid, ell, RHO, 0.01, seed=3),
+              StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, steps,
+              observer=lambda n, u: fields.append(u), cadence=1)
+    return fields
+
+
+def _public_composition(table, fields, s):
+    """The recorder's series, one sample at a time from the public functions;
+    D is NaN where u_to_xi fails and relative to the first sample where it
+    does not."""
+    try:
+        ctx = build_diagonalizers(table)
+    except NotLinearlyStableError:
+        ctx = None
+    actions = []
+    for u in fields:
+        try:
+            actions.append(None if ctx is None else super_actions(u_to_xi(u, ctx)))
+        except (DomainError, ZeroCarrierModeError):
+            actions.append(None)
+    sa0 = next((sa for sa in actions if sa is not None), None)
+    return {
+        "mass": [u.mass() for u in fields],
+        "orbital_distance": [sobolev_norm(project_away(u, table.ell), s) for u in fields],
+        "deviation": [math.nan if sa is None else weighted_deviation(sa, sa0, s)
+                      for sa in actions],
+        "snapshots": [np.abs(u.coeffs) for u in fields],
+    }
+
+
+def _assert_same_bits(got, fields, table, s=5.0):
+    want = _public_composition(table, fields, s)
+    assert got.times.size == len(fields)
+    for name in ("mass", "orbital_distance", "deviation"):
+        assert getattr(got, name).tobytes() == np.asarray(want[name]).tobytes(), name
+    assert len(got.snapshots) == len(fields)
+    for (_, mags), expect in zip(got.snapshots, want["snapshots"]):
+        assert mags.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("d, K, ell", [
+    (1, 16, (3,)),
+    (1, 5, (2,)),  # rows of 2K = 10 and 2K = 6 leave numpy's SIMD loops a remainder
+    (1, 3, (0,)),
+    (2, 3, (1, 0)),
+    (2, 5, (0, 0)),
+    (2, 8, (0, 0)),
+])
+def test_recorder_blocks_match_public_composition(make_datum, d, K, ell):
+    # 150 samples: two full blocks and a partial one, computed per block,
+    # each value equal bit for bit to the per-sample public functions
+    assert 2 * _BLOCK_ROWS < 150 < 3 * _BLOCK_ROWS
+    grid = Grid(K=K, d=d)
+    table = build_frequency_table(H, RHO, -1, ell, grid)
+    fields = _trajectory(make_datum, grid, ell, 149)
+    rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),))
+    for n, u in enumerate(fields):
+        rec(n, u)
+    got = rec.finalize()
+    _assert_same_bits(got, fields, table)
+    if got.metadata["transform_ok"]:
+        assert got.deviation[0] == 0.0 and np.all(np.isfinite(got.deviation))
+
+
+def test_recorder_blocks_nan_only_at_failed_rows(grid16, table16, make_datum):
+    # a mass off the budget (block 0) and a zero carrier of the right mass
+    # (block 1) give D = NaN at those rows alone
+    fields = _trajectory(make_datum, grid16, (0,), 99)
+    fields[30] = SpectralField(grid16, 2.0 * fields[30].coeffs)
+    c = fields[70].coeffs.copy()
+    c[grid16.index_of(0)] = 0.0
+    fields[70] = SpectralField(grid16, c * (RHO / math.sqrt(float(np.sum(np.abs(c) ** 2)))))
+    assert abs(fields[70].mass() - RHO**2) < 1e-12
+    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
+    for n, u in enumerate(fields):
+        rec(n, u)
+    got = rec.finalize()
+    _assert_same_bits(got, fields, table16)
+    assert np.flatnonzero(np.isnan(got.deviation)).tolist() == [30, 70]
+
+
+def test_recorder_blocks_reference_in_a_later_block(grid16, table16, make_datum):
+    # no sample of the first block passes the mass check, so the D reference
+    # is the first sample of the second block
+    fields = _trajectory(make_datum, grid16, (0,), 99)
+    fields[:_BLOCK_ROWS] = [SpectralField(grid16, 1.5 * u.coeffs) for u in fields[:_BLOCK_ROWS]]
+    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
+    for n, u in enumerate(fields):
+        rec(n, u)
+    got = rec.finalize()
+    _assert_same_bits(got, fields, table16)
+    assert np.all(np.isnan(got.deviation[:_BLOCK_ROWS]))
+    assert got.deviation[_BLOCK_ROWS] == 0.0
+    assert np.all(got.deviation[_BLOCK_ROWS + 1:] > 0.0)
+
+
+def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum):
+    # the BlowUpError comes at the non-finite sample itself; finalize then
+    # returns exactly the samples before it, the kept ones computed
+    fields = _trajectory(make_datum, grid16, (0,), 99)
+    bad = fields[90].coeffs.copy()
+    bad[3] = np.inf
+    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
+    for n, u in enumerate(fields[:90]):
+        rec(n, u)
+    with pytest.raises(BlowUpError) as info:
+        rec(90, SpectralField(grid16, bad))
+    assert info.value.step == 90
+    got = rec.finalize()
+    _assert_same_bits(got, fields[:90], table16)
+    assert got.times[-1] == 89 * H
+
+
+@pytest.mark.parametrize("d, K, ell", [(1, 16, (3,)), (1, 5, (2,)), (2, 3, (1, 0)),
+                                       (2, 5, (-2, 1)), (2, 8, (0, 0)), (3, 2, (1, 0, 1))])
+def test_batched_sums_over_gathered_rows_equal_row_sums(rng, d, K, ell):
+    # a row of the batched gather is summed pairwise, like the 1-D sum of
+    # that row alone; magnitudes spread over 12 decades make the order count
+    grid = Grid(K=K, d=d)
+    rows = rng.standard_normal((_BLOCK_ROWS, *grid.shape)) * 10.0 ** rng.integers(
+        -6, 6, size=(_BLOCK_ROWS, *grid.shape))
+    gathered = grid.shift(rows, ell)
+    sums = _row_sums(grid, gathered)
+    for i in range(_BLOCK_ROWS):
+        one = grid.shift(rows[i], ell)
+        assert np.array_equal(gathered[i], one)
+        assert sums[i] == one.reshape(-1).sum() == one.sum()
 
 
 def test_recorder_snapshot_windows_filter(grid16, table16, make_datum):

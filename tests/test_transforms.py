@@ -24,6 +24,7 @@ from torusnls import (
     u_to_xi,
     xi_to_u,
 )
+from torusnls.transforms import _recentered_to_xi
 
 RHO = math.sqrt(0.4)
 H = 0.04
@@ -112,6 +113,35 @@ def test_round_trip_nonzero_carrier(grid16, make_datum):
     xi = u_to_xi(u, d)
     back = xi_to_u(xi)
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("d, K, ell", [(1, 16, (3,)), (1, 5, (2,)), (2, 5, (1, 0))])
+def test_u_to_xi_equals_the_plain_per_sample_form(make_datum, d, K, ell):
+    # the batched xi map gives each row the bits of the plain one-field
+    # form: theta from math.atan2 (np.arctan2 differs from it in the last
+    # bit on some SIMD hosts), and each product in the operand order written
+    # here (numpy's SIMD complex multiply is not symmetric in its operands)
+    grid = Grid(K=K, d=d)
+    ctx = build_diagonalizers(build_frequency_table(H, RHO, -1, ell, grid))
+    u = make_datum(grid, ell, RHO, 0.01, seed=6)
+    origin = grid.origin
+    phases = np.random.default_rng(7).uniform(-math.pi, math.pi, 64).tolist()
+    fields = [SpectralField(grid, u.coeffs * np.exp(1j * p)) for p in phases]
+    # the same fields as one batch: each row as u_to_xi gives it alone
+    batch = grid.shift(np.stack([f.coeffs for f in fields]), ell)
+    xi_rows, thetas, errors = _recentered_to_xi(batch, [f.mass() for f in fields], ctx)
+    assert errors == [None] * len(fields)
+    for f, row, row_theta in zip(fields, xi_rows, thetas):
+        v = np.roll(f.coeffs, tuple(-c for c in ell), axis=tuple(range(d)))
+        v0 = complex(v[origin])
+        theta = math.atan2(v0.imag, v0.real)
+        w = v * np.exp(-1j * theta)
+        w[origin] = 0.0
+        want = ctx.s00 * w + ctx.s01 * np.conj(w[grid.negation])
+        want[origin] = 0.0
+        got = u_to_xi(f, ctx)
+        assert got.theta == row_theta == theta
+        assert got.xi.tobytes() == row.tobytes() == want.tobytes()
 
 
 def test_carrier_gauge_extraction(grid16, diag16):

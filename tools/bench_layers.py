@@ -8,13 +8,17 @@ epsilon = 0.01, s = 5, carrier at the origin):
 
 - observe_us: one observed sample as `integrate` delivers it, the
   numpy-ordered state wrapped into a SpectralField and handed to a
-  TrajectoryRecorder whose snapshot window covers the sample;
+  TrajectoryRecorder whose snapshot window covers the sample.  The recorder
+  computes its observables per block of samples, so the loop feeds blocks
+  of OBSERVE_BLOCK samples to fresh recorders (built before the clock
+  starts), each followed by finalize(), and the figure is per sample;
 - advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04.
 
-Each loop times --calls calls; a figure is the best (and the median) over
---repeats loops.  With --baseline, the torusnls package under that src/
-directory is loaded as a second package in the same process, and its loops
-alternate with the current package's, so both see the same host speed.
+Each loop times --calls calls (observe_us: --calls samples, rounded down to
+whole blocks); a figure is the best (and the median) over --repeats loops.
+With --baseline, the torusnls package under that src/ directory is loaded
+as a second package in the same process, and its loops alternate with the
+current package's, so both see the same host speed.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import time
 import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
+# samples per recorder in observe_us: the recorder's block (64 rows)
+OBSERVE_BLOCK = 64
 
 
 def load_package(src: str, name: str) -> str:
@@ -46,7 +52,8 @@ def load_package(src: str, name: str) -> str:
 
 
 def cases(pkg: str, d: int, K: int) -> dict:
-    """Figure name -> a factory returning the call to time."""
+    """Figure name -> a factory taking --calls and returning (the loop to
+    time, the number of calls or samples it makes)."""
     cli = importlib.import_module(f"{pkg}.cli")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
     integrator = importlib.import_module(f"{pkg}.integrator")
@@ -60,26 +67,42 @@ def cases(pkg: str, d: int, K: int) -> dict:
     c = np.fft.ifftshift(datum.coeffs)  # the state as integrate holds it
     stepper = integrator._Stepper(datum.grid, config.step_scheme(), config.lam)
 
-    def observe():  # a fresh recorder per loop keeps its lists short
-        recorder = diagnostics.TrajectoryRecorder(
-            table, config.s, snapshot_windows=((0.0, 1.0),)
-        )
-        return lambda: recorder(1, stepper.wrap(c))
+    def observe(calls):
+        recorders = [
+            diagnostics.TrajectoryRecorder(table, config.s, snapshot_windows=((0.0, 1.0),))
+            for _ in range(max(1, calls // OBSERVE_BLOCK))
+        ]
+
+        def run():
+            for recorder in recorders:
+                for _ in range(OBSERVE_BLOCK):
+                    recorder(1, stepper.wrap(c))
+                recorder.finalize()
+
+        return run, len(recorders) * OBSERVE_BLOCK
 
     out = {"observe_us": observe}
     for variant in integrator.StepVariant:
         st = integrator._Stepper(
             datum.grid, integrator.StepScheme(variant, config.h), config.lam
         )
-        out[f"advance_us.{variant.value}"] = lambda st=st: lambda: st.advance(c)
+
+        def advance(calls, st=st):
+            def run():
+                for _ in range(calls):
+                    st.advance(c)
+
+            return run, calls
+
+        out[f"advance_us.{variant.value}"] = advance
     return out
 
 
-def loop_us(fn, calls: int) -> float:
+def loop_us(factory, calls: int) -> float:
+    fn, n = factory(calls)
     t0 = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - t0) / calls * 1e6
+    fn()
+    return (time.perf_counter() - t0) / n * 1e6
 
 
 def main() -> None:
@@ -100,7 +123,7 @@ def main() -> None:
             for r in range(args.repeats):
                 order = list(sides) if r % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    times[side].append(loop_us(grid_cases[side][name](), args.calls))
+                    times[side].append(loop_us(grid_cases[side][name], args.calls))
             for side, ts in times.items():
                 result[side].setdefault(f"d{d}_K{K}", {})[name] = {
                     "best": min(ts), "median": statistics.median(ts)

@@ -45,6 +45,15 @@ COMMANDS = {
     # a 2K = 10 FFT, and a nonzero carrier's diagonalizers (linearly stable)
     "k5-ell2-300": ("simulate", "--K", "5", "--ell", "2", "--steps", "300",
                     "--cadence", "1"),
+    # linearly unstable: no xi map, D is NaN throughout (transform_ok false)
+    "rho2-0.6-300": ("simulate", "--rho2", "0.6", "--steps", "300", "--cadence", "1"),
+    # 44 samples: ends on a partial block, the last one off the cadence
+    "dense-2d-301-cadence7": ("simulate", "--d", "2", "--K", "8", "--scheme",
+                              "strang-nonlinear-outside", "--steps", "301",
+                              "--cadence", "7"),
+    # the (1, -2) Jordan carrier on a 2K = 8 grid: no xi map either
+    "ell-1-2-k4-200": ("simulate", "--d", "2", "--K", "4", "--ell", "1,-2",
+                       "--steps", "200", "--cadence", "1"),
 }
 
 # keys whose values measure the host rather than the computation
