@@ -10,17 +10,17 @@ the carrier mode removed.
 TrajectoryRecorder takes the run's plane-wave context as one FrequencyTable
 (grid, carrier, h, rho, lambda): it builds the diagonalizers from that table
 and writes those parameters into the metadata from it.  It keeps the observed
-fields and computes their observables per block of samples: each quantity
-has one kernel over arrays shaped (B, *grid.shape) (spectral._masses and
-_sobolev_norms, transforms._recentered_to_xi, _class_sums, _deviations), and
-the public per-sample functions (SpectralField.mass, sobolev_norm, u_to_xi,
-super_actions, weighted_deviation) are its B = 1 case, so a block gives the
-bits a sample at a time gives.  Three things keep those bits: a batch is
-gathered with take(idx, axis=1), which returns C-contiguous rows that a row
-sum adds pairwise (rows[:, idx] does not, and its sums add in sequence);
-the carrier angle is math.atan2 per row (np.arctan2 differs from it in the
-last bit on SIMD hosts); and every complex product keeps its operand order
-(numpy's SIMD complex multiply is not symmetric in its operands).
+fields and computes their observables per block of samples, through the
+public functions: each takes a batch (SpectralField.stack, leading axis B)
+as it takes one field (SpectralField.mass, sobolev_norm, project_away,
+u_to_xi, super_actions, weighted_deviation), in one pass per block, so a
+block gives the bits a sample at a time gives.  Two traps would break those
+bits: a batch gathered with rows[:, idx] is not C-contiguous, and a row sum
+over it adds in sequence instead of pairwise (Grid.shift gathers with
+take(idx, axis=1)); and np.arctan2 differs from math.atan2 in the last bit
+on SIMD hosts (u_to_xi takes the carrier angle with math.atan2 per row).
+Every complex product also keeps its operand order, since numpy's SIMD
+complex multiply is not symmetric in its operands.
 
 File emission writes three artifacts per run id: a series CSV
 (t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
@@ -44,14 +44,10 @@ from .errors import (
     ClassSetMismatchError,
     DomainError,
     NotLinearlyStableError,
-    ZeroCarrierModeError,
 )
-from .spectral import Grid, SpectralField, _masses, _sobolev_norms
-from .spectral import sobolev_norm  # noqa: F401 (a perfbench probe wraps this name)
-from .spectral import project_away  # noqa: F401 (a perfbench probe wraps this name)
+from .spectral import Grid, SpectralField, mod_reduce, project_away, sobolev_norm
 from .stability import FrequencyTable
-from .transforms import DiagonalizerSet, XiField, _recentered_to_xi, build_diagonalizers
-from .transforms import u_to_xi  # noqa: F401 (a perfbench probe wraps this name)
+from .transforms import DiagonalizerSet, XiField, _xi_undefined, build_diagonalizers, u_to_xi
 
 __all__ = [
     "SuperActionSet",
@@ -68,8 +64,16 @@ __all__ = [
 # stands for the time in the spectrum row template; no mode or number contains it
 _TIME = "{t}"
 
-# samples TrajectoryRecorder keeps before computing their observables in one pass
+# TrajectoryRecorder computes its kept samples' observables in one pass per
+# block of _BLOCK_ROWS samples, fewer on a grid of more than 256 modes so a
+# block holds at most _BLOCK_ENTRIES coefficients
 _BLOCK_ROWS = 64
+_BLOCK_ENTRIES = 64 * 256
+
+
+def _block_rows(grid: Grid) -> int:
+    """Samples per block of a TrajectoryRecorder on this grid."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // grid.size))
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ class SuperActionSet:
     """Per-class action sums I_m, keyed by the coupling index m = n(j).
 
     Classes are sorted ascending; the values partition the total action,
-    sum_m I_m = sum_j |xi_j|^2.
+    sum_m I_m = sum_j |xi_j|^2.  A batch of sets (super_actions of a batch)
+    holds one tuple of values per row.
     """
 
     ms: tuple[int, ...]
@@ -85,32 +90,31 @@ class SuperActionSet:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        """The values as a read-only float64 array (weighted_deviation reads it)."""
+        """The values as a read-only float64 array, (B, classes) for a batch
+        (weighted_deviation reads it)."""
         a = np.array(self.values, dtype=np.float64)
         a.flags.writeable = False
         return a
 
 
 def super_actions(xi: XiField) -> SuperActionSet:
-    """Group |xi_j|^2 over nonzero modes by the coupling index n(j)."""
-    table = xi.ctx.table
-    sums = _class_sums(table, xi.xi[None])[0]
-    return SuperActionSet(ms=table.coupling_classes[0], values=tuple(sums.tolist()))
+    """Group |xi_j|^2 over nonzero modes by the coupling index n(j).
 
-
-def _class_sums(table: FrequencyTable, xi: np.ndarray) -> np.ndarray:
-    """The super-actions of each row of a batch xi (B, *grid.shape), as (B, classes).
-
-    One bincount over all rows, with row b's classes offset by b times
-    (classes + 1): a bin adds its weights in storage order, as a bincount of
-    the row alone does.  The extra class per row holds the origin, dropped.
+    A batch of xi maps gives a batch of sets: values holds one tuple per row.
+    The sums are one bincount over all rows, with row b's classes offset by
+    b times (classes + 1): a bin adds its weights in storage order, as a
+    bincount of the row alone does.  The extra class per row holds the
+    origin, dropped.
     """
+    table = xi.ctx.table
     ms, index = table.coupling_classes
-    rows, width = len(xi), len(ms) + 1
-    bins = index + width * np.arange(rows)[:, None]
-    weights = np.abs(xi) ** 2
-    sums = np.bincount(bins.reshape(-1), weights=weights.reshape(-1), minlength=rows * width)
-    return sums.reshape(rows, width)[:, :-1]
+    rows = xi.xi.reshape(-1, table.grid.size)
+    n, width = len(rows), len(ms) + 1
+    bins = index + width * np.arange(n)[:, None]
+    weights = np.abs(rows) ** 2
+    sums = np.bincount(bins.reshape(-1), weights=weights.reshape(-1), minlength=n * width)
+    values = tuple(map(tuple, sums.reshape(n, width)[:, :-1].tolist()))
+    return SuperActionSet(ms=ms, values=values if xi.xi.ndim > xi.grid.d else values[0])
 
 
 @lru_cache(maxsize=16)
@@ -120,26 +124,25 @@ def _class_weights(ms: tuple[int, ...], s: float) -> np.ndarray:
     return w
 
 
-def weighted_deviation(now: SuperActionSet, initial: SuperActionSet, s: float) -> float:
+def weighted_deviation(
+    now: SuperActionSet, initial: SuperActionSet, s: float
+) -> float | np.ndarray:
     """D = sum_m max(1, m)^s |I_m - I_m(0)|.
 
     The weights are computed once per class set and s.  The terms are
     formed elementwise in float64 and summed left to right over the classes
     in Python floats, so D does not depend on numpy's pairwise summation.
+    now may be a batch of sets (super_actions of a batch); D is then an
+    array with one value per row.
     """
     if now.ms != initial.ms:
         raise ClassSetMismatchError(
             f"class sets differ: {now.ms} vs {initial.ms}"
         )
-    return _deviations(now.ms, now._array[None], initial._array, s)[0]
-
-
-def _deviations(
-    ms: tuple[int, ...], now: np.ndarray, initial: np.ndarray, s: float
-) -> list[float]:
-    """weighted_deviation of each row of now (B, classes) from initial (classes,)."""
-    terms = _class_weights(ms, s) * np.abs(now - initial)
-    return [float(sum(row)) for row in terms.tolist()]
+    terms = _class_weights(now.ms, s) * np.abs(now._array - initial._array)
+    if terms.ndim == 1:
+        return float(sum(terms.tolist()))
+    return np.array([float(sum(row)) for row in terms.tolist()])
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,13 @@ class TrajectoryRecorder:
 
     A call checks the field and keeps it: non-finite values raise
     BlowUpError and a field of another shape DomainError, both at once.
-    The observables are computed per block of _BLOCK_ROWS kept samples, each
-    kernel once over the block's leading axis (mass, recentering, orbital
-    distance, xi map, super-actions, D, snapshot magnitudes), with the same
-    bits as the per-sample public functions: the rows are gathered with
-    take(idx, axis=1), not rows[:, idx], and theta is math.atan2 per row,
-    not np.arctan2 (the module docstring says why).  finalize() computes the
+    The observables are computed per block of kept samples (64 of them, or
+    fewer on a grid of more than 256 modes, so a block holds at most 16384
+    coefficients), each public function once over the block stacked as a
+    batch: SpectralField.mass, sobolev_norm of project_away, u_to_xi,
+    super_actions, weighted_deviation and the snapshot magnitudes.  Each row
+    gets the bits the function gives the sample alone (the module docstring
+    names the two traps that would break this).  finalize() computes the
     last, partial block; after a BlowUpError it returns the samples before
     it.
 
@@ -262,7 +266,8 @@ class TrajectoryRecorder:
         except NotLinearlyStableError:
             self._ctx = None
 
-        self._sa0: np.ndarray | None = None
+        self._block = _block_rows(table.grid)
+        self._sa0: SuperActionSet | None = None
         self._pending: list[tuple[float, np.ndarray]] = []
         self._times: list[float] = []
         self._mass: list[float] = []
@@ -280,49 +285,44 @@ class TrajectoryRecorder:
                 f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
             )
         self._pending.append((t, u.coeffs))  # read-only, so kept without a copy
-        if len(self._pending) == _BLOCK_ROWS:
+        if len(self._pending) == self._block:
             self._flush()
 
     def _flush(self) -> None:
-        """Compute the kept samples' observables, each kernel once over the block."""
+        """Compute the kept samples' observables, each function once over the block."""
         if not self._pending:
             return
         table = self.table
-        grid = table.grid
-        times = [t for t, _ in self._pending]
-        u = np.stack([c for _, c in self._pending])
+        times = np.array([t for t, _ in self._pending])
+        u = SpectralField.stack(table.grid, [c for _, c in self._pending])
         self._pending = []
-        # |u_j| once serves the mass, the orbital distance (recentered, the
-        # carrier dropped) and the snapshots; one recentering of u and the
-        # mass serve the xi map
-        mags = np.abs(u)
-        mass = _masses(grid, mags).tolist()
-        deviation = self._deviations_of(grid.shift(u, table.ell), mass)
-        away = grid.shift(mags, table.ell)
-        away[(slice(None), *grid.origin)] = 0.0
-        orbital = _sobolev_norms(grid, away, self.s).tolist()
-        shown = [i for i, t in enumerate(times) if any(lo <= t <= hi for lo, hi in self.windows)]
-        self._times.extend(times)
-        self._mass.extend(mass)
-        self._orbital.extend(orbital)
-        self._deviation.extend(deviation)
-        self._snapshots.extend(zip([times[i] for i in shown], mags[shown]))
+        mass = u.mass()
+        shown = np.zeros(len(times), dtype=bool)
+        for lo, hi in self.windows:
+            shown |= (lo <= times) & (times <= hi)
+        self._times.extend(times.tolist())
+        self._mass.extend(mass.tolist())
+        self._orbital.extend(sobolev_norm(project_away(u, table.ell), self.s).tolist())
+        self._deviation.extend(self._deviations_of(u, mass).tolist())
+        self._snapshots.extend(zip(times[shown].tolist(), np.abs(u.coeffs[shown])))
 
-    def _deviations_of(self, v: np.ndarray, mass: list[float]) -> list[float]:
-        """D of each recentered row; NaN without a xi map or where it fails."""
-        out = [math.nan] * len(mass)
+    def _deviations_of(self, u: SpectralField, mass: np.ndarray) -> np.ndarray:
+        """D of each row of the batch u; NaN without a xi map or where it fails."""
+        out = np.full(len(mass), math.nan)
         if self._ctx is None:
             return out
-        xi, _, errors = _recentered_to_xi(v, mass, self._ctx)
-        ok = [i for i, e in enumerate(errors) if e is None]
-        if not ok:
+        table = self.table
+        grid = table.grid
+        carrier = u.coeffs[(slice(None), *grid.index_of(mod_reduce(table.ell, grid)))]
+        ok = np.flatnonzero(_xi_undefined(table, mass, carrier) == 0)
+        if ok.size == 0:
             return out
-        sums = _class_sums(self.table, xi)[ok]  # a failed row's sums are dropped
+        if ok.size < len(mass):
+            u = SpectralField._adopt(grid, u.coeffs[ok])
+        sa = super_actions(u_to_xi(u, self._ctx))
         if self._sa0 is None:
-            self._sa0 = sums[0]
-        ms = self.table.coupling_classes[0]
-        for i, dev in zip(ok, _deviations(ms, sums, self._sa0, self.s)):
-            out[i] = dev
+            self._sa0 = SuperActionSet(ms=sa.ms, values=sa.values[0])
+        out[ok] = weighted_deviation(sa, self._sa0, self.s)
         return out
 
     def finalize(self) -> TrajectoryDiagnostics:

@@ -150,6 +150,8 @@ def integrate(
         cadence = max(1, math.ceil(n_steps / 2000))
     if cadence < 1:
         raise DomainError(f"cadence must be >= 1, got {cadence}")
+    if f0.batched:
+        raise DomainError("integrate advances one field, not a batch")
 
     def notify(n: int, field: SpectralField):
         try:

@@ -210,7 +210,15 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable Fourier-coefficient representation of a grid function."""
+    """Immutable Fourier-coefficient representation of a grid function.
+
+    coeffs has the grid's shape.  SpectralField.stack makes a batch of B
+    fields instead, coeffs shaped (B, *grid.shape), one field per row:
+    mass, sobolev_norm and project_away (and transforms.u_to_xi) take it as
+    they take one field, computing every row in one pass, and return an
+    array (B,) where one field gives a float.  Each row has the bits the
+    field alone gives.
+    """
 
     grid: Grid
     coeffs: np.ndarray
@@ -225,15 +233,23 @@ class SpectralField:
 
     @classmethod
     def _adopt(cls, grid: Grid, c: np.ndarray) -> "SpectralField":
-        """The field over c itself, made read-only, without the copy.
+        """The field (or batch) over c itself, made read-only, without the copy.
 
-        For a complex128 array of the grid's shape that the caller has just
-        made and keeps no other reference to (the integrator's gather).
+        For a complex128 array of the grid's shape, or (B, *grid.shape), that
+        the caller has just made and keeps no other reference to.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "coeffs", _read_only(c))
         return f
+
+    @classmethod
+    def stack(cls, grid: Grid, rows) -> "SpectralField":
+        """The batch of the fields whose coefficients are rows, in one copy."""
+        c = np.stack(rows).astype(np.complex128, copy=False)
+        if c.shape[1:] != grid.shape:
+            raise DomainError(f"row shape {c.shape[1:]} != grid shape {grid.shape}")
+        return cls._adopt(grid, c)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -246,27 +262,32 @@ class SpectralField:
             c[grid.index_of(j)] = a
         return cls(grid, c)
 
+    @property
+    def batched(self) -> bool:
+        """Whether this is a batch from SpectralField.stack."""
+        return self.coeffs.ndim > self.grid.d
+
     def coeff(self, j: int | Sequence[int]) -> complex:
         return complex(self.coeffs[self.grid.index_of(j)])
 
-    def mass(self) -> float:
+    def mass(self) -> float | np.ndarray:
         """Discrete L2 mass sum_j |u_j|^2 (Parseval: (2K)^-d sum_x |u(x)|^2)."""
-        return float(_masses(self.grid, np.abs(self.coeffs)[None])[0])
+        return self._each(_row_sums(self.grid, np.abs(self.coeffs) ** 2))
+
+    def _each(self, values: np.ndarray) -> float | np.ndarray:
+        """Per-row values (B,) as returned: the array for a batch, a float for one field."""
+        return values if self.batched else float(values[0])
 
 
 def _row_sums(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Sum of each row of a real batch (B, *grid.shape), pairwise as a 1-D sum of it."""
+    """Sum of each field's entries of a real array of the grid's shape, or
+    (B, *grid.shape), as an array (B,).
+
+    Each row of the (B, size) view is summed pairwise, with the bits of the
+    1-D sum of that row alone, if its rows are C-contiguous; a row gathered
+    with rows[:, idx] is not, and is summed in sequence (Grid.shift).
+    """
     return a.reshape(-1, grid.size).sum(axis=1)
-
-
-def _masses(grid: Grid, mags: np.ndarray) -> np.ndarray:
-    """sum_j |u_j|^2 of each row of a batch of magnitudes |u_j|, (B, *grid.shape)."""
-    return _row_sums(grid, mags**2)
-
-
-def _sobolev_norms(grid: Grid, mags: np.ndarray, s: float) -> np.ndarray:
-    """The H^s norm of each row of a batch of magnitudes |u_j|, (B, *grid.shape)."""
-    return np.sqrt(_row_sums(grid, grid.sobolev_weights(s) * mags**2))
 
 
 def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
@@ -281,12 +302,14 @@ def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, _values_to_coeffs(v))
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
+def sobolev_norm(f: SpectralField, s: float) -> float | np.ndarray:
     """H^s norm: (|u_0|^2 + sum_{j != 0} |j|^(2s) |u_j|^2)^(1/2).
 
-    s = 0 gives the square root of the discrete mass.
+    s = 0 gives the square root of the discrete mass.  A batch gives the
+    norm of each row.
     """
-    return float(_sobolev_norms(f.grid, np.abs(f.coeffs)[None], s)[0])
+    grid = f.grid
+    return f._each(np.sqrt(_row_sums(grid, grid.sobolev_weights(s) * np.abs(f.coeffs) ** 2)))
 
 
 def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:
@@ -294,11 +317,12 @@ def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:
 
     The result has coefficient u_{mod(j+ell)} at index j for j != 0 and zero
     at the origin, so its H^s norm measures everything away from the carrier.
+    A batch gives the batch of each row's projection.
     """
     grid = f.grid
     out = grid.shift(f.coeffs, as_mode(ell, grid.d))
-    out[grid.origin] = 0.0
-    return SpectralField(grid, out)
+    out[(..., *grid.origin)] = 0.0
+    return SpectralField._adopt(grid, out)
 
 
 @dataclass(frozen=True)

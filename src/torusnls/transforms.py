@@ -141,15 +141,18 @@ class XiField:
 
     xi is stored on the full grid (origin slot zero); theta is the polar
     angle of the recentered carrier coefficient, so the transform chain is
-    exactly invertible.
+    exactly invertible.  u_to_xi of a batch gives a batch: xi shaped
+    (B, *grid.shape) and theta an array (B,).
     """
 
     ctx: DiagonalizerSet
     xi: np.ndarray
-    theta: float
+    theta: float | np.ndarray
 
     def __post_init__(self):
         self.xi.flags.writeable = False
+        if isinstance(self.theta, np.ndarray):
+            self.theta.flags.writeable = False
 
     @property
     def grid(self) -> Grid:
@@ -163,52 +166,34 @@ class XiField:
 def u_to_xi(u: SpectralField, ctx: DiagonalizerSet) -> XiField:
     """Transform a field near the plane wave into diagonalized variables.
 
-    The field's mass must match the context's rho^2 budget (the inverse
-    recomputes the carrier modulus from that budget).
-    """
-    grid = ctx.table.grid
-    if u.grid != grid:
-        raise DomainError("field grid does not match the diagonalizer grid")
-    v = grid.shift(u.coeffs[None], ctx.table.ell)
-    xi, thetas, errors = _recentered_to_xi(v, [u.mass()], ctx)
-    if errors[0] is not None:
-        raise errors[0]
-    return XiField(ctx=ctx, xi=xi[0], theta=thetas[0])
-
-
-def _recentered_to_xi(
-    v: np.ndarray, masses, ctx: DiagonalizerSet
-) -> tuple[np.ndarray, list[float], list[Exception | None]]:
-    """The xi map of a batch of recentered rows v_j = u_{ell+j}, given each u's mass.
-
-    v is (B, *grid.shape) and is overwritten: the xi rows are formed in it
-    and returned.  masses holds B floats.  Returns the xi rows, the carrier
-    angles theta and, per row, None or the error u_to_xi raises for it:
-    DomainError when the mass misses the rho^2 budget, ZeroCarrierModeError
-    when v_0 = 0.  A failed row's xi is meaningless.  TrajectoryRecorder
-    passes a block of samples it has already recentered and summed.
+    The field's mass must match the context's rho^2 budget (DomainError;
+    the inverse recomputes the carrier modulus from that budget), and its
+    recentered carrier coefficient must be nonzero (ZeroCarrierModeError).
+    A batch (SpectralField.stack) is mapped row by row in one pass; its
+    first row that fails raises that row's error.
 
     theta is math.atan2 per row: np.arctan2 differs from it in the last bit
     for some arguments on some hosts (SIMD), and D would then move.
     """
     table = ctx.table
     grid = table.grid
-    rho2 = table.rho * table.rho
+    if u.grid != grid:
+        raise DomainError("field grid does not match the diagonalizer grid")
+    v = grid.shift(u.coeffs, table.ell).reshape(-1, *grid.shape)  # a fresh array
     origin = (slice(None), *grid.origin)
+    mass = np.atleast_1d(u.mass())
+    undefined = _xi_undefined(table, mass, v[origin])
+    if undefined.any():
+        i = int(np.flatnonzero(undefined)[0])
+        if undefined[i] == 1:
+            raise DomainError(
+                f"field mass {float(mass[i])} does not match the context budget "
+                f"rho^2 = {table.rho * table.rho}"
+            )
+        raise ZeroCarrierModeError("carrier coefficient is zero; polar angle undefined")
     carrier = v[origin].tolist()
-    errors: list[Exception | None] = [None] * len(carrier)
-    for i, (mass, c) in enumerate(zip(masses, carrier)):
-        if abs(mass - rho2) > 1e-6 * max(rho2, 1.0):
-            errors[i] = DomainError(
-                f"field mass {mass} does not match the context budget rho^2 = {rho2}"
-            )
-        elif c == 0.0:
-            errors[i] = ZeroCarrierModeError(
-                "carrier coefficient is zero; polar angle undefined"
-            )
-    thetas = [math.atan2(c.imag, c.real) for c in carrier]
-    phase = np.exp(-1j * np.array(thetas)).reshape((-1,) + (1,) * grid.d)
-    w = np.multiply(v, phase, out=v)
+    thetas = np.array([math.atan2(c.imag, c.real) for c in carrier])
+    w = np.multiply(v, np.exp(-1j * thetas).reshape((-1,) + (1,) * grid.d), out=v)
     w[origin] = 0.0
 
     # xi = s00 w + s01 conj(w_{-j}), formed in place: a block's temporaries
@@ -221,15 +206,30 @@ def _recentered_to_xi(
     xi = np.multiply(ctx.s00, w, out=w)
     xi += partner
     xi[origin] = 0.0
-    return xi, thetas, errors
+    if u.batched:
+        return XiField(ctx=ctx, xi=xi, theta=thetas)
+    return XiField(ctx=ctx, xi=xi[0], theta=float(thetas[0]))
+
+
+def _xi_undefined(table: FrequencyTable, mass: np.ndarray, carrier: np.ndarray) -> np.ndarray:
+    """Per field, given its mass and recentered carrier coefficient v_0: 0
+    where its xi map is defined, 1 where the mass misses the rho^2 budget,
+    2 where v_0 = 0 (the first makes u_to_xi raise DomainError, the second
+    ZeroCarrierModeError)."""
+    rho2 = table.rho * table.rho
+    off_budget = np.abs(mass - rho2) > 1e-6 * max(rho2, 1.0)
+    return np.where(off_budget, 1, np.where(carrier == 0.0, 2, 0))
 
 
 def xi_to_u(xi: XiField) -> SpectralField:
     """Invert the transform chain; exact inverse of u_to_xi.
 
     The carrier modulus is recomputed from a = sqrt(rho^2 - sum|w_j|^2);
-    MassDeficitError if the non-carrier block exceeds the budget.
+    MassDeficitError if the non-carrier block exceeds the budget.  xi is
+    one field, not a batch (DomainError).
     """
+    if xi.xi.ndim > xi.grid.d:
+        raise DomainError("xi_to_u inverts one field, not a batch")
     ctx = xi.ctx
     grid = xi.grid
     origin = grid.origin

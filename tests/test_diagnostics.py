@@ -33,7 +33,7 @@ from torusnls import (
     weighted_deviation,
 )
 from torusnls._serialize import format_float
-from torusnls.diagnostics import _BLOCK_ROWS, TrajectoryDiagnostics
+from torusnls.diagnostics import _BLOCK_ROWS, TrajectoryDiagnostics, _block_rows
 from torusnls.spectral import _row_sums
 
 RHO = math.sqrt(0.4)
@@ -122,6 +122,18 @@ def test_weighted_deviation_matches_scalar_sum():
         for s in (0.0, 1.5, 5.0, 25.0):
             assert weighted_deviation(a, b, s) == scalar(a, b, s)
             assert weighted_deviation(b, a, s) == scalar(b, a, s)
+
+
+def test_super_actions_and_deviation_of_a_batch(grid16, make_datum, diag16):
+    # a batch of xi maps gives one set of values per row and one D per row,
+    # each bit for bit what the row alone gives
+    fields = [make_datum(grid16, (0,), RHO, 0.01, seed=seed) for seed in range(5)]
+    batch = super_actions(u_to_xi(SpectralField.stack(grid16, [u.coeffs for u in fields]), diag16))
+    alone = [super_actions(u_to_xi(u, diag16)) for u in fields]
+    assert batch.ms == alone[0].ms and batch.values == tuple(sa.values for sa in alone)
+    devs = weighted_deviation(batch, alone[0], 5.0)
+    assert devs.tolist() == [weighted_deviation(sa, alone[0], 5.0) for sa in alone]
+    assert devs[0] == 0.0
 
 
 def test_weighted_deviation_class_mismatch():
@@ -299,12 +311,16 @@ def _assert_same_bits(got, fields, table, s=5.0):
     (2, 3, (1, 0)),
     (2, 5, (0, 0)),
     (2, 8, (0, 0)),
+    (2, 16, (0, 0)),  # 1024 modes: blocks of 16 samples
 ])
 def test_recorder_blocks_match_public_composition(make_datum, d, K, ell):
-    # 150 samples: two full blocks and a partial one, computed per block,
-    # each value equal bit for bit to the per-sample public functions
-    assert 2 * _BLOCK_ROWS < 150 < 3 * _BLOCK_ROWS
+    # 150 samples: full blocks and a partial one (two and a partial at 64
+    # samples per block), computed per block, each value equal bit for bit
+    # to the per-sample public functions
     grid = Grid(K=K, d=d)
+    rows = _block_rows(grid)
+    assert rows == (16 if grid.size == 1024 else _BLOCK_ROWS)
+    assert 150 > 2 * rows and 150 % rows
     table = build_frequency_table(H, RHO, -1, ell, grid)
     fields = _trajectory(make_datum, grid, ell, 149)
     rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),))
@@ -337,15 +353,16 @@ def test_recorder_blocks_reference_in_a_later_block(grid16, table16, make_datum)
     # no sample of the first block passes the mass check, so the D reference
     # is the first sample of the second block
     fields = _trajectory(make_datum, grid16, (0,), 99)
-    fields[:_BLOCK_ROWS] = [SpectralField(grid16, 1.5 * u.coeffs) for u in fields[:_BLOCK_ROWS]]
+    rows = _block_rows(grid16)
+    fields[:rows] = [SpectralField(grid16, 1.5 * u.coeffs) for u in fields[:rows]]
     rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
     for n, u in enumerate(fields):
         rec(n, u)
     got = rec.finalize()
     _assert_same_bits(got, fields, table16)
-    assert np.all(np.isnan(got.deviation[:_BLOCK_ROWS]))
-    assert got.deviation[_BLOCK_ROWS] == 0.0
-    assert np.all(got.deviation[_BLOCK_ROWS + 1:] > 0.0)
+    assert np.all(np.isnan(got.deviation[:rows]))
+    assert got.deviation[rows] == 0.0
+    assert np.all(got.deviation[rows + 1:] > 0.0)
 
 
 def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum):

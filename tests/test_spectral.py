@@ -11,7 +11,10 @@ from torusnls import (
     Grid,
     PlaneWaveSpec,
     SpectralField,
+    StepScheme,
+    StepVariant,
     TorusNLSError,
+    integrate,
     mod_reduce,
     project_away,
     sobolev_norm,
@@ -187,6 +190,29 @@ def test_project_away_2d_unreduced_carrier(rng):
     # a one-component ell would otherwise roll both axes
     with pytest.raises(DomainError, match="ell"):
         g.shift(c, (1,))
+
+
+@pytest.mark.parametrize("d, K", [(1, 16), (1, 5), (2, 3), (2, 8)])
+def test_batch_gives_each_row_the_bits_of_the_field_alone(rng, d, K):
+    # mass, sobolev_norm and project_away of a stacked batch give each row,
+    # bit for bit, what the field alone gives
+    g = Grid(K=K, d=d)
+    fields = [SpectralField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+              for _ in range(7)]
+    batch = SpectralField.stack(g, [f.coeffs for f in fields])
+    assert batch.batched and not fields[0].batched
+    assert isinstance(fields[0].mass(), float)
+    ell = (1,) * d
+    away = project_away(batch, ell)
+    assert away.batched and not away.coeffs.flags.writeable
+    for f, mass, norm, row in zip(fields, batch.mass().tolist(),
+                                  sobolev_norm(batch, 2.5).tolist(), away.coeffs):
+        assert mass == f.mass()
+        assert norm == sobolev_norm(f, 2.5)
+        assert row.tobytes() == project_away(f, ell).coeffs.tobytes()
+    # one field only where a trajectory is advanced
+    with pytest.raises(DomainError, match="batch"):
+        integrate(batch, StepScheme(StepVariant.LIE_TROTTER, 0.04), -1.0, 1)
 
 
 @pytest.mark.parametrize("d, K", [(1, 16), (2, 3), (3, 2)])

@@ -24,7 +24,6 @@ from torusnls import (
     u_to_xi,
     xi_to_u,
 )
-from torusnls.transforms import _recentered_to_xi
 
 RHO = math.sqrt(0.4)
 H = 0.04
@@ -128,10 +127,9 @@ def test_u_to_xi_equals_the_plain_per_sample_form(make_datum, d, K, ell):
     phases = np.random.default_rng(7).uniform(-math.pi, math.pi, 64).tolist()
     fields = [SpectralField(grid, u.coeffs * np.exp(1j * p)) for p in phases]
     # the same fields as one batch: each row as u_to_xi gives it alone
-    batch = grid.shift(np.stack([f.coeffs for f in fields]), ell)
-    xi_rows, thetas, errors = _recentered_to_xi(batch, [f.mass() for f in fields], ctx)
-    assert errors == [None] * len(fields)
-    for f, row, row_theta in zip(fields, xi_rows, thetas):
+    batch = u_to_xi(SpectralField.stack(grid, [f.coeffs for f in fields]), ctx)
+    assert batch.xi.shape == (len(fields), *grid.shape) and batch.theta.shape == (len(fields),)
+    for f, row, row_theta in zip(fields, batch.xi, batch.theta.tolist()):
         v = np.roll(f.coeffs, tuple(-c for c in ell), axis=tuple(range(d)))
         v0 = complex(v[origin])
         theta = math.atan2(v0.imag, v0.real)
@@ -142,6 +140,22 @@ def test_u_to_xi_equals_the_plain_per_sample_form(make_datum, d, K, ell):
         got = u_to_xi(f, ctx)
         assert got.theta == row_theta == theta
         assert got.xi.tobytes() == row.tobytes() == want.tobytes()
+
+
+def test_u_to_xi_batch_raises_its_first_failing_row(grid16, diag16, make_datum):
+    u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
+    zero = u.coeffs.copy()
+    zero[grid16.index_of(0)] = 0.0
+    zero *= RHO / math.sqrt(float(np.sum(np.abs(zero) ** 2)))
+    with pytest.raises(ZeroCarrierModeError):
+        u_to_xi(SpectralField.stack(grid16, [u.coeffs, zero, 2.0 * u.coeffs]), diag16)
+    with pytest.raises(DomainError, match="budget"):
+        u_to_xi(SpectralField.stack(grid16, [u.coeffs, 2.0 * u.coeffs, zero]), diag16)
+    # a batch is refused where one field is meant, and a row of another shape
+    with pytest.raises(DomainError, match="batch"):
+        xi_to_u(u_to_xi(SpectralField.stack(grid16, [u.coeffs]), diag16))
+    with pytest.raises(DomainError, match="shape"):
+        SpectralField.stack(grid16, [u.coeffs[:-1]])
 
 
 def test_carrier_gauge_extraction(grid16, diag16):

@@ -10,8 +10,10 @@ epsilon = 0.01, s = 5, carrier at the origin):
   numpy-ordered state wrapped into a SpectralField and handed to a
   TrajectoryRecorder whose snapshot window covers the sample.  The recorder
   computes its observables per block of samples, so the loop feeds blocks
-  of OBSERVE_BLOCK samples to fresh recorders (built before the clock
-  starts), each followed by finalize(), and the figure is per sample;
+  of samples to fresh recorders (built before the clock starts), each
+  followed by finalize(), and the figure is per sample.  The block size is
+  the current package's (`diagnostics._block_rows` of the grid), and the
+  baseline side is fed blocks of the same size;
 - advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
@@ -35,8 +37,6 @@ import time
 import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
-# samples per recorder in observe_us: the recorder's block (64 rows)
-OBSERVE_BLOCK = 64
 
 
 def load_package(src: str, name: str) -> str:
@@ -51,9 +51,10 @@ def load_package(src: str, name: str) -> str:
     return name
 
 
-def cases(pkg: str, d: int, K: int) -> dict:
+def cases(pkg: str, d: int, K: int, block: int) -> dict:
     """Figure name -> a factory taking --calls and returning (the loop to
-    time, the number of calls or samples it makes)."""
+    time, the number of calls or samples it makes); observe_us feeds each
+    recorder block samples."""
     cli = importlib.import_module(f"{pkg}.cli")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
     integrator = importlib.import_module(f"{pkg}.integrator")
@@ -70,16 +71,16 @@ def cases(pkg: str, d: int, K: int) -> dict:
     def observe(calls):
         recorders = [
             diagnostics.TrajectoryRecorder(table, config.s, snapshot_windows=((0.0, 1.0),))
-            for _ in range(max(1, calls // OBSERVE_BLOCK))
+            for _ in range(max(1, calls // block))
         ]
 
         def run():
             for recorder in recorders:
-                for _ in range(OBSERVE_BLOCK):
+                for _ in range(block):
                     recorder(1, stepper.wrap(c))
                 recorder.finalize()
 
-        return run, len(recorders) * OBSERVE_BLOCK
+        return run, len(recorders) * block
 
     out = {"observe_us": observe}
     for variant in integrator.StepVariant:
@@ -116,8 +117,10 @@ def main() -> None:
     if args.baseline:
         sides["baseline"] = load_package(args.baseline, "torusnls_baseline")
     result: dict = {side: {} for side in sides}
+    current = importlib.import_module("torusnls")
     for d, K in GRIDS:
-        grid_cases = {side: cases(pkg, d, K) for side, pkg in sides.items()}
+        block = current.diagnostics._block_rows(current.Grid(K=K, d=d))
+        grid_cases = {side: cases(pkg, d, K, block) for side, pkg in sides.items()}
         for name in grid_cases["current"]:
             times: dict = {side: [] for side in sides}
             for r in range(args.repeats):
