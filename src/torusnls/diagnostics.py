@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._serialize import dumps, format_float, write_csv
+from ._serialize import FloatFormatter, dumps, format_float, write_csv
 from .errors import (
     BlowUpError,
     ClassSetMismatchError,
@@ -61,8 +61,9 @@ __all__ = [
     "emit",
 ]
 
-# stands for the time in the spectrum row template; no mode or number contains it
-_TIME = "{t}"
+# emit formats the spectrum's magnitudes this many at a time (whole snapshots
+# where they fit)
+_EMIT_VALUES = 2048
 
 # TrajectoryRecorder computes its kept samples' observables in one pass per
 # block of _BLOCK_ROWS samples, fewer on a grid of more than 256 modes so a
@@ -364,11 +365,15 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     LF line endings; floats carry 17 significant digits so a parse recovers
     them bit-exactly.  An empty trajectory produces header-only CSVs.
 
-    The spectrum is written one snapshot at a time: a row template built once
-    for the grid ("t,j,%.17g" per mode, in storage order) is filled with a
-    snapshot's magnitudes in one formatting call.  In a snapshot holding a
-    non-finite magnitude, the nan and inf that %.17g writes are then spelled
-    NaN and Infinity like every other output.
+    The spectrum's magnitudes are formatted by _serialize.FloatFormatter,
+    2048 at a time, as many whole snapshots as fit in 2048 values (a larger
+    snapshot alone, in passes of 2048): whole-array passes that give the
+    bytes format_float gives, with the values they cannot place exactly
+    (zero, non-finite, magnitude outside [1e-280, 1e280), or within 2^-30
+    of a rounding tie) handed to format_float one at a time.  A row template
+    built once for the grid (",j,%b" per mode, in storage order) takes a
+    snapshot's time between its rows and its magnitudes in one formatting
+    call.
 
     started, a time.perf_counter() reading taken when the run began, adds to
     the metadata's "timing" block wall_s (seconds from started to the meta
@@ -387,17 +392,17 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
 
     grid = diag.grid
     mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
-    mode_text = [",".join(map(str, j)) for j in grid.modes()]
-    # the row template, cut at every time slot once; a snapshot's time joins the parts
-    parts = "".join(f"{_TIME},{j},%.17g\n" for j in mode_text).split(_TIME)
-    with open(os.path.join(path, f"{runid}_spectrum.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(["t", *mode_cols, "abs_uj"]) + "\n")
-        for t, mags in diag.snapshots:
-            values = tuple(mags.reshape(-1).tolist())
-            text = format_float(float(t)).join(parts) % values
-            if not np.isfinite(mags).all():  # %.17g spells NaN of either sign nan
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write(text)
+    parts = [b"", *(f",{','.join(map(str, j))},%b\n".encode() for j in grid.modes())]
+    per_chunk = max(1, _EMIT_VALUES // grid.size)
+    formatter = FloatFormatter(_EMIT_VALUES)
+    with open(os.path.join(path, f"{runid}_spectrum.csv"), "wb") as fh:
+        fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
+        for first in range(0, len(diag.snapshots), per_chunk):
+            chunk = diag.snapshots[first : first + per_chunk]
+            cells = formatter(np.concatenate([mags.reshape(-1) for _, mags in chunk]))
+            for i, (t, _) in enumerate(chunk):
+                rows = format_float(float(t)).encode().join(parts)
+                fh.write(rows % tuple(cells[i * grid.size : (i + 1) * grid.size]))
 
     meta = diag.metadata
     if started is not None:

@@ -6,11 +6,9 @@ per axis (array position p corresponds to mode j = p - K along each axis).
 numpy's FFT routines use the 0..2K-1 ordering instead.  The bijection between
 the two is a cyclic shift by K along every axis, its own inverse since the axes
 have even length: np.fft.fftshift and ifftshift compute it, and so does
-Grid.shift by the origin position.  In this module it is confined to
-trig_interpolate, which takes collocation values on the points x_j = pi*j/K
-in the modes' ordering.  The integrator (integrator.py) keeps its state in
-numpy order and converts at its boundary with `_Stepper.reorder`, a
-Grid.shift: `_Stepper.__init__` reorders the |j|^2 table, `_Stepper.wrap`
+Grid.shift by the origin position.  The integrator (integrator.py) keeps its
+state in numpy order and converts at its boundary with `_Stepper.reorder`,
+a Grid.shift: `_Stepper.__init__` reorders the |j|^2 table, `_Stepper.wrap`
 converts back for every field it hands out, and `step` and `integrate`
 convert the input field once.
 
@@ -42,7 +40,6 @@ __all__ = [
     "PlaneWaveSpec",
     "as_mode",
     "mod_reduce",
-    "trig_interpolate",
     "sobolev_norm",
     "project_away",
 ]
@@ -202,12 +199,6 @@ def mod_reduce(v: int | Sequence[int], grid: Grid) -> Mode:
     return tuple((c + K) % (2 * K) - K for c in m)
 
 
-def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
-    std = np.fft.ifftshift(values)
-    coeffs = np.fft.fftn(std) / values.size
-    return np.fft.fftshift(coeffs)
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable Fourier-coefficient representation of a grid function.
@@ -288,18 +279,6 @@ def _row_sums(grid: Grid, a: np.ndarray) -> np.ndarray:
     with rows[:, idx] is not, and is summed in sequence (Grid.shift).
     """
     return a.reshape(-1, grid.size).sum(axis=1)
-
-
-def trig_interpolate(values: np.ndarray, grid: Grid) -> SpectralField:
-    """Trigonometric interpolation of collocation values.
-
-    Over-resolved signals alias: the coefficient at j collects every
-    continuous mode k with k = j (mod 2K) entrywise.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != grid.shape:
-        raise DomainError(f"value shape {v.shape} != grid shape {grid.shape}")
-    return SpectralField(grid, _values_to_coeffs(v))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float | np.ndarray:

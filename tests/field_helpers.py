@@ -4,15 +4,16 @@ package's public arrays.
 The diagonalizers keep S_j as the first row s00/s01 of
 [[a, b], [conj(b), conj(a)]]; S_j^{-1} is its adjugate (det S_j = 1), whose
 first row is (conj(s00), -s01).  The helpers here assemble the 2x2 matrices,
-their largest entry, the collocation values of a field and the nonzero modes
-of a grid, so no accessor in the package exists for tests alone.
+their largest entry, the collocation values of a field and the field of given
+collocation values, and the nonzero modes of a grid, so no accessor in the
+package exists for tests alone.
 """
 
 import math
 
 import numpy as np
 
-from torusnls import mod_reduce
+from torusnls import SpectralField, mod_reduce
 
 
 def _matrix(grid, first, second, j):
@@ -43,6 +44,16 @@ def entry_bound(ctx):
 def values(f):
     """Collocation values u(x_q) = sum_j u_j e^{i j.x_q}, in the modes' storage order."""
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(f.coeffs))) * f.coeffs.size
+
+
+def trig_interpolate(vals, grid):
+    """The field whose collocation values are vals (the inverse of values).
+
+    Over-resolved signals alias: the coefficient at j collects every
+    continuous mode k with k = j (mod 2K) entrywise.
+    """
+    v = np.asarray(vals, dtype=np.complex128)
+    return SpectralField(grid, np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(v)) / v.size))
 
 
 def collocation_axis(grid):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from field_helpers import values
+from field_helpers import trig_interpolate, values
 from torusnls import (
     DomainError,
     Grid,
@@ -17,7 +17,6 @@ from torusnls import (
     StepVariant,
     integrate,
     step,
-    trig_interpolate,
 )
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from field_helpers import collocation_axis, nonzero_modes, values
+from field_helpers import collocation_axis, nonzero_modes, trig_interpolate, values
 from torusnls import (
     DomainError,
     Grid,
@@ -18,7 +18,6 @@ from torusnls import (
     mod_reduce,
     project_away,
     sobolev_norm,
-    trig_interpolate,
 )
 
 

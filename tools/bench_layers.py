@@ -1,4 +1,4 @@
-"""In-process timings of the step kernel and the observer, one JSON line.
+"""In-process timings of the step kernel, the observer and emission, one JSON line.
 
     PYTHONPATH=src python3 tools/bench_layers.py [--repeats 7] [--calls 2000]
     PYTHONPATH=src python3 tools/bench_layers.py --baseline OTHER/src
@@ -14,10 +14,16 @@ epsilon = 0.01, s = 5, carrier at the origin):
   followed by finalize(), and the figure is per sample.  The block size is
   the current package's (`diagnostics._block_rows` of the grid), and the
   baseline side is fed blocks of the same size;
-- advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04.
+- advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04;
+- emit_us_per_row: `emit` of a recorded run of EMIT_STEPS Lie-Trotter steps
+  observed every step with every sample in the snapshot window (301
+  snapshots: 9,632 spectrum rows at d = 1, 77,056 at d = 2), into a
+  temporary directory, per spectrum row.  Each side emits the run its own
+  package recorded.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
-whole blocks); a figure is the best (and the median) over --repeats loops.
+whole blocks; emit_us_per_row: one emit); a figure is the best (and the
+median) over --repeats loops.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
 current package's, so both see the same host speed.
@@ -29,14 +35,17 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
+EMIT_STEPS = 300
 
 
 def load_package(src: str, name: str) -> str:
@@ -51,10 +60,10 @@ def load_package(src: str, name: str) -> str:
     return name
 
 
-def cases(pkg: str, d: int, K: int, block: int) -> dict:
+def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     """Figure name -> a factory taking --calls and returning (the loop to
-    time, the number of calls or samples it makes); observe_us feeds each
-    recorder block samples."""
+    time, the number of calls, samples or rows it makes); observe_us feeds
+    each recorder block samples, and emit_us_per_row writes into out_dir."""
     cli = importlib.import_module(f"{pkg}.cli")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
     integrator = importlib.import_module(f"{pkg}.integrator")
@@ -96,6 +105,21 @@ def cases(pkg: str, d: int, K: int, block: int) -> dict:
             return run, calls
 
         out[f"advance_us.{variant.value}"] = advance
+
+    recorder = diagnostics.TrajectoryRecorder(
+        table, config.s, snapshot_windows=((0.0, math.inf),), metadata={"runid": pkg}
+    )
+    integrator.integrate(datum, config.step_scheme(), config.lam, EMIT_STEPS,
+                         observer=recorder, cadence=1)
+    recorded = recorder.finalize()
+
+    def emit(calls):
+        def run():
+            diagnostics.emit(recorded, out_dir)
+
+        return run, len(recorded.snapshots) * datum.grid.size
+
+    out["emit_us_per_row"] = emit
     return out
 
 
@@ -118,19 +142,20 @@ def main() -> None:
         sides["baseline"] = load_package(args.baseline, "torusnls_baseline")
     result: dict = {side: {} for side in sides}
     current = importlib.import_module("torusnls")
-    for d, K in GRIDS:
-        block = current.diagnostics._block_rows(current.Grid(K=K, d=d))
-        grid_cases = {side: cases(pkg, d, K, block) for side, pkg in sides.items()}
-        for name in grid_cases["current"]:
-            times: dict = {side: [] for side in sides}
-            for r in range(args.repeats):
-                order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-                for side in order:
-                    times[side].append(loop_us(grid_cases[side][name], args.calls))
-            for side, ts in times.items():
-                result[side].setdefault(f"d{d}_K{K}", {})[name] = {
-                    "best": min(ts), "median": statistics.median(ts)
-                }
+    with tempfile.TemporaryDirectory() as out_dir:
+        for d, K in GRIDS:
+            block = current.diagnostics._block_rows(current.Grid(K=K, d=d))
+            grid_cases = {side: cases(pkg, d, K, block, out_dir) for side, pkg in sides.items()}
+            for name in grid_cases["current"]:
+                times: dict = {side: [] for side in sides}
+                for r in range(args.repeats):
+                    order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+                    for side in order:
+                        times[side].append(loop_us(grid_cases[side][name], args.calls))
+                for side, ts in times.items():
+                    result[side].setdefault(f"d{d}_K{K}", {})[name] = {
+                        "best": min(ts), "median": statistics.median(ts)
+                    }
     result["cpu_count"] = os.cpu_count()
     result["loadavg"] = list(os.getloadavg())
     print(json.dumps(result))

@@ -54,6 +54,11 @@ COMMANDS = {
     # the (1, -2) Jordan carrier on a 2K = 8 grid: no xi map either
     "ell-1-2-k4-200": ("simulate", "--d", "2", "--K", "4", "--ell", "1,-2",
                        "--steps", "200", "--cadence", "1"),
+    # no perturbation: the spectrum holds exact zeros, which the float
+    # formatter hands to format_float
+    "epsilon-0-300": ("simulate", "--epsilon", "0", "--steps", "300", "--cadence", "1"),
+    # three mode columns; 512 modes, so four snapshots per formatter pass, 16 passes
+    "d3-k4-60": ("simulate", "--d", "3", "--K", "4", "--steps", "60", "--cadence", "1"),
 }
 
 # keys whose values measure the host rather than the computation
