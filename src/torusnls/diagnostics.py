@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._serialize import FloatFormatter, dumps, format_float, write_csv
+from ._serialize import FloatFormatter, dumps, format_float
 from .errors import (
     BlowUpError,
     ClassSetMismatchError,
@@ -357,6 +357,18 @@ def default_snapshot_windows(horizon: float, width: float = 200.0) -> tuple:
     return ((0.0, width), (float(horizon) - width, float(horizon)))
 
 
+def _write_series(path: str, diag: TrajectoryDiagnostics, formatter: FloatFormatter) -> None:
+    """The series CSV, formatter.size values (a quarter as many rows) per pass;
+    its temporaries are gone before the spectrum is written."""
+    columns = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
+    per_chunk = formatter.size // len(columns)
+    with open(path, "wb") as fh:
+        fh.write(b"t,mass,orbital_distance,D\n")
+        for first in range(0, len(diag.times), per_chunk):
+            rows = np.column_stack([a[first : first + per_chunk] for a in columns])
+            fh.write(b"%b,%b,%b,%b\n" * len(rows) % tuple(formatter(rows)))
+
+
 def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -> None:
     """Write <runid>_series.csv, <runid>_spectrum.csv and <runid>_meta.json.
 
@@ -365,15 +377,16 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     LF line endings; floats carry 17 significant digits so a parse recovers
     them bit-exactly.  An empty trajectory produces header-only CSVs.
 
-    The spectrum's magnitudes are formatted by _serialize.FloatFormatter,
-    2048 at a time, as many whole snapshots as fit in 2048 values (a larger
-    snapshot alone, in passes of 2048): whole-array passes that give the
-    bytes format_float gives, with the values they cannot place exactly
-    (zero, non-finite, magnitude outside [1e-280, 1e280), or within 2^-30
-    of a rounding tie) handed to format_float one at a time.  A row template
-    built once for the grid (",j,%b" per mode, in storage order) takes a
-    snapshot's time between its rows and its magnitudes in one formatting
-    call.
+    The series' four columns are formatted by _serialize.FloatFormatter,
+    512 rows (2048 values) per pass.  The spectrum's magnitudes go through
+    it too, 2048 at a time, as many whole snapshots as fit in 2048 values
+    (a larger snapshot alone, in passes of 2048): whole-array passes that
+    give the bytes format_float gives, with the values they cannot place
+    exactly (zero, non-finite, magnitude outside [1e-280, 1e280), or within
+    2^-30 of a rounding tie) handed to format_float one at a time.  A row
+    template built once for the grid (",j,%b" per mode, in storage order)
+    takes a snapshot's time between its rows and its magnitudes in one
+    formatting call.
 
     started, a time.perf_counter() reading taken when the run began, adds to
     the metadata's "timing" block wall_s (seconds from started to the meta
@@ -383,18 +396,13 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     runid = str(diag.metadata.get("runid", "run"))
     os.makedirs(path, exist_ok=True)
 
-    series = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
-    write_csv(
-        os.path.join(path, f"{runid}_series.csv"),
-        ("t", "mass", "orbital_distance", "D"),
-        zip(*(a.tolist() for a in series)),
-    )
+    formatter = FloatFormatter(_EMIT_VALUES)
+    _write_series(os.path.join(path, f"{runid}_series.csv"), diag, formatter)
 
     grid = diag.grid
     mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
     parts = [b"", *(f",{','.join(map(str, j))},%b\n".encode() for j in grid.modes())]
     per_chunk = max(1, _EMIT_VALUES // grid.size)
-    formatter = FloatFormatter(_EMIT_VALUES)
     with open(os.path.join(path, f"{runid}_spectrum.csv"), "wb") as fh:
         fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
         for first in range(0, len(diag.snapshots), per_chunk):

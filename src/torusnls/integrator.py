@@ -14,9 +14,12 @@ a phase drift growing linearly in t.
 
 Between steps the state stays in numpy's FFT order; `_Stepper.reorder`, one
 Grid.shift gather, converts at the boundary (spectral.py describes the two
-orders).  A nonlinear substep calls np.fft.ifft and np.fft.fft once per axis,
-last axis first, exactly as np.fft.ifftn and fftn do, so its result equals
-theirs bit for bit without their argument handling.
+orders).  A nonlinear substep calls the pocketfft gufuncs that np.fft.ifft
+and np.fft.fft call, with the arguments they pass, once per axis, last axis
+first, exactly as np.fft.ifftn and fftn do, so its result equals theirs bit
+for bit without their argument handling.  The transforms, the phase and the
+Strang products write into work arrays the stepper allocates once; a step
+allocates only the array it returns.
 """
 
 from __future__ import annotations
@@ -68,9 +71,15 @@ class _Stepper:
 
     numpy's FFT order puts mode 0 at position 0 along each axis, storage
     order puts it at K; `reorder` converts either way (see spectral.py).
+    `advance` takes states of `shape` (the grid's by default; a leading
+    batch axis transforms like one field) and never writes to its input.
     """
 
-    def __init__(self, grid: Grid, scheme: StepScheme, lam: float):
+    def __init__(self, grid: Grid, scheme: StepScheme, lam: float,
+                 shape: tuple[int, ...] | None = None):
+        # numpy.fft loads on first use; runs that never step do not pay for it
+        from numpy.fft import _pocketfft_umath as pocketfft
+
         self.grid = grid
         self.scheme = scheme
         self.lam = lam
@@ -79,32 +88,62 @@ class _Stepper:
         self._lin_full = np.exp(-1j * h * n2)
         self._lin_half = np.exp(-1j * (h / 2) * n2)
         self._size = grid.size
-        # the last d axes, last first: the order np.fft.ifftn and fftn use
-        self._axes = tuple(range(-1, -grid.d - 1, -1))
+        shape = grid.shape if shape is None else tuple(shape)
+        # np.fft.ifft/fft's gufunc calls on the last d axes, last first (the
+        # order ifftn/fftn use): the inverse scales by 1/n, the forward by 1
+        axes = range(len(shape) - 1, len(shape) - grid.d - 1, -1)
+        self._inverse = [(pocketfft.ifft, np.reciprocal(shape[a], dtype=np.float64),
+                          [(a,), (), (a,)]) for a in axes]
+        self._forward = [(pocketfft.fft, 1, [(a,), (), (a,)]) for a in axes]
+        # two complex work arrays, each transform reading one and writing the
+        # other, and |v|^2
+        self._work = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        self._abs2 = np.empty(shape)
 
     def reorder(self, a: np.ndarray) -> np.ndarray:
         """Storage order <-> numpy order: a shift by K along every axis."""
         return self.grid.shift(a, self.grid.origin)
 
+    def _spare(self, c: np.ndarray) -> np.ndarray:
+        """The work array that c is not."""
+        a, b = self._work
+        return b if c is a else a
+
+    def _transform(self, calls, c: np.ndarray) -> np.ndarray:
+        """Apply the 1-D transforms in turn, each into the work array c is not."""
+        for ufunc, fct, axes in calls:
+            c = ufunc(c, fct, axes=axes, out=self._spare(c))
+        return c
+
     def _nl(self, c: np.ndarray, t: float) -> np.ndarray:
-        # ifftn(c) * size, the phase, then fftn(vals) / size, with the 1-D
-        # transforms called directly (the n-D wrappers only add overhead)
-        for axis in self._axes:
-            c = np.fft.ifft(c, axis=axis)
-        vals = c * self._size
-        vals *= np.exp(-1j * self.lam * t * np.abs(vals) ** 2)
-        for axis in self._axes:
-            vals = np.fft.fft(vals, axis=axis)
-        return vals / self._size
+        """fftn(phase * ifftn(c) * size) in a work array, not yet divided by size."""
+        vals = self._transform(self._inverse, c)
+        np.multiply(vals, self._size, out=vals)
+        r = np.abs(vals, out=self._abs2)
+        np.square(r, out=r)
+        # the phase goes to the work array the values are not in; the complex
+        # products keep the operand order of vals *= np.exp(-1j*lam*t * r)
+        phase = np.multiply(-1j * self.lam * t, r, out=self._spare(vals))
+        np.exp(phase, out=phase)
+        np.multiply(vals, phase, out=vals)
+        return self._transform(self._forward, vals)
 
     def advance(self, c: np.ndarray) -> np.ndarray:
         h = self.scheme.h
         v = self.scheme.variant
         if v is StepVariant.LIE_TROTTER:
-            return self._nl(c, h) * self._lin_full
-        if v is StepVariant.STRANG_LINEAR_OUTSIDE:
-            return self._nl(c * self._lin_half, h) * self._lin_half
-        return self._nl(self._nl(c, h / 2) * self._lin_full, h / 2)
+            out = self._nl(c, h) / self._size
+            out *= self._lin_full
+        elif v is StepVariant.STRANG_LINEAR_OUTSIDE:
+            half = np.multiply(c, self._lin_half, out=self._work[0])
+            out = self._nl(half, h) / self._size
+            out *= self._lin_half
+        else:
+            mid = self._nl(c, h / 2)
+            np.divide(mid, self._size, out=mid)
+            np.multiply(mid, self._lin_full, out=mid)
+            out = self._nl(mid, h / 2) / self._size
+        return out
 
     def wrap(self, c: np.ndarray) -> SpectralField:
         """The field of a numpy-ordered state; the reorder gather is its only copy."""
@@ -117,7 +156,7 @@ def _mass(c: np.ndarray) -> float:
 
 def step(f: SpectralField, scheme: StepScheme, lam: float) -> SpectralField:
     """Advance one time step with the given splitting variant (no mass projection)."""
-    st = _Stepper(f.grid, scheme, lam)
+    st = _Stepper(f.grid, scheme, lam, f.coeffs.shape)
     return st.wrap(st.advance(st.reorder(f.coeffs)))
 
 

@@ -1,6 +1,7 @@
 """Super-actions, instability detection, trajectory recording, and emission."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from torusnls import (
     u_to_xi,
     weighted_deviation,
 )
-from torusnls._serialize import format_float
+from torusnls._serialize import format_float, write_csv
 from torusnls.diagnostics import _BLOCK_ROWS, TrajectoryDiagnostics, _block_rows
 from torusnls.spectral import _row_sums
 
@@ -467,6 +468,32 @@ def test_emit_files(grid16, table16, make_datum, tmp_path):
     assert meta["runid"] == "unit"
     assert math.isnan(meta["note"])
     assert meta["h"] == H
+
+
+def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make_datum, tmp_path):
+    # the series, formatted 512 rows per pass, equals write_csv's cell-by-cell
+    # text, NaN in D included (rows 30 and 70 fail the xi map, as in the
+    # recorder test); the run repeated 11 times ends on a partial pass
+    fields = _trajectory(make_datum, grid16, (0,), 99)
+    fields[30] = SpectralField(grid16, 2.0 * fields[30].coeffs)
+    c = fields[70].coeffs.copy()
+    c[grid16.index_of(0)] = 0.0
+    fields[70] = SpectralField(grid16, c * (RHO / math.sqrt(float(np.sum(np.abs(c) ** 2)))))
+    rec = TrajectoryRecorder(table16, s=5.0, metadata={"runid": "nan"})
+    for n, u in enumerate(fields):
+        rec(n, u)
+    d = rec.finalize()
+    assert np.flatnonzero(np.isnan(d.deviation)).tolist() == [30, 70]
+    columns = ("times", "mass", "orbital_distance", "deviation")
+    long = dataclasses.replace(d, **{k: np.tile(getattr(d, k), 11) for k in columns})
+    for diag, nans in ((d, 2), (long, 22)):
+        emit(diag, str(tmp_path / "emit"))
+        reference = tmp_path / "reference.csv"
+        write_csv(str(reference), ("t", "mass", "orbital_distance", "D"),
+                  zip(*(getattr(diag, k).tolist() for k in columns)))
+        got = (tmp_path / "emit" / "nan_series.csv").read_bytes()
+        assert got == reference.read_bytes()
+        assert got.count(b",NaN\n") == nans
 
 
 def test_emit_empty_trajectory(table16, tmp_path):

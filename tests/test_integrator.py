@@ -268,6 +268,35 @@ def test_stepper_advance_matches_fftn_reference(rng, d, K, variant):
     assert np.array_equal(st.wrap(c).coeffs, np.fft.fftshift(c))
 
 
+@pytest.mark.parametrize("d, K", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("variant", list(StepVariant))
+def test_stepper_returns_fresh_arrays_and_keeps_its_input(rng, d, K, variant):
+    # the work arrays stay inside the stepper: advance never writes to its
+    # input or to an array it returned, and step's results share no memory
+    from torusnls.integrator import _Stepper
+
+    grid = Grid(K=K, d=d)
+    scheme = StepScheme(variant, 0.04)
+    st = _Stepper(grid, scheme, -1.0)
+    c = np.fft.ifftshift(_random_field(grid, rng, scale=0.3).coeffs)
+    c0 = c.copy()
+    r1 = st.advance(c)
+    r1_copy = r1.copy()
+    r2 = st.advance(r1)
+    r3 = st.advance(r1)
+    assert np.array_equal(c, c0) and np.array_equal(r1, r1_copy)
+    assert np.array_equal(r2, r3) and not np.shares_memory(r2, r3)
+    f = _random_field(grid, rng, scale=0.3)
+    g1 = step(f, scheme, -1.0)
+    g2 = step(g1, scheme, -1.0)
+    assert not np.shares_memory(g1.coeffs, g2.coeffs)
+    assert np.array_equal(g1.coeffs, step(f, scheme, -1.0).coeffs)
+    # a batch gets work arrays of its own shape and each row the bits of its field
+    batch = step(SpectralField.stack(grid, [f.coeffs, g1.coeffs]), scheme, -1.0)
+    assert np.array_equal(batch.coeffs[0], g1.coeffs)
+    assert np.array_equal(batch.coeffs[1], g2.coeffs)
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         StepScheme(StepVariant.LIE_TROTTER, 0.0)
