@@ -52,9 +52,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# Tolerance for detecting complete resonances: h*(k.varpi) within this
+# Tolerance for detecting complete resonances: h*(k.freq) within this
 # fraction of 2*pi from a multiple of 2*pi.  Exact equality is measure-zero
-# in floating point; false positives only add checks.
+# in floating point, so a near-resonance inside this window counts as
+# complete and fails part (c), even where part (b) would pass it.
 _RESONANCE_TOL = 1e-9 * _TWO_PI
 
 

@@ -379,6 +379,50 @@ def test_assumption2_varpi_routing(grid2, grid16):
         check_assumption2(t16, N=2, c2=8.0, delta2=0.1, s2=10.0, eps_hat=1.0)
 
 
+def test_assumption2_routes_split_on_a_near_resonance():
+    # the one disagreeing draw of the d = 3 route-agreement scan under CFL
+    # (h/cfl_max_h = 0.49): both routes find e_3 + e_12 + e_20 - e_36 (classes
+    # named by |j|^2) nearly resonant, but only h*(k.varpi) = 2.9e-9 falls
+    # inside the complete-resonance tolerance 2*pi*1e-9; h*(k.omega) = 2.2e-8
+    # is a small divisor that passes part (b)
+    grid = Grid(K=4, d=3)
+    t = build_frequency_table(
+        0.007857467762084654, math.sqrt(0.5268103245109661), 1, (0, 0, 0), grid
+    )
+    combo = (
+        ((-1, -1, -1), 1), ((-2, -2, -2), 1), ((-4, -2, 0), 1), ((-4, -4, -2), -1)
+    )
+    ro = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0)
+    assert ro.holds and ro.n_vectors == 658688
+    assert ro.tightest.k == combo and ro.tightest.lhs == 0.05
+    assert ro.tightest.delta == pytest.approx(2.768035145095382e-06, rel=1e-6)
+    rv = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0, eps_hat=1.0)
+    assert rv.part_a_ok and not rv.part_c_verdict and not rv.holds
+    w = rv.witnesses[0]
+    assert w.kind == "complete-resonance" and w.k == combo
+    assert w.delta == pytest.approx(3.713333143195996e-07, rel=1e-6)
+
+
+@pytest.mark.parametrize("h_over_cfl", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("lam", [-1, 1])
+def test_assumption2_fails_at_cfl_steps_for_small_rho(lam, h_over_cfl):
+    # a CFL step does not give non-resonance at the shipped constants once rho
+    # is small: 4*omega_1 - omega_2 is the rho -> 0 shadow of 4*1 - 4 = 0, its
+    # delta (about 0.03 at rho = 0.1) shrinks like rho^2 whatever h, and
+    # lhs = 2^4/(1^8 * 2^2) = 4 exceeds rhs = c2*delta^(N/s2)
+    rho = 0.1
+    h = h_over_cfl * cfl_max_h(1, 2, rho, 4)
+    t = build_frequency_table(h, rho, lam, (0,), Grid(K=2, d=1))
+    assert check_assumption1(t).holds
+    r = check_assumption2(t, N=4, c2=8.0, delta2=0.1, s2=20.0)
+    assert not r.holds and r.n_vectors == 56
+    w = r.witnesses[0]
+    assert w.k == (((-1,), 4), ((-2,), -1))
+    assert w.l == (-2,)
+    assert w.lhs == 4.0
+    assert w.kind == "small-divisor"
+
+
 def test_assumption2_rejects_flagged_tables(grid16, grid2):
     t = build_frequency_table(0.042, RHO, -1, (0,), grid16)
     with pytest.raises(DomainError):

@@ -23,7 +23,10 @@ epsilon = 0.01, s = 5, carrier at the origin):
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
 whole blocks; emit_us_per_row: one emit); a figure is the best (and the
-median) over --repeats loops.
+median) over --repeats loops.  The loops run in rounds: each round times
+every figure of the grid once on each side, after one untimed round, so no
+figure is the first to run in a cold process and a burst of load on the host
+spreads over several figures rather than taking one figure's median.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
 current package's, so both see the same host speed.
@@ -146,16 +149,20 @@ def main() -> None:
         for d, K in GRIDS:
             block = current.diagnostics._block_rows(current.Grid(K=K, d=d))
             grid_cases = {side: cases(pkg, d, K, block, out_dir) for side, pkg in sides.items()}
-            for name in grid_cases["current"]:
-                times: dict = {side: [] for side in sides}
-                for r in range(args.repeats):
-                    order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            names = list(grid_cases["current"])
+            times = {side: {name: [] for name in names} for side in sides}
+            for r in range(-1, args.repeats):  # round -1 warms up and is not kept
+                order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+                for name in names:
                     for side in order:
-                        times[side].append(loop_us(grid_cases[side][name], args.calls))
-                for side, ts in times.items():
-                    result[side].setdefault(f"d{d}_K{K}", {})[name] = {
-                        "best": min(ts), "median": statistics.median(ts)
-                    }
+                        t = loop_us(grid_cases[side][name], args.calls)
+                        if r >= 0:
+                            times[side][name].append(t)
+            for side in sides:
+                result[side][f"d{d}_K{K}"] = {
+                    name: {"best": min(ts), "median": statistics.median(ts)}
+                    for name, ts in times[side].items()
+                }
     result["cpu_count"] = os.cpu_count()
     result["loadavg"] = list(os.getloadavg())
     print(json.dumps(result))
