@@ -17,15 +17,18 @@ The non-resonance checker enumerates signed integer combinations of frequency
 classes and verifies a small-divisor lower bound plus the absence of complete
 resonances.  A class is the set of nonzero modes sharing the integer pair
 (n(j), shift(j)), on which omega_j and varpi_j depend alone, so two modes whose
-frequencies agree only by coincidence stay in separate classes.  The
-combinations come one total order at a time, each order in a fixed
-lexicographic order, in numpy blocks of at most 4096 vectors (one small-integer
-row per class), so memory stays bounded whatever the count.  numpy sums k.freq
-over a block column by column in class order, which is the scalar
-left-to-right sum, and screens out the rows that can be neither small divisors
-nor complete resonances; the few rows left are decided by scalar code with
-math.remainder, math.sin and Python powers.  The report is therefore the same
-bit for bit as a one-vector-at-a-time enumeration.
+frequencies agree only by coincidence stay in separate classes.  Only the
+combinations whose angle h*(k.freq) lies near a multiple of 2*pi can be small
+divisors or complete resonances, and the checker finds those by a
+meet-in-the-middle search (Horowitz and Sahni, J. ACM 21, 1974): the classes
+split into two halves, and a half-vector is paired with those of the other
+half whose angles nearly cancel its own, found by binary search among them
+sorted.  numpy then sums k.freq over the pairs column by column in class
+order, which is the scalar left-to-right sum, and screens out the rows that
+can be neither; the few rows left are decided by scalar code with
+math.remainder, math.sin and Python powers, one total order at a time and
+each order in the fixed lexicographic enumeration order.  The report is
+therefore the same bit for bit as a one-vector-at-a-time enumeration.
 """
 
 from __future__ import annotations
@@ -341,94 +344,187 @@ class ResonanceReport:
     n_violations: int
 
 
-# Most k-vectors one enumeration block holds: the block's int8 codes and the
-# float64 arrays derived from them stay within a few hundred kilobytes.
-_BLOCK_ROWS = 4096
+# Most half-vectors, candidate pairs or screened rows one numpy pass handles.
+_CHUNK = 1 << 13
 
 
-def _codes(r: int) -> list[int]:
-    """Coefficients of magnitude <= r in enumeration order 0, +1, -1, +2, -2, ..."""
-    return [0] + [s * m for m in range(1, r + 1) for s in (1, -1)]
+def _order_counts(ncls: int, top: int) -> list[list[int]]:
+    """counts[m][r]: the signed integer vectors over m classes with sum |k_c| = r."""
+    counts = [[1] + [0] * top]
+    for _ in range(ncls):
+        prev = counts[-1]
+        counts.append([prev[r] + 2 * sum(prev[:r]) for r in range(top + 1)])
+    return counts
 
 
-class _KVectors:
-    """Signed integer vectors over ncls classes with 1 <= sum |k_c| <= top, in blocks.
+def _rank_table(counts: list[list[int]], ncls: int, top: int) -> np.ndarray:
+    """earlier[m, r, i]: with order r left for a class and the m classes after it,
+    the vectors whose coefficient on that class comes before the i-th code of
+    0, +1, -1, +2, -2, ... (code i has magnitude (i + 1) // 2)."""
+    left = np.arange(top + 1)[:, None] - (np.arange(2 * top + 1) + 1) // 2
+    after = np.array(counts[:ncls], np.int64)[:, np.maximum(left, 0)]
+    each = np.where(left >= 0, after, 0)
+    return np.cumsum(each, axis=2) - each
 
-    Orders t = sum |k_c| come one after another.  Within one order the
-    vectors are in lexicographic order of the per-class coefficients
-    0, +1, -1, +2, -2, ..., class 0 most significant.  A subtree of that
-    order (classes c.. sharing a prefix, remaining order r) holding at most
-    _BLOCK_ROWS vectors is one table, built once per (c, r); larger subtrees
-    are split on class c.  Consecutive subtrees are packed into blocks of at
-    most _BLOCK_ROWS columns, so no order is ever held whole.
+
+def _spans(first: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every j in range(first[i], first[i] + size[i]), i ascending."""
+    i = np.repeat(np.arange(len(size)), size)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(size) - size - first, size)
+    return i, j
+
+
+def _quarter_codes(m: int, top: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every signed integer vector over m classes with sum |k_c| <= top, by order:
+    codes of shape (m, count), each vector's order, and where each order starts."""
+    k = np.zeros((0, 1), dtype)
+    order = np.zeros(1, np.int64)
+    for _ in range(m):
+        room = top - order  # the largest |coefficient| the next class may take
+        i, v = _spans(-room, 2 * room + 1)
+        k = np.concatenate((k[:, i], v[None].astype(dtype)))
+        order = order[i] + np.abs(v)
+    by = np.argsort(order, kind="stable")
+    order = order[by]
+    return k[:, by], order, np.searchsorted(order, np.arange(top + 2))
+
+
+def _pieces(size: np.ndarray):
+    """(start, stop) ranges covering size in order, each summing to about _CHUNK
+    at most: more only where one entry alone exceeds it."""
+    ends = np.cumsum(size)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, total, _CHUNK), "right").tolist()
+    return zip([0, *cuts], [*cuts, len(size)])
+
+
+def _circular_pairs(a: np.ndarray, b: np.ndarray, w: float):
+    """Index pairs (i, j) with a[i] + b[j] within w of a multiple of 2*pi, for
+    angles in [0, 2*pi] and b sorted ascending, in pieces of about _CHUNK: b[j]
+    in 2*pi - a[i] +- w, where the b within w of 0 or of 2*pi are also looked
+    for one turn further round.  No b is found twice while 2w < 2*pi; from
+    there on every pair is returned."""
+    if 2.0 * w < _TWO_PI:
+        lo = np.searchsorted(b, w, "right")
+        hi = np.searchsorted(b, _TWO_PI - w, "left")
+        turned = np.concatenate((b[hi:] - _TWO_PI, b, b[:lo] + _TWO_PI))  # b[(hi + p) % n]
+        target = _TWO_PI - a
+        first = np.searchsorted(turned, target - w, "left")
+        size = np.searchsorted(turned, target + w, "right") - first
+    else:
+        hi, first, size = 0, np.zeros(len(a), np.int64), np.full(len(a), len(b))
+    for q0, q1 in _pieces(size):
+        i, j = _spans(first[q0:q1], size[q0:q1])
+        yield i + q0, (j + hi) % len(b)
+
+
+def _screened_rows(
+    class_freqs: list[float], h: float, counts: list[list[int]], rem_hi: float, w: float
+):
+    """The class vectors of order 1..top whose k.freq passes the screen
+    |remainder(h*(k.freq), 2*pi)| <= rem_hi, in enumeration order, in chunks:
+    yields (t, codes of shape (ncls, rows), k.freq, rank among the order-t
+    vectors).
+
+    The classes split into a head [0, m) and a tail [m, ncls), m = ncls // 2,
+    and each half into two quarters.  Each quarter's vectors of order <= top
+    are held with their angles h*(k.freq) mod 2*pi; a half's vectors of one
+    order are the pairs of its quarters' vectors with the orders summing to
+    it, angles added mod 2*pi.  For every split r + (t - r) = t the smaller of
+    the two half sets is sorted by angle, and the larger is streamed in chunks
+    past it: each of its vectors is paired, by binary search, with the vectors
+    of the sorted side whose angles lie within w of minus its own.  Those
+    candidates are screened with k.freq summed left to right in class order,
+    the scalar sum, and ranked in the lexicographic order of the per-class
+    codes 0, +1, -1, +2, -2, ..., class 0 most significant.
     """
+    ncls, top = len(class_freqs), len(counts[0]) - 1
+    dtype = np.min_scalar_type(-2 * top - 2)  # holds 2*top + 1
+    earlier = _rank_table(counts, ncls, top)
+    after = np.arange(ncls - 1, -1, -1)[:, None]  # classes after each class
+    m = ncls // 2
+    bounds = (0, m // 2, m, m + (ncls - m) // 2, ncls)
+    tables: dict = {}
+    quarters = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo not in tables:
+            tables[hi - lo] = _quarter_codes(hi - lo, top, dtype)
+        k, order, starts = tables[hi - lo]
+        angle = np.zeros(k.shape[1])
+        for c in range(lo, hi):
+            angle += np.multiply(k[c - lo], class_freqs[c], dtype=np.float64)
+        angle *= h
+        quarters.append((k, order, starts, np.mod(angle, _TWO_PI, out=angle)))
 
-    def __init__(self, ncls: int, top: int):
-        self.ncls = ncls
-        self.top = top
-        self.dtype = np.min_scalar_type(-top)
-        # counts[m][r]: vectors over m classes with total order exactly r
-        self.counts = [[1] + [0] * top]
-        for _ in range(ncls):
-            prev = self.counts[-1]
-            self.counts.append([prev[r] + 2 * sum(prev[:r]) for r in range(top + 1)])
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
+    def half_chunks(side: int, r: int):
+        """(x, y, angle) chunks over the half's vectors of order r: indices into
+        its two quarters, and angles."""
+        (_, ox, sx, ax), (_, _, sy, ay) = quarters[2 * side:2 * side + 2]
+        nx = sx[r + 1]  # the first quarter's vectors of order <= r
+        first = sy[r - ox[:nx]]
+        size = sy[r - ox[:nx] + 1] - first
+        for x0, x1 in _pieces(size):
+            x, y = _spans(first[x0:x1], size[x0:x1])
+            x += x0
+            yield x, y, np.mod(ax[x] + ay[y], _TWO_PI)
 
-    def _size(self, c: int, r: int) -> int:
-        return self.counts[self.ncls - c][r]
+    sorted_halves: dict = {}
 
-    def _table(self, c: int, r: int) -> np.ndarray:
-        """Codes of classes c.. over all vectors of order r, shape (ncls - c, size)."""
-        if c == self.ncls:
-            return np.empty((0, 1 if r == 0 else 0), self.dtype)
-        key = (c, r)
-        if key not in self._tables:
-            parts = []
-            for v in _codes(r):
-                sub = self._table(c + 1, r - abs(v))
-                part = np.empty((self.ncls - c, sub.shape[1]), self.dtype)
-                part[0] = v
-                part[1:] = sub
-                parts.append(part)
-            self._tables[key] = np.concatenate(parts, axis=1)
-        return self._tables[key]
+    def sorted_half(side: int, r: int):
+        """The half's vectors of order r in one (x, y, angle) chunk, by angle."""
+        if (side, r) not in sorted_halves:
+            x, y, angle = (np.concatenate(a) for a in zip(*half_chunks(side, r)))
+            by = np.argsort(angle)
+            sorted_halves[side, r] = x[by], y[by], angle[by]
+        return sorted_halves[side, r]
 
-    def _pieces(self, prefix: tuple[int, ...], r: int):
-        """(prefix, r) for every table-sized subtree below prefix, in order."""
-        c = len(prefix)
-        size = self._size(c, r)
-        if size <= _BLOCK_ROWS:
-            if size:
-                yield prefix, r
-            return
-        for v in _codes(r):
-            yield from self._pieces(prefix + (v,), r - abs(v))
+    def rows(index: list) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the vectors with these indices into the four quarters, and
+        k.freq summed left to right in class order, as the scalar sum would be."""
+        k = np.concatenate([q[0][:, i] for q, i in zip(quarters, index)])
+        dot = np.zeros(k.shape[1])
+        for c in range(ncls):
+            dot += np.multiply(k[c], class_freqs[c], dtype=np.float64)
+        return k, dot
 
-    def _assemble(self, group: list, rows: int) -> np.ndarray:
-        k = np.empty((self.ncls, rows), self.dtype)
-        o = 0
-        for prefix, r in group:
-            c = len(prefix)
-            sub = self._table(c, r)
-            n = sub.shape[1]
-            k[:c, o:o + n].T[...] = prefix  # the prefix in every column
-            k[c:, o:o + n] = sub
-            o += n
-        return k
+    def screen(t: int, pairs: list) -> tuple[np.ndarray, ...]:
+        """Quarter indices and ranks of the candidate pairs the screen keeps."""
+        index = [np.concatenate(a) for a in zip(*pairs)]
+        k, dot = rows(index)
+        theta = h * dot
+        keep = np.abs(theta - _TWO_PI * np.rint(theta / _TWO_PI)) <= rem_hi
+        k = k[:, keep]
+        mag = np.abs(k)
+        left = t - np.cumsum(mag, axis=0, dtype=dtype) + mag  # order left at each class
+        rank = earlier[after, left, 2 * mag - (k > 0)].sum(axis=0)
+        # an order's kept rows are all held until they are ranked
+        return (*(i[keep].astype(np.int32) for i in index), rank)
 
-    def blocks(self):
-        """Yield (ncls, rows) code arrays: orders 1..top, each in enumeration order."""
-        for order in range(1, self.top + 1):
-            group: list = []
-            rows = 0
-            for prefix, r in self._pieces((), order):
-                size = self._size(len(prefix), r)
-                if rows + size > _BLOCK_ROWS:
-                    yield self._assemble(group, rows)
-                    group, rows = [], 0
-                group.append((prefix, r))
-                rows += size
-            yield self._assemble(group, rows)
+    for t in range(1, top + 1):
+        kept, pairs, npairs = [], [], 0
+        for r in range(t + 1):
+            orders = (r, t - r)
+            sizes = (counts[m][r], counts[ncls - m][t - r])
+            if not min(sizes):
+                continue
+            big = int(sizes[1] > sizes[0])  # streamed; the other side is sorted
+            sx, sy, sangle = sorted_half(1 - big, orders[1 - big])
+            for x, y, angle in half_chunks(big, orders[big]):
+                for i, j in _circular_pairs(angle, sangle, w):
+                    found = ((x[i], y[i]), (sx[j], sy[j]))
+                    pairs.append(found[big] + found[1 - big])
+                    npairs += len(i)
+                    if npairs >= _CHUNK:
+                        kept.append(screen(t, pairs))
+                        pairs, npairs = [], 0
+        if pairs:
+            kept.append(screen(t, pairs))
+        *index, rank = (np.concatenate(a) for a in zip(*kept))
+        del kept, pairs
+        by = np.argsort(rank, kind="stable")
+        for start in range(0, len(by), _CHUNK):
+            chunk = by[start:start + _CHUNK]
+            yield t, *rows([i[chunk] for i in index]), rank[chunk]
 
 
 def check_assumption2(
@@ -455,9 +551,19 @@ def check_assumption2(
     complete resonance, which always violates part (c) because the enumerated
     class combination is nonzero.  Enumeration stops at the first violation
     unless exhaustive is set, in which case every violation is recorded.
+
+    The vectors are not visited one by one.  The classes split into a head and
+    a tail half; for each total order and each split of it between the halves,
+    the half-vectors are paired whose angles h*(k.freq) mod 2*pi sum to within
+    a window of a multiple of 2*pi.  The window is the screen's bound on
+    |remainder(h*(k.freq), 2*pi)|, widened by a bound on the float error of
+    the angles, so no vector the screen keeps is missed.  The pairs are
+    screened as one-by-one enumeration would screen them, ranked in its order,
+    and evaluated in that order, so the report, n_vectors at a first violation
+    included, is the one-by-one enumeration's.
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise DomainError(f"N must be an integer >= 1, got {N!r}")
     if not (c2 > 0.0 and delta2 > 0.0 and s2 > 0.0):
         raise DomainError("c2, delta2 and s2 must be positive")
     if not (eps_hat >= 0.0):
@@ -517,7 +623,6 @@ def check_assumption2(
         + 1e-15 * (1.0 + theta_max)
     )
 
-    n_vectors = 0
     n_small = 0
     violations: list[ComboWitness] = []
     tightest: ComboWitness | None = None
@@ -578,23 +683,28 @@ def check_assumption2(
                     tightest_margin = margin
                     tightest = make_witness(kvec, delta, lhs, rhs, "small-divisor")
 
-    for k in _KVectors(ncls, top).blocks():
-        rows = k.shape[1]
-        # k.freq summed left to right in class order, as the scalar sum would be
-        dot = np.zeros(rows)
-        for c in range(ncls):
-            dot += np.multiply(k[c], class_freqs[c], dtype=np.float64)
-        theta = h * dot
-        rem = np.abs(theta - _TWO_PI * np.rint(theta / _TWO_PI))
-        for i in np.flatnonzero(rem <= rem_hi).tolist():
-            evaluate(k[:, i].tolist(), float(dot[i]))
+    # The search compares float angles: each quarter's sum of products times h,
+    # reduced mod 2*pi; sums of two of those, reduced again; and the window's
+    # ends 2*pi - angle +- w.  The screen's theta and remainder are floats
+    # too.  Each of these four (the screen, the head's angle, the tail's angle,
+    # the window) is within (ncls + 8)*u*(theta_max + 4*pi) of its exact value,
+    # u = 2**-53: the products, at most ncls additions and the multiplication
+    # by h err by at most (ncls + 1)*u*theta_max, and each reduction mod 2*pi,
+    # sum of two angles or shift by 2*pi by at most u*4*pi, four of them at
+    # most.  w widens rem_hi by four times that bound, so every row the screen
+    # keeps is a candidate.
+    w = rem_hi + 4.0 * (ncls + 8) * 2.0**-53 * (theta_max + 2.0 * _TWO_PI)
+    counts = _order_counts(ncls, top)
+    for t, k, dot, rank in _screened_rows(class_freqs, h, counts, rem_hi, w):
+        for kvec, d, r in zip(k.T.tolist(), dot.tolist(), rank.tolist()):
+            evaluate(kvec, d)
             if stop:
-                n_vectors += i + 1
+                n_vectors = sum(counts[ncls][1:t]) + r + 1
                 break
-        else:
-            n_vectors += rows
         if stop:
             break
+    else:
+        n_vectors = sum(counts[ncls][1:])
 
     holds = part_a_ok and part_b_ok and part_c_ok
     return ResonanceReport(

@@ -1,5 +1,5 @@
-"""Block enumeration of the non-resonance checker against two oracles: the
-brute-force mode-level enumeration and the class-level recursion."""
+"""The non-resonance checker's meet-in-the-middle search against two oracles:
+the brute-force mode-level enumeration and the class-level recursion."""
 
 import itertools
 import math
@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from torusnls import Grid, build_frequency_table, cfl_max_h, check_assumption2
+from torusnls import Grid, build_frequency_table, cfl_max_h, check_assumption2, stability
 from torusnls._serialize import dumps
 
 from resonance_oracle import canonical_witness, class_level_report, oracle_violations
@@ -133,8 +133,8 @@ def test_first_violation_has_minimal_order():
 
 
 def test_enumeration_memory_is_bounded(grid16):
-    # the full N = 5 enumeration at the defaults (1,884,960 vectors) runs in
-    # blocks; holding one total order at once would take tens of megabytes
+    # the full N = 5 enumeration at the defaults (1,884,960 vectors) holds
+    # quarter- and half-vectors and candidate pairs, never a total order
     table = build_frequency_table(0.04, math.sqrt(0.4), -1, (0,), grid16)
     tracemalloc.start()
     try:
@@ -160,3 +160,72 @@ def test_screen_passes_rows_at_the_small_divisor_threshold():
         reports.append(report)
     assert reports[0].tightest.delta == edge
     assert reports[0].n_small_divisors > reports[1].n_small_divisors
+
+
+# nonzero d = 1 carriers, by K, that leave at most seven frequency classes
+_CARRIERS = {2: (1,), 3: (1, 2), 4: (1, 2, 3), 6: (3,)}
+
+
+def test_search_matches_class_level_reference_on_random_draws(monkeypatch):
+    # 1 class leaves the head half empty and odd counts split unequally; two
+    # draws in four stream the half sets in chunks of 4 and screen their
+    # candidates about 4 pairs at a time, so both constant sets meet both
+    rng = np.random.default_rng(21)
+    seen = set()
+    for draw in range(70):
+        K = int(rng.integers(1, 8))
+        ell = 0
+        if K in _CARRIERS and rng.random() < 0.4:
+            ell = int(rng.choice(_CARRIERS[K]))
+        N = int(rng.integers(1, 5))
+        lam = int(rng.choice([-1, 1]))
+        h = float(rng.uniform(0.02, 0.6))
+        table = build_frequency_table(h, math.sqrt(rng.uniform(0.05, 0.45)), lam, (ell,),
+                                      Grid(K=K, d=1))
+        if not bool(np.all(table.omega_status[table.grid.nonzero] == "ok")):
+            continue
+        eps_hat = 0.0
+        if table.eps_hat is not None and rng.random() < 0.5:
+            eps_hat = float(rng.choice([table.eps_hat, 1.0]))
+        c2, delta2, s2 = ((8.0, 0.1, 5.0 * N), (0.05, 0.5, 10.0 * N))[draw % 2]
+        exhaustive = bool(rng.random() < 0.5)
+        monkeypatch.setattr(stability, "_CHUNK", 4 if draw % 4 < 2 else 1 << 13)
+        report = check_assumption2(table, N, c2, delta2, s2, eps_hat, exhaustive)
+        reference = class_level_report(table, N, c2, delta2, s2, eps_hat, exhaustive)
+        assert dumps(asdict(report)) == dumps(asdict(reference))
+        ncls = len(table.frequency_classes[0])
+        seen |= {("classes", ncls), ("N", N), ("route", report.freq_source),
+                 ("exhaustive", exhaustive), ("carrier", ell != 0), ("holds", report.holds)}
+    assert {("classes", c) for c in range(1, 8)} <= seen
+    assert {("N", n) for n in range(1, 5)} <= seen
+    assert {("route", "omega"), ("route", "varpi"), ("exhaustive", True),
+            ("exhaustive", False), ("carrier", True), ("holds", True),
+            ("holds", False)} <= seen
+
+
+def test_search_pairs_everything_when_the_window_covers_the_circle(monkeypatch):
+    # delta2*h >= 2 makes every vector a small divisor: the window passes a
+    # whole turn, and all pairs go to the screen in pieces of about _CHUNK
+    monkeypatch.setattr(stability, "_CHUNK", 16)
+    table = build_frequency_table(0.5, math.sqrt(0.4), -1, (0,), Grid(K=4, d=1))
+    report = check_assumption2(table, 3, 1e3, 5.0, 15.0, exhaustive=True)
+    reference = class_level_report(table, 3, 1e3, 5.0, 15.0, exhaustive=True)
+    assert dumps(asdict(report)) == dumps(asdict(reference))
+    assert report.n_small_divisors == report.n_vectors == 320
+
+
+def test_circular_pairs_wrap_at_both_ends():
+    # a just above 0 meets b just below 2*pi and b just above 0, and a just
+    # below 2*pi meets both as well: each pair once, found one turn round
+    two_pi = 2.0 * math.pi
+    a = np.array([1e-7, two_pi - 1e-7, 1.0, 3.0])
+    b = np.array([2e-7, 2.5e-6, 3.2831853071795862, two_pi - 3e-7])
+
+    def pairs(w):
+        return sorted((p, q) for i, j in stability._circular_pairs(a, b, w)
+                      for p, q in zip(i.tolist(), j.tolist()))
+
+    assert pairs(1e-6) == [(0, 0), (0, 3), (1, 0), (1, 3), (3, 2)]
+    # from a window of half a turn every pair is returned, once
+    every = [(p, q) for p in range(4) for q in range(4)]
+    assert pairs(math.pi) == pairs(4.0) == every

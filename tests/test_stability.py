@@ -468,6 +468,18 @@ def test_assumption2_parameter_validation(grid2):
             check_assumption2(t, N=2, **{"c2": 8.0, "delta2": 0.1, "s2": 5.0, **bad})
 
 
+def test_assumption2_rejects_a_float_order(grid2):
+    t = build_frequency_table(0.1, RHO, -1, (0,), grid2)
+    with pytest.raises(DomainError, match=r"^N must be an integer >= 1, got 2\.5$"):
+        check_assumption2(t, N=2.5, c2=8.0, delta2=0.1, s2=5.0)
+
+
+def test_assumption2_rejects_a_bool_order(grid2):
+    t = build_frequency_table(0.1, RHO, -1, (0,), grid2)
+    with pytest.raises(DomainError, match=r"^N must be an integer >= 1, got True$"):
+        check_assumption2(t, N=True, c2=8.0, delta2=0.1, s2=5.0)
+
+
 def test_assumption2_complete_resonance():
     # force h * omega onto a multiple of 2*pi: every combination is resonant
     g = Grid(K=1, d=1)

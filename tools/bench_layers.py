@@ -21,9 +21,15 @@ epsilon = 0.01, s = 5, carrier at the origin):
   temporary directory, per spectrum row.  Each side emits the run its own
   package recorded.
 
+and, for the non-resonance enumerator, one `check_assumption2` call at each
+point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
+(d = 1, K = 12, N = 5, c2 = 8, delta2 = 0.1, s2 = 25, lambda = -1) and the
+`check` defaults (K = 16, h = 0.04, rho^2 = 0.4).  Its figures are ms per
+call and vectors per second, n_vectors over the call's time.
+
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
-whole blocks; emit_us_per_row: one emit); a figure is the best (and the
-median) over --repeats loops.  The loops run in rounds: each round times
+whole blocks; emit_us_per_row: one emit; the enumerator: ENUM_CALLS calls);
+a figure is the best (and the median) over --repeats loops.  The loops run in rounds: each round times
 every figure of the grid once on each side, after one untimed round, so no
 figure is the first to run in a cold process and a burst of load on the host
 spreads over several figures rather than taking one figure's median.
@@ -49,6 +55,10 @@ import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
 EMIT_STEPS = 300
+# (K, h, rho^2) at N = 5
+ENUM_POINTS = ((12, 0.042, 0.4), (12, 0.05, 0.4), (12, 0.06, 0.2), (12, 0.06, 0.4),
+               (16, 0.04, 0.4))
+ENUM_CALLS = 3
 
 
 def load_package(src: str, name: str) -> str:
@@ -126,6 +136,39 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     return out
 
 
+def enumerator_cases(pkg: str) -> dict:
+    """Point name -> (the loop of ENUM_CALLS check_assumption2 calls, the
+    calls' n_vectors)."""
+    stability = importlib.import_module(f"{pkg}.stability")
+    spectral = importlib.import_module(f"{pkg}.spectral")
+    out = {}
+    for K, h, rho2 in ENUM_POINTS:
+        table = stability.build_frequency_table(h, math.sqrt(rho2), -1, (0,),
+                                                spectral.Grid(K=K, d=1))
+
+        def run(table=table):
+            for _ in range(ENUM_CALLS):
+                report = stability.check_assumption2(table, 5, 8.0, 0.1, 25.0)
+            return report.n_vectors
+
+        out[f"K{K}_h{h}_rho2_{rho2}"] = (run, run())
+    return out
+
+
+def rounds(sides: list, names: list, time_one, repeats: int) -> dict:
+    """side -> name -> the --repeats times of time_one(side, name), taken in
+    rounds after one untimed round, the side that goes first alternating."""
+    times = {side: {name: [] for name in names} for side in sides}
+    for r in range(-1, repeats):  # round -1 warms up and is not kept
+        order = sides if r % 2 == 0 else sides[::-1]
+        for name in names:
+            for side in order:
+                t = time_one(side, name)
+                if r >= 0:
+                    times[side][name].append(t)
+    return times
+
+
 def loop_us(factory, calls: int) -> float:
     fn, n = factory(calls)
     t0 = time.perf_counter()
@@ -149,20 +192,33 @@ def main() -> None:
         for d, K in GRIDS:
             block = current.diagnostics._block_rows(current.Grid(K=K, d=d))
             grid_cases = {side: cases(pkg, d, K, block, out_dir) for side, pkg in sides.items()}
-            names = list(grid_cases["current"])
-            times = {side: {name: [] for name in names} for side in sides}
-            for r in range(-1, args.repeats):  # round -1 warms up and is not kept
-                order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-                for name in names:
-                    for side in order:
-                        t = loop_us(grid_cases[side][name], args.calls)
-                        if r >= 0:
-                            times[side][name].append(t)
+            times = rounds(
+                list(sides), list(grid_cases["current"]),
+                lambda side, name: loop_us(grid_cases[side][name], args.calls),
+                args.repeats,
+            )
             for side in sides:
                 result[side][f"d{d}_K{K}"] = {
                     name: {"best": min(ts), "median": statistics.median(ts)}
                     for name, ts in times[side].items()
                 }
+    enum_cases = {side: enumerator_cases(pkg) for side, pkg in sides.items()}
+
+    def call_ms(side: str, name: str) -> float:
+        t0 = time.perf_counter()
+        enum_cases[side][name][0]()
+        return (time.perf_counter() - t0) / ENUM_CALLS * 1e3
+
+    times = rounds(list(sides), list(enum_cases["current"]), call_ms, args.repeats)
+    for side in sides:
+        result[side]["enumerator"] = {
+            name: {
+                "n_vectors": enum_cases[side][name][1],
+                "ms": {"best": min(ts), "median": statistics.median(ts)},
+                "vectors_per_s": enum_cases[side][name][1] / statistics.median(ts) * 1e3,
+            }
+            for name, ts in times[side].items()
+        }
     result["cpu_count"] = os.cpu_count()
     result["loadavg"] = list(os.getloadavg())
     print(json.dumps(result))

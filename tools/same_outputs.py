@@ -33,6 +33,13 @@ COMMANDS = {
                          "--N", "3", "--exhaustive"),
     # exits 1 at its first small-divisor witness: a non-exhaustive witness's JSON
     "check-k12-witness": ("check", "--K", "12", "--N", "5", "--h", "0.042", "--rho2", "0.2"),
+    # one frequency class: the head half of the meet-in-the-middle search is empty
+    "check-k1-n3": ("check", "--K", "1", "--N", "3"),
+    # exits 1 with 20 witnesses, complete resonances at a nonzero carrier among them
+    "check-k8-ell3-exhaustive": ("check", "--K", "8", "--ell", "3", "--N", "4",
+                                 "--exhaustive"),
+    # 9,173,504 vectors, 5,566 small divisors
+    "check-n6": ("check", "--N", "6"),
     "sweep-k12": ("sweep", "--K", "12", "--N", "5",
                   "--h", "0.042,0.05,0.06", "--rho2", "0.2,0.4,0.6"),
     "dense-2d-300": ("simulate", "--d", "2", "--K", "8", "--scheme",
