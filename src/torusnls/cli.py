@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from ._serialize import dumps, format_float, write_csv
 from .diagnostics import (
+    SpectrumWriter,
     TrajectoryRecorder,
     default_snapshot_windows,
     detect_instability,
@@ -360,83 +361,104 @@ def _run_id(config: RunConfig) -> str:
     return f"nls_{config.scheme}_h{config.h:g}_K{config.K}_seed{config.seed}"
 
 
+def _make_out_dir(out: str) -> None:
+    """Create the output directory before any work; ConfigError when it
+    cannot be made (--out names a file, or a path under one)."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} cannot be a directory: {exc.strerror}") from exc
+
+
 def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     """Integrate a random initial datum and emit trajectory diagnostics.
+
+    The output directory is made before the first step.  The spectrum CSV
+    is written while the run goes on: the recorder streams each block's
+    snapshots into a SpectrumWriter, and emit closes it.  On an exception
+    other than a blow-up the writer is closed too, and the rows written so
+    far stay behind.
 
     The meta JSON records the run's timing (time.perf_counter, in process):
     wall_s, step_s (integration minus observer time), steps_per_s (steps
     over step_s), observe_s (the observer's calls plus the recorder's
-    finalize, which computes the last block of samples) and emit_s; and its
-    environment: the Python and numpy versions and the core count.
+    finalize, which computes the last block of samples, less the time the
+    spectrum writer took in them) and emit_s (both CSVs, the streamed
+    spectrum rows included); and its environment: the Python and numpy
+    versions and the core count.
     """
     started = time.perf_counter()
+    runid = runid or _run_id(config)
     datum = random_initial_datum(config)
     table = build_frequency_table(
         config.h, config.rho, config.lam, config.ell, config.grid()
     )
-    recorder = TrajectoryRecorder(
-        table,
-        config.s,
-        snapshot_windows=default_snapshot_windows(config.horizon),
-        metadata={
-            "runid": runid or _run_id(config),
-            "scheme": config.scheme,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-            "n_steps": config.n_steps,
-            "cadence": config.cadence,
-            "version": __version__,
-        },
-    )
-    observe_s = 0.0
+    _make_out_dir(config.out)
+    with SpectrumWriter(os.path.join(config.out, f"{runid}_spectrum.csv"), table.grid) as spectrum:
+        recorder = TrajectoryRecorder(
+            table,
+            config.s,
+            snapshot_windows=default_snapshot_windows(config.horizon),
+            metadata={
+                "runid": runid,
+                "scheme": config.scheme,
+                "epsilon": config.epsilon,
+                "seed": config.seed,
+                "n_steps": config.n_steps,
+                "cadence": config.cadence,
+                "version": __version__,
+            },
+            spectrum=spectrum,
+        )
+        observe_s = 0.0
 
-    def observe(n: int, u: SpectralField) -> None:
-        nonlocal observe_s
-        t0 = time.perf_counter()
+        def observe(n: int, u: SpectralField) -> None:
+            nonlocal observe_s
+            t0 = time.perf_counter()
+            try:
+                recorder(n, u)
+            finally:
+                observe_s += time.perf_counter() - t0
+
+        blown_up: BlowUpError | None = None
+        integrate_start = time.perf_counter()
         try:
-            recorder(n, u)
-        finally:
-            observe_s += time.perf_counter() - t0
+            integrate(
+                datum,
+                config.step_scheme(),
+                config.lam,
+                config.n_steps,
+                observer=observe,
+                cadence=config.cadence,
+            )
+        except ObserverError as exc:
+            if isinstance(exc.cause, BlowUpError):
+                blown_up = exc.cause
+            else:
+                raise
+        step_s = time.perf_counter() - integrate_start - observe_s
+        steps = config.n_steps if blown_up is None else blown_up.step
 
-    blown_up: BlowUpError | None = None
-    integrate_start = time.perf_counter()
-    try:
-        integrate(
-            datum,
-            config.step_scheme(),
-            config.lam,
-            config.n_steps,
-            observer=observe,
-            cadence=config.cadence,
-        )
-    except ObserverError as exc:
-        if isinstance(exc.cause, BlowUpError):
-            blown_up = exc.cause
-        else:
-            raise
-    step_s = time.perf_counter() - integrate_start - observe_s
-    steps = config.n_steps if blown_up is None else blown_up.step
+        finalize_start = time.perf_counter()
+        diag = recorder.finalize()  # computes the last block of samples
+        observe_s += time.perf_counter() - finalize_start
+        observe_s -= spectrum.seconds  # counted in emit_s
+        if blown_up is not None:
+            diag.metadata["blow_up_step"] = blown_up.step
+            diag.metadata["blow_up_time"] = blown_up.time
+        if diag.times.size and config.epsilon > 0.0:
+            inst = detect_instability(
+                diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
+            )
+            diag.metadata["instability"] = asdict(inst)
+        diag.metadata["environment"] = _environment()
+        diag.metadata["timing"] = {
+            "steps_per_s": steps / step_s if step_s > 0.0 else None,
+            "step_s": step_s,
+            "observe_s": observe_s,
+        }
+        emit(diag, config.out, started, spectrum)
 
-    finalize_start = time.perf_counter()
-    diag = recorder.finalize()  # computes the last block of samples
-    observe_s += time.perf_counter() - finalize_start
-    if blown_up is not None:
-        diag.metadata["blow_up_step"] = blown_up.step
-        diag.metadata["blow_up_time"] = blown_up.time
-    if diag.times.size and config.epsilon > 0.0:
-        inst = detect_instability(
-            diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
-        )
-        diag.metadata["instability"] = asdict(inst)
-    diag.metadata["environment"] = _environment()
-    diag.metadata["timing"] = {
-        "steps_per_s": steps / step_s if step_s > 0.0 else None,
-        "step_s": step_s,
-        "observe_s": observe_s,
-    }
-    emit(diag, config.out, started)
-
-    runid = diag.metadata["runid"]
     if blown_up is not None:
         print(
             f"{runid}: blow-up at step {blown_up.step} "
@@ -502,9 +524,9 @@ def cmd_sweep(config: RunConfig, h_axis: str | None, rho2_axis: str | None) -> i
             pass
         return row
 
+    _make_out_dir(config.out)
     rows = [one(p) for p in points]
 
-    os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, "sweep_summary.csv")
     columns = ("h", "rho", "assumption1", "c1", "assumption2", "max_growth")
     write_csv(out_path, columns, ([row[k] for k in columns] for row in rows))

@@ -25,7 +25,11 @@ complex multiply is not symmetric in its operands.
 File emission writes three artifacts per run id: a series CSV
 (t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
 magnitudes inside configured time windows, and a JSON metadata sidecar.
-All floats are written with 17 significant digits.
+All floats are written with 17 significant digits.  Spectrum rows are
+formatted by one SpectrumWriter: a recorder given one streams each block's
+snapshots into it while the run goes on and keeps none of them, so the
+run's memory does not grow with its length; emit closes that writer, or
+writes a recorder's retained snapshots through a writer of its own.
 """
 
 from __future__ import annotations
@@ -58,11 +62,12 @@ __all__ = [
     "weighted_deviation",
     "detect_instability",
     "default_snapshot_windows",
+    "SpectrumWriter",
     "emit",
 ]
 
-# emit formats the spectrum's magnitudes this many at a time (whole snapshots
-# where they fit)
+# SpectrumWriter formats the magnitudes this many at a time (whole snapshots
+# where they fit), as emit formats the series' values
 _EMIT_VALUES = 2048
 
 # TrajectoryRecorder computes its kept samples' observables in one pass per
@@ -218,6 +223,77 @@ class TrajectoryDiagnostics:
             getattr(self, name).flags.writeable = False
 
 
+class SpectrumWriter:
+    """The spectrum CSV of one run, written a batch of snapshots at a time.
+
+    Columns t, j, abs_uj (j1, ..., jd for d > 1), one row per mode in
+    storage order for each snapshot.  Building one does nothing else: the
+    first write builds the FloatFormatter and the row template (",j,%b" per
+    mode, joined by a snapshot's time), opens path (whose directory must
+    exist) and writes the header; close() after no write leaves the header
+    alone.  write() formats the magnitudes _EMIT_VALUES at a time, as many
+    whole snapshots as fit (a larger snapshot alone, in passes of
+    _EMIT_VALUES), and each snapshot's rows take its cells in one formatting
+    call; the formatter gives format_float's bytes, so a file does not
+    depend on how its snapshots were batched.  seconds is the
+    time.perf_counter total spent in write() and close().  As a context
+    manager it is closed on exit, after an exception too.
+    """
+
+    def __init__(self, path: str, grid: Grid):
+        self.path = path
+        self.grid = grid
+        self.seconds = 0.0
+        self._fh = None
+        self._formatter: FloatFormatter | None = None
+        self._parts: list[bytes] = []
+
+    def _file(self):
+        """The open file, its header written; made at the first call."""
+        if self._fh is None:
+            d = self.grid.d
+            mode_cols = ["j"] if d == 1 else [f"j{i + 1}" for i in range(d)]
+            self._fh = open(self.path, "wb")
+            self._fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
+        return self._fh
+
+    def write(self, times, mags) -> None:
+        """Append the rows of the snapshots at times (floats); mags[i] holds
+        the grid-shaped magnitudes of snapshot i (a sequence of arrays, or
+        one array with a leading snapshot axis).  After close() it raises
+        ValueError, as a closed file does."""
+        if not len(times):
+            return
+        start = time.perf_counter()
+        if self._formatter is None:
+            self._formatter = FloatFormatter(_EMIT_VALUES)
+            self._parts = [
+                b"", *(f",{','.join(map(str, j))},%b\n".encode() for j in self.grid.modes())
+            ]
+        fh = self._file()
+        size = self.grid.size
+        per_pass = max(1, _EMIT_VALUES // size)
+        for first in range(0, len(times), per_pass):
+            cells = self._formatter(np.asarray(mags[first : first + per_pass]))
+            for i, t in enumerate(times[first : first + per_pass]):
+                rows = format_float(float(t)).encode().join(self._parts)
+                fh.write(rows % tuple(cells[i * size : (i + 1) * size]))
+        self.seconds += time.perf_counter() - start
+
+    def close(self) -> None:
+        """Finish the file (the header alone if nothing was written); a
+        second close does nothing."""
+        start = time.perf_counter()
+        self._file().close()
+        self.seconds += time.perf_counter() - start
+
+    def __enter__(self) -> SpectrumWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class TrajectoryRecorder:
     """Observer callback accumulating diagnostics during integration.
 
@@ -225,7 +301,10 @@ class TrajectoryRecorder:
     orbital distance, super-action deviation (relative to the first sample
     whose xi map succeeds), and a mode-magnitude snapshot when the time falls
     inside one of the snapshot windows.  Pass the instance as the observer
-    to integrate(), then call finalize().
+    to integrate(), then call finalize().  Given a SpectrumWriter
+    (spectrum), each block's snapshots go to it as the block is computed and
+    the diagnostics' snapshots stay empty; without one they are kept, for
+    emit to write.
 
     A call checks the field and keeps it: non-finite values raise
     BlowUpError and a field of another shape DomainError, both at once.
@@ -236,8 +315,8 @@ class TrajectoryRecorder:
     super_actions, weighted_deviation and the snapshot magnitudes.  Each row
     gets the bits the function gives the sample alone (the module docstring
     names the two traps that would break this).  finalize() computes the
-    last, partial block; after a BlowUpError it returns the samples before
-    it.
+    last, partial block (and streams its snapshots); after a BlowUpError it
+    returns the samples before it.
 
     table is the frequency table of the run's plane wave; when its
     parameters are not linearly stable the deviation is NaN throughout
@@ -253,6 +332,7 @@ class TrajectoryRecorder:
         s: float,
         snapshot_windows: tuple[tuple[float, float], ...] = (),
         metadata: dict | None = None,
+        spectrum: SpectrumWriter | None = None,
     ):
         if not (s >= 0.0 and math.isfinite(s)):
             raise DomainError(f"s must be finite and nonnegative, got {s!r}")
@@ -260,6 +340,7 @@ class TrajectoryRecorder:
         self.s = float(s)
         self.windows = tuple((float(a), float(b)) for a, b in snapshot_windows)
         self.metadata = dict(metadata or {})
+        self.spectrum = spectrum
 
         self._ctx: DiagonalizerSet | None
         try:
@@ -275,6 +356,7 @@ class TrajectoryRecorder:
         self._orbital: list[float] = []
         self._deviation: list[float] = []
         self._snapshots: list[tuple[float, np.ndarray]] = []
+        self._last_mags: np.ndarray | None = None
 
     def __call__(self, n: int, u: SpectralField) -> None:
         table = self.table
@@ -305,7 +387,14 @@ class TrajectoryRecorder:
         self._mass.extend(mass.tolist())
         self._orbital.extend(sobolev_norm(project_away(u, table.ell), self.s).tolist())
         self._deviation.extend(self._deviations_of(u, mass).tolist())
-        self._snapshots.extend(zip(times[shown].tolist(), np.abs(u.coeffs[shown])))
+        if self.spectrum is None:
+            self._snapshots.extend(zip(times[shown].tolist(), np.abs(u.coeffs[shown])))
+            return
+        # Held until the next block's replace them: a live array made after
+        # the block's temporaries keeps glibc's malloc from handing them back
+        # to the system at every block and faulting them in again at the next.
+        self._last_mags = np.abs(u.coeffs[shown])
+        self.spectrum.write(times[shown].tolist(), self._last_mags)
 
     def _deviations_of(self, u: SpectralField, mass: np.ndarray) -> np.ndarray:
         """D of each row of the batch u; NaN without a xi map or where it fails."""
@@ -359,7 +448,7 @@ def default_snapshot_windows(horizon: float, width: float = 200.0) -> tuple:
 
 def _write_series(path: str, diag: TrajectoryDiagnostics, formatter: FloatFormatter) -> None:
     """The series CSV, formatter.size values (a quarter as many rows) per pass;
-    its temporaries are gone before the spectrum is written."""
+    its temporaries are gone when it returns."""
     columns = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
     per_chunk = formatter.size // len(columns)
     with open(path, "wb") as fh:
@@ -369,7 +458,12 @@ def _write_series(path: str, diag: TrajectoryDiagnostics, formatter: FloatFormat
             fh.write(b"%b,%b,%b,%b\n" * len(rows) % tuple(formatter(rows)))
 
 
-def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -> None:
+def emit(
+    diag: TrajectoryDiagnostics,
+    path: str,
+    started: float | None = None,
+    spectrum: SpectrumWriter | None = None,
+) -> None:
     """Write <runid>_series.csv, <runid>_spectrum.csv and <runid>_meta.json.
 
     path is the output directory (created if missing); the run id comes from
@@ -378,39 +472,32 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
     them bit-exactly.  An empty trajectory produces header-only CSVs.
 
     The series' four columns are formatted by _serialize.FloatFormatter,
-    512 rows (2048 values) per pass.  The spectrum's magnitudes go through
-    it too, 2048 at a time, as many whole snapshots as fit in 2048 values
-    (a larger snapshot alone, in passes of 2048): whole-array passes that
-    give the bytes format_float gives, with the values they cannot place
-    exactly (zero, non-finite, magnitude outside [1e-280, 1e280), or within
-    2^-30 of a rounding tie) handed to format_float one at a time.  A row
-    template built once for the grid (",j,%b" per mode, in storage order)
-    takes a snapshot's time between its rows and its magnitudes in one
-    formatting call.
+    512 rows (2048 values) per pass: whole-array passes that give the bytes
+    format_float gives, with the values they cannot place exactly (zero,
+    non-finite, magnitude outside [1e-280, 1e280), or within 2^-30 of a
+    rounding tie) handed to format_float one at a time.  The spectrum is
+    written by a SpectrumWriter in the same way.  spectrum is the writer the
+    recorder of diag streamed its snapshots into (diag.snapshots is then
+    empty): emit writes diag.snapshots through it and closes it.  Without
+    one, emit writes them through a writer of its own at
+    <path>/<runid>_spectrum.csv.
 
     started, a time.perf_counter() reading taken when the run began, adds to
     the metadata's "timing" block wall_s (seconds from started to the meta
-    write) and emit_s (seconds spent writing the two CSVs).
+    write) and emit_s (seconds spent writing the two CSVs, spectrum.seconds
+    from before this call included).
     """
     csv_start = time.perf_counter()
+    streamed_s = 0.0 if spectrum is None else spectrum.seconds
     runid = str(diag.metadata.get("runid", "run"))
     os.makedirs(path, exist_ok=True)
 
-    formatter = FloatFormatter(_EMIT_VALUES)
-    _write_series(os.path.join(path, f"{runid}_series.csv"), diag, formatter)
+    _write_series(os.path.join(path, f"{runid}_series.csv"), diag, FloatFormatter(_EMIT_VALUES))
 
-    grid = diag.grid
-    mode_cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
-    parts = [b"", *(f",{','.join(map(str, j))},%b\n".encode() for j in grid.modes())]
-    per_chunk = max(1, _EMIT_VALUES // grid.size)
-    with open(os.path.join(path, f"{runid}_spectrum.csv"), "wb") as fh:
-        fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
-        for first in range(0, len(diag.snapshots), per_chunk):
-            chunk = diag.snapshots[first : first + per_chunk]
-            cells = formatter(np.concatenate([mags.reshape(-1) for _, mags in chunk]))
-            for i, (t, _) in enumerate(chunk):
-                rows = format_float(float(t)).encode().join(parts)
-                fh.write(rows % tuple(cells[i * grid.size : (i + 1) * grid.size]))
+    if spectrum is None:
+        spectrum = SpectrumWriter(os.path.join(path, f"{runid}_spectrum.csv"), diag.grid)
+    spectrum.write([t for t, _ in diag.snapshots], [mags for _, mags in diag.snapshots])
+    spectrum.close()
 
     meta = diag.metadata
     if started is not None:
@@ -420,7 +507,7 @@ def emit(diag: TrajectoryDiagnostics, path: str, started: float | None = None) -
             "timing": {
                 "wall_s": now - started,
                 **meta.get("timing", {}),
-                "emit_s": now - csv_start,
+                "emit_s": now - csv_start + streamed_s,
             },
         }
     meta_path = os.path.join(path, f"{runid}_meta.json")

@@ -278,6 +278,27 @@ def test_cmd_simulate_repeats_byte_for_byte(tmp_path, capsys):
     assert env["python"].count(".") == 2
 
 
+def test_cmd_simulate_counts_streamed_spectrum_rows_in_emit_s(tmp_path, monkeypatch, capsys):
+    # the rows the recorder streams are formatted inside finalize() here (one
+    # partial block), but their time is emission's, as the series' is
+    import time
+
+    from torusnls._serialize import FloatFormatter
+
+    real_format = FloatFormatter.__call__
+
+    def slow_format(self, values):
+        time.sleep(0.1)
+        return real_format(self, values)
+
+    monkeypatch.setattr(FloatFormatter, "__call__", slow_format)
+    cfg = build_config(None, {"K": 4, "N": 2, "steps": 10, "cadence": 1, "out": str(tmp_path)})
+    assert cmd_simulate(cfg, runid="slow") == 0
+    capsys.readouterr()
+    timing = json.loads((tmp_path / "slow_meta.json").read_text())["timing"]
+    assert timing["emit_s"] >= 0.2 and timing["observe_s"] < 0.1
+
+
 def test_cmd_simulate_blow_up(tmp_path, monkeypatch, capsys):
     def nan_datum(config):
         grid = config.grid()
@@ -290,6 +311,58 @@ def test_cmd_simulate_blow_up(tmp_path, monkeypatch, capsys):
     meta = json.loads(open(tmp_path / "boom_meta.json").read())
     assert meta["blow_up_step"] == 0 and meta["blow_up_time"] == 0.0
     assert "instability" not in meta  # no samples survived
+
+
+def test_cmd_simulate_refuses_a_file_as_out_before_any_step(tmp_path, monkeypatch, capsys):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr("torusnls.cli.integrate", no_steps)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "under"):
+        assert main(["simulate", "--K", "4", "--steps", "10", "--out", str(out)]) == 2
+        assert f"config error: --out '{out}' cannot be a directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
+def test_cmd_sweep_refuses_a_file_as_out_before_any_point(tmp_path, monkeypatch, capsys):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point was checked")
+
+    monkeypatch.setattr("torusnls.cli._check_payload", no_points)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["sweep", "--N", "2", "--h", "0.04,0.042", "--out", str(taken)]) == 2
+    assert f"config error: --out '{taken}' cannot be a directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
+def test_cmd_simulate_closes_a_partial_spectrum_on_an_error(tmp_path, monkeypatch, capsys):
+    # an error other than a blow-up leaves the rows streamed so far, in whole
+    # blocks, in a closed spectrum file, and no series or meta
+    import torusnls.cli
+
+    real_integrate = torusnls.cli.integrate
+
+    def interrupted(datum, scheme, lam, n_steps, observer, cadence):
+        def observe(n, u):
+            if n == 70:
+                raise KeyboardInterrupt
+            observer(n, u)
+
+        return real_integrate(datum, scheme, lam, n_steps, observer=observe, cadence=cadence)
+
+    monkeypatch.setattr(torusnls.cli, "integrate", interrupted)
+    cfg = build_config(None, {"K": 4, "N": 2, "steps": 100, "cadence": 1, "out": str(tmp_path)})
+    # excinfo keeps the run's frames, and so its writer, alive: the rows are
+    # on disk because the writer was closed, not because it was collected
+    with pytest.raises(KeyboardInterrupt) as excinfo:
+        cmd_simulate(cfg, runid="cut")
+    assert excinfo.traceback
+    rows = list(csv.reader(open(tmp_path / "cut_spectrum.csv")))
+    assert rows[0] == ["t", "j", "abs_uj"] and len(rows) == 1 + 64 * 8
+    assert sorted(os.listdir(tmp_path)) == ["cut_spectrum.csv"]
 
 
 def test_cmd_sweep_rows(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from torusnls import (
     ZeroCarrierModeError,
     Grid,
     SpectralField,
+    SpectrumWriter,
     StepScheme,
     StepVariant,
     SuperActionSet,
@@ -564,3 +566,115 @@ def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
     assert text == _reference_spectrum(diag)
     assert "0.30000000000000004,-2,NaN\n0.30000000000000004,-1,Infinity\n" in text
 
+
+def _observed(make_datum, grid, steps, cadence):
+    """(n, u) of every sample integrate hands its observer."""
+    samples = []
+    integrate(make_datum(grid, (0,) * grid.d, RHO, 0.01, seed=5),
+              StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, steps,
+              observer=lambda n, u: samples.append((n, u)), cadence=cadence)
+    return samples
+
+
+def _streamed_equals_retained(tmp_path, grid, windows, samples):
+    """Feed samples to a recorder that streams its spectrum into a
+    SpectrumWriter and to one that keeps its snapshots, each up to a
+    BlowUpError; assert the streamed run's three files equal emit's of the
+    kept snapshots, and return the kept diagnostics."""
+    table = build_frequency_table(H, RHO, -1, (0,) * grid.d, grid)
+    out = {side: tmp_path / side for side in ("streamed", "retained")}
+    writer = SpectrumWriter(str(out["streamed"] / "run_spectrum.csv"), grid)
+    diags = {}
+    for side, spectrum in (("streamed", writer), ("retained", None)):
+        out[side].mkdir()
+        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=windows,
+                                 metadata={"runid": "run"}, spectrum=spectrum)
+        try:
+            for n, u in samples:
+                rec(n, u)
+        except BlowUpError:
+            pass
+        diags[side] = rec.finalize()
+    assert diags["streamed"].snapshots == ()
+    emit(diags["streamed"], str(out["streamed"]), spectrum=writer)
+    emit(diags["retained"], str(out["retained"]))
+    for name in ("run_series.csv", "run_spectrum.csv", "run_meta.json"):
+        assert (out["streamed"] / name).read_bytes() == (out["retained"] / name).read_bytes()
+    return diags["retained"]
+
+
+def test_streamed_spectrum_ends_on_a_partial_block(grid16, make_datum, tmp_path):
+    samples = _observed(make_datum, grid16, 1000, 7)
+    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), samples)
+    assert len(diag.snapshots) == len(samples) == 144  # blocks of 64, 64 and 16
+    assert diag.snapshots[-1][0] == 1000 * H  # the last sample is off the cadence
+
+
+def test_streamed_spectrum_of_blocks_straddling_a_window_gap(grid16, make_datum, tmp_path):
+    # block 0 holds t = 0 ... 2.52: the first window, the gap and the second
+    # window's first sample; block 1 the rest of the second window
+    samples = _observed(make_datum, grid16, 200, 1)
+    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1.0), (2.5, 3.5)), samples)
+    times = [t for t, _ in diag.snapshots]
+    assert times[:26] == [n * H for n in range(26)]
+    assert times[26] == 63 * H and times[-1] == 87 * H
+
+
+def test_streamed_spectrum_of_a_grid_of_more_than_256_modes(make_datum, tmp_path):
+    grid = Grid(K=4, d=3)
+    assert _block_rows(grid) == 32
+    samples = _observed(make_datum, grid, 40, 1)
+    diag = _streamed_equals_retained(tmp_path, grid, ((0.0, 1e3),), samples)
+    assert len(diag.snapshots) == 41
+
+
+def test_streamed_spectrum_after_a_blow_up_mid_block(grid16, make_datum, tmp_path):
+    samples = _observed(make_datum, grid16, 99, 1)
+    samples[90] = (90, SpectralField(grid16, np.full(grid16.shape, np.nan, dtype=complex)))
+    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), samples)
+    assert len(diag.snapshots) == 90  # a block of 64, then 26 in finalize()
+
+
+def test_streamed_spectrum_of_an_empty_trajectory(grid16, tmp_path):
+    _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), [])
+    assert (tmp_path / "streamed" / "run_spectrum.csv").read_bytes() == b"t,j,abs_uj\n"
+
+
+def test_spectrum_writer_closes_once_and_then_refuses_rows(grid2, tmp_path):
+    path = tmp_path / "w_spectrum.csv"
+    with SpectrumWriter(str(path), grid2) as writer:
+        writer.write([0.5], [np.array([1.0, 2.0, 0.0, 0.25])])
+    writer.close()
+    assert path.read_bytes() == b"t,j,abs_uj\n0.5,-2,1\n0.5,-1,2\n0.5,0,0\n0.5,1,0.25\n"
+    with pytest.raises(ValueError, match="closed"):
+        writer.write([1.0], [np.zeros(4)])
+
+
+def _traced_peak_of_streamed_run(make_datum, grid, steps, out):
+    table = build_frequency_table(H, RHO, -1, (0,) * grid.d, grid)
+    datum = make_datum(grid, (0,) * grid.d, RHO, 0.01, seed=6)
+    scheme = StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H)
+    tracemalloc.start()
+    try:
+        with SpectrumWriter(str(out), grid) as writer:
+            rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),),
+                                     spectrum=writer)
+            integrate(datum, scheme, -1, steps, observer=rec, cadence=1)
+            rec.finalize()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_run_memory_is_flat_in_run_length(make_datum, tmp_path):
+    # every sample is a snapshot of 256 magnitudes (2 KB); a recorder that
+    # kept them would grow by 1.8 MB from 256 to 1024 steps, while the
+    # series' four columns grow by about 0.1 MB.  A first short run builds
+    # the caches (formatter tables, FFT plans) that neither measured run holds.
+    grid = Grid(K=8, d=2)
+    _, short, long = [
+        _traced_peak_of_streamed_run(make_datum, grid, steps, tmp_path / f"{steps}.csv")
+        for steps in (64, 256, 1024)
+    ]
+    assert (tmp_path / "1024.csv").stat().st_size > 1025 * 256 * 20
+    assert long - short <= 0.25e6

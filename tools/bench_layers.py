@@ -15,11 +15,16 @@ epsilon = 0.01, s = 5, carrier at the origin):
   the current package's (`diagnostics._block_rows` of the grid), and the
   baseline side is fed blocks of the same size;
 - advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04;
-- emit_us_per_row: `emit` of a recorded run of EMIT_STEPS Lie-Trotter steps
-  observed every step with every sample in the snapshot window (301
-  snapshots: 9,632 spectrum rows at d = 1, 77,056 at d = 2), into a
-  temporary directory, per spectrum row.  Each side emits the run its own
-  package recorded.
+- emit_us_per_row: the output files of a recorded run of EMIT_STEPS
+  Lie-Trotter steps observed every step with every sample in the snapshot
+  window (301 snapshots: 9,632 spectrum rows at d = 1, 77,056 at d = 2),
+  written into a temporary directory as the CLI writes them, per spectrum
+  row: the snapshots go to a `SpectrumWriter` one recorder block at a
+  time (blocks of the size observe_us uses, stacked before the clock
+  starts), then `emit` writes the series and meta and closes the writer.
+  A side whose package has no `SpectrumWriter` emits the whole run in one
+  `emit`, as its CLI did.  Each side writes the run its own package
+  recorded.
 
 and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
@@ -28,11 +33,12 @@ point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
 call and vectors per second, n_vectors over the call's time.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
-whole blocks; emit_us_per_row: one emit; the enumerator: ENUM_CALLS calls);
-a figure is the best (and the median) over --repeats loops.  The loops run in rounds: each round times
-every figure of the grid once on each side, after one untimed round, so no
-figure is the first to run in a cold process and a burst of load on the host
-spreads over several figures rather than taking one figure's median.
+whole blocks; emit_us_per_row: one run's files; the enumerator: ENUM_CALLS
+calls); a figure is the best (and the median) over --repeats loops.  The
+loops run in rounds: each round times every figure of the grid once on each
+side, after one untimed round, so no figure is the first to run in a cold
+process and a burst of load on the host spreads over several figures rather
+than taking one figure's median.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
 current package's, so both see the same host speed.
@@ -41,6 +47,7 @@ current package's, so both see the same host speed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -76,7 +83,8 @@ def load_package(src: str, name: str) -> str:
 def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     """Figure name -> a factory taking --calls and returning (the loop to
     time, the number of calls, samples or rows it makes); observe_us feeds
-    each recorder block samples, and emit_us_per_row writes into out_dir."""
+    each recorder block samples, and emit_us_per_row streams the spectrum
+    in blocks of as many snapshots and writes into out_dir."""
     cli = importlib.import_module(f"{pkg}.cli")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
     integrator = importlib.import_module(f"{pkg}.integrator")
@@ -125,12 +133,25 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     integrator.integrate(datum, config.step_scheme(), config.lam, EMIT_STEPS,
                          observer=recorder, cadence=1)
     recorded = recorder.finalize()
+    snapshots = recorded.snapshots
+    blocks = [
+        ([t for t, _ in chunk], np.stack([m for _, m in chunk]))
+        for chunk in (snapshots[i : i + block] for i in range(0, len(snapshots), block))
+    ]
+    streamed = dataclasses.replace(recorded, snapshots=())
 
     def emit(calls):
         def run():
-            diagnostics.emit(recorded, out_dir)
+            if not hasattr(diagnostics, "SpectrumWriter"):  # a checkout that emits at the end
+                diagnostics.emit(recorded, out_dir)
+                return
+            path = os.path.join(out_dir, f"{pkg}_spectrum.csv")
+            writer = diagnostics.SpectrumWriter(path, datum.grid)
+            for times, mags in blocks:
+                writer.write(times, mags)
+            diagnostics.emit(streamed, out_dir, spectrum=writer)
 
-        return run, len(recorded.snapshots) * datum.grid.size
+        return run, len(snapshots) * datum.grid.size
 
     out["emit_us_per_row"] = emit
     return out

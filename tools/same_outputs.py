@@ -66,6 +66,11 @@ COMMANDS = {
     "epsilon-0-300": ("simulate", "--epsilon", "0", "--steps", "300", "--cadence", "1"),
     # three mode columns; 512 modes, so four snapshots per formatter pass, 16 passes
     "d3-k4-60": ("simulate", "--d", "3", "--K", "4", "--steps", "60", "--cadence", "1"),
+    # horizon 480: two snapshot windows, the samples between t = 200 and 280
+    # left out, and recorder blocks that straddle the gap
+    "two-windows-12000-cadence10": ("simulate", "--steps", "12000", "--cadence", "10"),
+    # 32,768 modes: one sample per recorder block, 16 formatter passes per snapshot
+    "d3-k16-10": ("simulate", "--d", "3", "--K", "16", "--steps", "10", "--cadence", "1"),
 }
 
 # keys whose values measure the host rather than the computation
