@@ -320,7 +320,6 @@ def _check_payload(config: RunConfig) -> tuple[dict, bool]:
             c2=config.c2,
             delta2=config.delta2,
             s2=config.s2,
-            eps_hat=0.0,
             exhaustive=config.exhaustive,
         )
         elapsed = time.perf_counter() - start

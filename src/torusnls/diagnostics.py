@@ -351,10 +351,9 @@ class TrajectoryRecorder:
         self._block = _block_rows(table.grid)
         self._sa0: SuperActionSet | None = None
         self._pending: list[tuple[float, np.ndarray]] = []
-        self._times: list[float] = []
-        self._mass: list[float] = []
-        self._orbital: list[float] = []
-        self._deviation: list[float] = []
+        # one (4, rows) float64 array per block: times, mass, orbital distance
+        # and deviation, 32 bytes a sample
+        self._series: list[np.ndarray] = []
         self._snapshots: list[tuple[float, np.ndarray]] = []
         self._last_mags: np.ndarray | None = None
 
@@ -383,10 +382,8 @@ class TrajectoryRecorder:
         shown = np.zeros(len(times), dtype=bool)
         for lo, hi in self.windows:
             shown |= (lo <= times) & (times <= hi)
-        self._times.extend(times.tolist())
-        self._mass.extend(mass.tolist())
-        self._orbital.extend(sobolev_norm(project_away(u, table.ell), self.s).tolist())
-        self._deviation.extend(self._deviations_of(u, mass).tolist())
+        orbital = sobolev_norm(project_away(u, table.ell), self.s)
+        self._series.append(np.stack((times, mass, orbital, self._deviations_of(u, mass))))
         if self.spectrum is None:
             self._snapshots.extend(zip(times[shown].tolist(), np.abs(u.coeffs[shown])))
             return
@@ -428,12 +425,16 @@ class TrajectoryRecorder:
         meta.setdefault("s", self.s)
         meta["transform_ok"] = self._ctx is not None
         meta["snapshot_windows"] = self.windows
+        # one array in place of the blocks, so a second call returns the same
+        self._series = [np.concatenate(self._series, axis=1) if self._series
+                        else np.empty((4, 0))]
+        times, mass, orbital, deviation = self._series[0]
         return TrajectoryDiagnostics(
             grid=table.grid,
-            times=np.asarray(self._times, dtype=np.float64),
-            mass=np.asarray(self._mass, dtype=np.float64),
-            orbital_distance=np.asarray(self._orbital, dtype=np.float64),
-            deviation=np.asarray(self._deviation, dtype=np.float64),
+            times=times,
+            mass=mass,
+            orbital_distance=orbital,
+            deviation=deviation,
             snapshots=tuple(self._snapshots),
             metadata=meta,
         )

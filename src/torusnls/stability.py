@@ -10,24 +10,27 @@ where n(j) is an integer combination of mod-reduced mode norms.  Linear
 stability requires every eigenvalue pair to stay on the unit circle, which
 reduces to (cos(n(j)h) - h*lam*rho^2*sin(n(j)h))^2 <= 1 - c1*h^2 with a
 positive margin c1.  The numerical frequencies omega_j are the eigenvalue
-phases; the modified frequencies varpi_j (carrier mode 0 only) are h-dependent
-surrogates built from mu_n = tan(n*h)/h that admit a non-resonance analysis.
+phases.
 
 The non-resonance checker enumerates signed integer combinations of frequency
 classes and verifies a small-divisor lower bound plus the absence of complete
 resonances.  A class is the set of nonzero modes sharing the integer pair
-(n(j), shift(j)), on which omega_j and varpi_j depend alone, so two modes whose
-frequencies agree only by coincidence stay in separate classes.  Only the
-combinations whose angle h*(k.freq) lies near a multiple of 2*pi can be small
-divisors or complete resonances, and the checker finds those by a
-meet-in-the-middle search (Horowitz and Sahni, J. ACM 21, 1974): the classes
-split into two halves, and a half-vector is paired with those of the other
-half whose angles nearly cancel its own, found by binary search among them
-sorted.  numpy then sums k.freq over the pairs column by column in class
-order, which is the scalar left-to-right sum, and screens out the rows that
-can be neither; the few rows left are decided by scalar code with
-math.remainder, math.sin and Python powers, one total order at a time and
-each order in the fixed lexicographic enumeration order.  The report is
+(n(j), shift(j)), on which omega_j = shift_j + phi(n_j)/h depends alone, so two
+modes whose frequencies agree only by coincidence stay in separate classes.
+A complete resonance is decided in integers on those keys: k.omega vanishes
+for every h and rho when, for each n, k's coefficients on the classes with
+that n sum to 0 and sum k_c*shift_c = 0.  Every other combination, an
+exact float zero of k.omega included, is a small divisor or nothing.  Only the
+combinations whose angle h*(k.omega) lies near a multiple of 2*pi can be
+either, and the checker finds those by a meet-in-the-middle search (Horowitz
+and Sahni, J. ACM 21, 1974): the classes split into two halves, and a
+half-vector is paired with those of the other half whose angles nearly cancel
+its own, found by binary search among them sorted.  numpy then sums k.omega
+over the pairs column by column in class order, which is the scalar
+left-to-right sum, and screens out the rows that can be neither; the few rows
+left are decided by scalar code with math.sin, Python powers and the integer
+keys, one total order at a time and each order in the fixed lexicographic
+enumeration order.  The report is
 therefore the same bit for bit as a one-vector-at-a-time enumeration.
 """
 
@@ -54,12 +57,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# Tolerance for detecting complete resonances: h*(k.freq) within this
-# fraction of 2*pi from a multiple of 2*pi.  Exact equality is measure-zero
-# in floating point, so a near-resonance inside this window counts as
-# complete and fails part (c), even where part (b) would pass it.
-_RESONANCE_TOL = 1e-9 * _TWO_PI
 
 
 def _check_lambda(lam: int) -> int:
@@ -113,11 +110,7 @@ class FrequencyTable:
     Arrays are indexed like SpectralField coefficients (shifted lexicographic
     order).  shift is the integer frequency shift (|ell+j|^2 - |ell-j|^2)/2 and
     q2 = 1 - Re(alpha)^2 the stability margin in cancellation-free form.
-    omega is NaN wherever omega_status != "ok"; varpi is NaN wherever
-    the modified frequency is unavailable (carrier != 0, tan branch out of
-    domain, or negative discriminant).  eps_hat = max_j |varpi_j - omega_j| is
-    populated only when the carrier is 0 and every nonzero mode has a valid
-    omega and varpi; otherwise None.
+    omega is NaN wherever omega_status != "ok".
     """
 
     grid: Grid
@@ -133,14 +126,9 @@ class FrequencyTable:
     omega: np.ndarray
     omega_status: np.ndarray
     growth: np.ndarray
-    varpi: np.ndarray
-    eps_hat: float | None
 
     def __post_init__(self):
-        for name in (
-            "n", "shift", "q2", "alpha", "beta", "omega", "omega_status", "growth",
-            "varpi",
-        ):
+        for name in ("n", "shift", "q2", "alpha", "beta", "omega", "omega_status", "growth"):
             getattr(self, name).flags.writeable = False
 
     def max_growth(self) -> float:
@@ -185,7 +173,7 @@ class FrequencyTable:
 def build_frequency_table(
     h: float, rho: float, lam: int, ell: int | tuple, grid: Grid
 ) -> FrequencyTable:
-    """Assemble n, shift, q2, alpha, beta, omega, growth, varpi and eps_hat.
+    """Assemble n, shift, q2, alpha, beta, omega and growth.
 
     n(j) = (|ell+j|^2 + |ell-j|^2)/2 - |ell|^2 and the integer frequency shift
     (|ell+j|^2 - |ell-j|^2)/2 (norms mod-reduced, int64; both 0 at the
@@ -195,10 +183,8 @@ def build_frequency_table(
     difference loses ~eps/q2 relative accuracy as the margin shrinks with h.
 
     omega_j = shift_j + arccos(R)/(h*sgn(G)) is the eigenvalue phase of the
-    mode's propagation block, growth_j = max(1, |R| + sqrt(R^2 - 1)) its
-    spectral radius (the eigenvalues have product 1 and trace 2R), and, for
-    carrier 0 only, varpi_j = n - mu + sqrt(mu^2 + 2*lam*rho^2*mu) with
-    mu = tan(n*h)/h for n*h in (0, pi/2).
+    mode's propagation block and growth_j = max(1, |R| + sqrt(R^2 - 1)) its
+    spectral radius (the eigenvalues have product 1 and trace 2R).
     Per-mode omega failures are flagged in omega_status ("unstable" when the
     half-angle margin q2 is negative, "degenerate-sign" when the branch sign
     vanishes) with NaN entries rather than raised.
@@ -242,32 +228,10 @@ def build_frequency_table(
     growth = np.maximum(1.0, np.abs(r) + np.sqrt(np.maximum(0.0, r * r - 1.0)))
     growth[origin] = 1.0
 
-    vp = np.full(grid.shape, np.nan)
-    if ell == (0,) * grid.d:
-        sigma = rho * rho
-        nn = n.astype(np.float64)
-        valid = (n >= 1) & (nn * h < math.pi / 2.0)
-        with np.errstate(all="ignore"):
-            m = np.tan(nn * h) / h
-            rad = m * m + 2.0 * lam * sigma * m
-            vals = nn - m + np.sqrt(np.maximum(rad, 0.0))
-        valid &= rad >= 0.0
-        vp[valid] = vals[valid]
-    vp[origin] = np.nan
-
     alpha[origin] = 1.0
     beta[origin] = 0.0
     om[origin] = np.nan
     status[origin] = "excluded"
-
-    nonzero = grid.nonzero
-    eps_hat: float | None = None
-    if (
-        ell == (0,) * grid.d
-        and bool(np.all(status[nonzero] == "ok"))
-        and bool(np.all(np.isfinite(vp[nonzero])))
-    ):
-        eps_hat = float(np.max(np.abs(vp[nonzero] - om[nonzero])))
 
     return FrequencyTable(
         grid=grid,
@@ -283,8 +247,6 @@ def build_frequency_table(
         omega=om,
         omega_status=status,
         growth=growth,
-        varpi=vp,
-        eps_hat=eps_hat,
     )
 
 
@@ -315,12 +277,10 @@ _HEADER = (
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Verdict and witnesses for the non-resonance assumption, parts (a)-(c).
+    """Verdict and witnesses for the non-resonance assumption, parts (b) and (c).
 
-    part_a_ok: the frequency surrogate error bound max|varpi - omega| <= eps_hat
-    (trivially true when the check runs on omega itself, eps_hat = 0).
     part_b_ok: no small-divisor inequality violation found.
-    part_c_verdict: no complete resonance with a nonzero class combination.
+    part_c_verdict: no complete resonance (a structural class combination).
     witnesses holds every violation found (one per combination vector when
     exhaustive, the first one otherwise); tightest is the non-violating
     small-divisor combination with minimal margin rhs - lhs.
@@ -331,10 +291,7 @@ class ResonanceReport:
     c2: float
     delta2: float
     s2: float
-    eps_hat: float
-    freq_source: str
     header: str
-    part_a_ok: bool
     part_b_ok: bool
     part_c_verdict: bool
     tightest: ComboWitness | None
@@ -533,23 +490,20 @@ def check_assumption2(
     c2: float,
     delta2: float,
     s2: float,
-    eps_hat: float = 0.0,
     exhaustive: bool = False,
 ) -> ResonanceReport:
     """Check the non-resonance assumption over all class combinations of order <= N+1.
 
-    eps_hat selects the frequency family: 0 runs the check on the numerical
-    frequencies omega themselves (parts (b)/(c) only, part (a) trivial); a
-    positive value runs it on the modified frequencies varpi (carrier 0 only)
-    and additionally verifies part (a), max_j |varpi_j - omega_j| <= eps_hat.
-
     For every signed integer vector k supported on class representatives with
-    0 < sum|k_j| <= N+1: delta = |exp(i*h*(k.freq)) - 1|/h; if delta <= delta2
-    the small-divisor bound lhs <= c2 * delta^(N/s2) must hold, with
-    lhs = (max support-class modulus)^4 / prod(rep modulus)^(2|k_j|); and if
-    h*(k.freq) lies within 1e-9*2*pi of a multiple of 2*pi the vector is a
-    complete resonance, which always violates part (c) because the enumerated
-    class combination is nonzero.  Enumeration stops at the first violation
+    0 < sum|k_j| <= N+1: delta = |exp(i*h*(k.omega)) - 1|/h; if delta <= delta2
+    the small-divisor bound lhs <= c2 * delta^(N/s2) must hold (part (b)),
+    with lhs = (max support-class modulus)^4 / prod(rep modulus)^(2|k_j|).
+    k is a complete resonance, which violates part (c), when it is structural:
+    for each n its coefficients on the classes with that n sum to 0, and
+    sum k_c*shift_c = 0, so k.omega = 0 for every h and rho.  That needs two
+    classes of one n, so at carrier 0 part (c) always holds.  Any other k
+    with a near-zero angle is decided by part (b) alone; at delta = 0 exactly,
+    rhs = 0 and part (b) fails it.  Enumeration stops at the first violation
     unless exhaustive is set, in which case every violation is recorded.
 
     The vectors are not visited one by one.  The classes split into a head and
@@ -566,60 +520,63 @@ def check_assumption2(
         raise DomainError(f"N must be an integer >= 1, got {N!r}")
     if not (c2 > 0.0 and delta2 > 0.0 and s2 > 0.0):
         raise DomainError("c2, delta2 and s2 must be positive")
-    if not (eps_hat >= 0.0):
-        raise DomainError(f"eps_hat must be nonnegative, got {eps_hat}")
-
-    part_a_ok = True
-    if eps_hat == 0.0:
-        if not bool(np.all(table.omega_status[table.grid.nonzero] == "ok")):
-            raise DomainError(
-                "frequency table has flagged modes; numerical frequencies "
-                "are not defined for the non-resonance check"
-            )
-        freqs = table.omega
-        freq_source = "omega"
-    else:
-        if table.ell != (0,) * table.grid.d:
-            raise DomainError(
-                "modified frequencies exist only for carrier mode 0; "
-                "run with eps_hat = 0 to check the numerical frequencies"
-            )
-        if table.eps_hat is None:
-            raise DomainError(
-                "modified frequencies are incomplete for these parameters"
-            )
-        freqs = table.varpi
-        freq_source = "varpi"
-        part_a_ok = table.eps_hat <= eps_hat
+    if not bool(np.all(table.omega_status[table.grid.nonzero] == "ok")):
+        raise DomainError(
+            "frequency table has flagged modes; numerical frequencies "
+            "are not defined for the non-resonance check"
+        )
 
     grid = table.grid
     rep_pos, top_pos, rep_of = table.frequency_classes
-    bits = freqs.view(np.int64)
+    bits = table.omega.view(np.int64)
     split = bits != bits.reshape(-1)[rep_of]
     if split.any():
         raise DomainError(
-            f"mode {grid.mode_at(split)}: {freq_source} differs from that of its "
+            f"mode {grid.mode_at(split)}: omega differs from that of its "
             "class representative, with which it shares (n, shift)"
         )
     ncls = len(rep_pos)
     j = np.stack(np.unravel_index(np.r_[rep_pos, top_pos], grid.shape), 1) - grid.K
     modes = list(map(tuple, j.tolist()))
     reps, max_mode = modes[:ncls], modes[ncls:]
-    class_freqs = freqs.reshape(-1)[rep_pos].tolist()
+    class_freqs = table.omega.reshape(-1)[rep_pos].tolist()
     norm2 = grid.mode_norm2.reshape(-1)
     rep_mod2, max_mod2 = norm2[rep_pos].tolist(), norm2[top_pos].tolist()
     h = table.h
     exponent = N / s2
     top = N + 1
 
-    # Rows are screened on r = |remainder(theta, 2*pi)|: delta = 2|sin(r/2)|/h
-    # is at most delta2 iff r <= 2*asin(delta2*h/2), and a complete resonance
-    # has r <= _RESONANCE_TOL.  Rows above the widened bound below are neither,
-    # whatever the last-ulp differences between the round-based remainder, the
-    # float 2*pi and math.sin; every other row is decided by the scalar code.
+    # A class's omega is shift_c + phi(n_c), with phi(n) the same float for
+    # every class of one n.  So k.omega vanishes, for every h and rho, when k's
+    # coefficients on the classes of each n sum to 0 and sum k_c*shift_c = 0:
+    # such a structural k is a complete resonance, and no other k is.  It
+    # exists only where two classes share n (never at carrier 0).
+    class_n = table.n.reshape(-1)[rep_pos].tolist()
+    class_shift = table.shift.reshape(-1)[rep_pos].tolist()
+    shared_n = len(set(class_n)) < ncls
+
+    def structural(kvec: list[int]) -> bool:
+        sums = dict.fromkeys(class_n, 0)
+        moment = 0
+        for c, v in enumerate(kvec):
+            if v:
+                sums[class_n[c]] += v
+                moment += v * class_shift[c]
+        return moment == 0 and not any(sums.values())
+
+    # Rows are screened on r = |remainder(theta, 2*pi)|, theta = h*(k.omega):
+    # delta = 2|sin(r/2)|/h is at most delta2 iff r <= 2*asin(delta2*h/2).  A
+    # structural k has k.omega = 0 in exact arithmetic on the unrounded
+    # shift_c + phi(n_c); the rounding of each class frequency, the products,
+    # at most ncls additions and the multiplication by h leave
+    # |theta| <= (ncls + 2)*u*theta_max, u = 2**-53, to first order.  Rows
+    # above the widened bound below are neither, whatever the last-ulp
+    # differences between the round-based remainder, the float 2*pi and
+    # math.sin; every other row is decided by the scalar code.
     theta_max = h * top * max(abs(f) for f in class_freqs)
     rem_hi = (
-        max(2.0 * math.asin(min(1.0, 0.5 * delta2 * h)), _RESONANCE_TOL) * (1.0 + 1e-9)
+        max(2.0 * math.asin(min(1.0, 0.5 * delta2 * h)), (ncls + 2) * 2.0**-53 * theta_max)
+        * (1.0 + 1e-9)
         + 1e-15 * (1.0 + theta_max)
     )
 
@@ -659,16 +616,15 @@ def check_assumption2(
                 num_mod2 = max(num_mod2, max_mod2[c])
         theta = h * dot
         lhs = float(num_mod2) ** 2 / denom
-        if abs(math.remainder(theta, _TWO_PI)) <= _RESONANCE_TOL:
+        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
+        if shared_n and structural(kvec):
             part_c_ok = False
-            delta = 2.0 * abs(math.sin(0.5 * theta)) / h
             violations.append(
                 make_witness(kvec, delta, lhs, math.nan, "complete-resonance")
             )
             if not exhaustive:
                 stop = True
                 return
-        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
         if delta <= delta2:
             n_small += 1
             rhs = c2 * delta**exponent
@@ -706,17 +662,13 @@ def check_assumption2(
     else:
         n_vectors = sum(counts[ncls][1:])
 
-    holds = part_a_ok and part_b_ok and part_c_ok
     return ResonanceReport(
-        holds=holds,
+        holds=part_b_ok and part_c_ok,
         N=N,
         c2=float(c2),
         delta2=float(delta2),
         s2=float(s2),
-        eps_hat=float(eps_hat),
-        freq_source=freq_source,
         header=_HEADER,
-        part_a_ok=part_a_ok,
         part_b_ok=part_b_ok,
         part_c_verdict=part_c_ok,
         tightest=tightest,

@@ -15,8 +15,12 @@ sets can be compared across the two enumeration strategies.
 class_level_report is a second, class-level reference: a depth-first
 recursion that visits the checker's class combinations one at a time, in its
 enumeration order and with its arithmetic, and returns the full report.  It
-reaches inputs the mode-level brute force cannot (larger K and N, d = 2,
-the varpi route), where the checker's report must match it byte for byte.
+reaches inputs the mode-level brute force cannot (larger K and N, d = 2),
+where the checker's report must match it byte for byte.
+
+Both decide a complete resonance in integers, as the checker does: a
+combination is one when, for each n(j), its coefficients on the modes with
+that n sum to 0 and its coefficients times shift(j) sum to 0.
 """
 
 import itertools
@@ -24,22 +28,32 @@ import math
 
 from torusnls.stability import _HEADER, ComboWitness, ResonanceReport
 
-TWO_PI = 2.0 * math.pi
-RESONANCE_TOL = 1e-9 * TWO_PI
-
 
 def _mod2(m):
     return sum(c * c for c in m)
 
 
-def _classes(table, freqs=None):
+def _structural(table, support):
+    """Whether the mode-level combination support [(j, k), ...] cancels in the
+    integer keys: per n(j) the coefficients sum to 0, and sum k*shift(j) = 0.
+    Then k.omega = 0 for every h and rho: a complete resonance."""
+    sums = {}
+    moment = 0
+    for j, k in support:
+        i = table.grid.index_of(j)
+        n = int(table.n[i])
+        sums[n] = sums.get(n, 0) + k
+        moment += k * int(table.shift[i])
+    return moment == 0 and not any(sums.values())
+
+
+def _classes(table):
     """Classes of nonzero modes with bitwise-equal frequency, checker order."""
-    freqs = table.omega if freqs is None else freqs
     groups = {}
     for j in table.grid.modes():
         if all(c == 0 for c in j):
             continue
-        val = float(freqs[table.grid.index_of(j)])
+        val = float(table.omega[table.grid.index_of(j)])
         groups.setdefault(val, []).append(j)
     items = []
     for val, members in groups.items():
@@ -102,7 +116,7 @@ def oracle_violations(table, N, c2, delta2, s2):
         )
         lmode = classes[lead][4]
 
-        if abs(math.remainder(theta, TWO_PI)) <= RESONANCE_TOL:
+        if _structural(table, support):
             found.add((kcanon, delta, lmode, lhs, None, "complete-resonance"))
         if delta <= delta2:
             rhs = c2 * delta**exponent
@@ -112,7 +126,7 @@ def oracle_violations(table, N, c2, delta2, s2):
     return (len(found) == 0), found
 
 
-def class_level_report(table, N, c2, delta2, s2, eps_hat=0.0, exhaustive=False):
+def class_level_report(table, N, c2, delta2, s2, exhaustive=False):
     """The checker's ResonanceReport, by recursion over class combinations.
 
     Each class takes a coefficient in the order 0, +1, -1, +2, -2, ... with
@@ -120,12 +134,7 @@ def class_level_report(table, N, c2, delta2, s2, eps_hat=0.0, exhaustive=False):
     denominator and the support-maximal modulus accumulate left to right in
     class order.  Inputs are assumed valid (the checker validates them).
     """
-    if eps_hat == 0.0:
-        freqs, freq_source, part_a_ok = table.omega, "omega", True
-    else:
-        freqs, freq_source = table.varpi, "varpi"
-        part_a_ok = table.eps_hat <= eps_hat
-    classes = _classes(table, freqs)
+    classes = _classes(table)
     ncls = len(classes)
     h = table.h
     exponent = N / s2
@@ -154,14 +163,14 @@ def class_level_report(table, N, c2, delta2, s2, eps_hat=0.0, exhaustive=False):
         n_vectors += 1
         theta = h * dot
         lhs = float(num_mod2) ** 2 / denom
-        if abs(math.remainder(theta, TWO_PI)) <= RESONANCE_TOL:
+        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
+        support = [(classes[c][0], kvec[c]) for c in range(ncls) if kvec[c] != 0]
+        if _structural(table, support):
             part_c_ok = False
-            delta = 2.0 * abs(math.sin(0.5 * theta)) / h
             violations.append(make_witness(delta, lhs, math.nan, "complete-resonance"))
             if not exhaustive:
                 stop = True
                 return
-        delta = 2.0 * abs(math.sin(0.5 * theta)) / h
         if delta <= delta2:
             n_small += 1
             rhs = c2 * delta**exponent
@@ -205,15 +214,12 @@ def class_level_report(table, N, c2, delta2, s2, eps_hat=0.0, exhaustive=False):
         recurse(0, total, 0.0, 1.0, 0)
 
     return ResonanceReport(
-        holds=part_a_ok and part_b_ok and part_c_ok,
+        holds=part_b_ok and part_c_ok,
         N=N,
         c2=float(c2),
         delta2=float(delta2),
         s2=float(s2),
-        eps_hat=float(eps_hat),
-        freq_source=freq_source,
         header=_HEADER,
-        part_a_ok=part_a_ok,
         part_b_ok=part_b_ok,
         part_c_verdict=part_c_ok,
         tightest=tightest,

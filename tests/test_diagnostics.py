@@ -678,3 +678,37 @@ def test_streamed_run_memory_is_flat_in_run_length(make_datum, tmp_path):
     ]
     assert (tmp_path / "1024.csv").stat().st_size > 1025 * 256 * 20
     assert long - short <= 0.25e6
+
+
+def _traced_series_of_streamed_run(make_datum, grid, steps, out):
+    """Traced memory held after a streamed run of the given length, before
+    finalize: what the recorder keeps of its series."""
+    table = build_frequency_table(H, RHO, -1, (0,) * grid.d, grid)
+    datum = make_datum(grid, (0,) * grid.d, RHO, 0.01, seed=6)
+    scheme = StepScheme(StepVariant.LIE_TROTTER, H)
+    with SpectrumWriter(str(out), grid) as writer:
+        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),),
+                                 spectrum=writer)
+        tracemalloc.start()
+        try:
+            integrate(datum, scheme, -1, steps, observer=rec, cadence=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        diag = rec.finalize()
+    assert len(diag.times) == steps + 1
+    return held
+
+
+def test_recorder_series_take_32_bytes_a_sample(make_datum, tmp_path):
+    # the four series are float64 arrays, one (4, rows) array per block: the
+    # growth from 256 to 4096 samples is 32 bytes a sample plus each block's
+    # array header (38 measured), where lists of Python floats took 136.  A
+    # first short run builds the caches (formatter tables, FFT plans) that
+    # neither measured run holds.
+    grid = Grid(K=4, d=1)
+    _, short, long = [
+        _traced_series_of_streamed_run(make_datum, grid, steps, tmp_path / f"{steps}.csv")
+        for steps in (64, 256, 4096)
+    ]
+    assert (long - short) / (4096 - 256) < 40.0

@@ -84,28 +84,41 @@ def test_oracle_counts_class_aggregation(grid2):
     assert full.holds
 
 
+_REFERENCE_POINTS = [
+    # first-violation exits at K = 12, out of the mode-level oracle's reach
+    (1, 12, 0.042, 0.2, 5, (8.0, 0.1, 25.0), False, 14249, (0,)),
+    (1, 12, 0.05, 0.2, 5, (8.0, 0.1, 25.0), False, 84904, (0,)),
+    (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), False, 5640, (0, 0)),
+    (2, 3, 0.05, 0.4, 3, (0.05, 0.5, 30.0), True, 5640, (0, 0)),
+    (1, 4, 0.05, 0.4, 3, (8.0, 0.1, 15.0), False, 320, (0,)),
+    (1, 4, 0.05, 0.4, 3, (0.05, 0.5, 30.0), True, 320, (0,)),
+    # nonzero carriers, where the class key (n, shift) has shift != 0
+    (1, 16, 0.01, 0.4, 3, (8.0, 0.1, 15.0), False, 228, (3,)),
+    (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), True, 172040, (1, 0)),
+]
+
+
+def _reference_id(i, point):
+    # the names these cases have carried since the table also selected a
+    # frequency family: that column sat before exhaustive, 1.0 in cases 4 and 5
+    d, K, h, rho2, N, _, exhaustive, n_vectors, ell = point
+    family = "1.0" if i in (4, 5) else "0.0"
+    return (f"{d}-{K}-{h}-{rho2}-{N}-constants{i}-{family}-{exhaustive}-{n_vectors}"
+            f"-ell{i}")
+
+
 @pytest.mark.parametrize(
-    "d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors, ell",
-    [
-        # first-violation exits at K = 12, out of the mode-level oracle's reach
-        (1, 12, 0.042, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 14249, (0,)),
-        (1, 12, 0.05, 0.2, 5, (8.0, 0.1, 25.0), 0.0, False, 84904, (0,)),
-        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 5640, (0, 0)),
-        (2, 3, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 0.0, True, 5640, (0, 0)),
-        (1, 4, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 1.0, False, 320, (0,)),
-        (1, 4, 0.05, 0.4, 3, (0.05, 0.5, 30.0), 1.0, True, 320, (0,)),
-        # nonzero carriers, where the class key (n, shift) has shift != 0
-        (1, 16, 0.01, 0.4, 3, (8.0, 0.1, 15.0), 0.0, False, 228, (3,)),
-        (2, 3, 0.05, 0.4, 3, (8.0, 0.1, 15.0), 0.0, True, 172040, (1, 0)),
-    ],
+    "d, K, h, rho2, N, constants, exhaustive, n_vectors, ell",
+    _REFERENCE_POINTS,
+    ids=[_reference_id(i, p) for i, p in enumerate(_REFERENCE_POINTS)],
 )
 def test_checker_matches_class_level_reference(
-    d, K, h, rho2, N, constants, eps_hat, exhaustive, n_vectors, ell
+    d, K, h, rho2, N, constants, exhaustive, n_vectors, ell
 ):
     table = build_frequency_table(h, math.sqrt(rho2), -1, ell, Grid(K=K, d=d))
     c2, delta2, s2 = constants
-    report = check_assumption2(table, N, c2, delta2, s2, eps_hat, exhaustive)
-    reference = class_level_report(table, N, c2, delta2, s2, eps_hat, exhaustive)
+    report = check_assumption2(table, N, c2, delta2, s2, exhaustive)
+    reference = class_level_report(table, N, c2, delta2, s2, exhaustive)
     assert report.n_vectors == n_vectors
     assert dumps(asdict(report)) == dumps(asdict(reference))
 
@@ -184,23 +197,52 @@ def test_search_matches_class_level_reference_on_random_draws(monkeypatch):
                                       Grid(K=K, d=1))
         if not bool(np.all(table.omega_status[table.grid.nonzero] == "ok")):
             continue
-        eps_hat = 0.0
-        if table.eps_hat is not None and rng.random() < 0.5:
-            eps_hat = float(rng.choice([table.eps_hat, 1.0]))
         c2, delta2, s2 = ((8.0, 0.1, 5.0 * N), (0.05, 0.5, 10.0 * N))[draw % 2]
         exhaustive = bool(rng.random() < 0.5)
         monkeypatch.setattr(stability, "_CHUNK", 4 if draw % 4 < 2 else 1 << 13)
-        report = check_assumption2(table, N, c2, delta2, s2, eps_hat, exhaustive)
-        reference = class_level_report(table, N, c2, delta2, s2, eps_hat, exhaustive)
+        report = check_assumption2(table, N, c2, delta2, s2, exhaustive)
+        reference = class_level_report(table, N, c2, delta2, s2, exhaustive)
         assert dumps(asdict(report)) == dumps(asdict(reference))
         ncls = len(table.frequency_classes[0])
-        seen |= {("classes", ncls), ("N", N), ("route", report.freq_source),
-                 ("exhaustive", exhaustive), ("carrier", ell != 0), ("holds", report.holds)}
+        seen |= {("classes", ncls), ("N", N), ("exhaustive", exhaustive),
+                 ("carrier", ell != 0), ("holds", report.holds)}
     assert {("classes", c) for c in range(1, 8)} <= seen
     assert {("N", n) for n in range(1, 5)} <= seen
-    assert {("route", "omega"), ("route", "varpi"), ("exhaustive", True),
-            ("exhaustive", False), ("carrier", True), ("holds", True),
-            ("holds", False)} <= seen
+    assert {("exhaustive", True), ("exhaustive", False), ("carrier", True),
+            ("holds", True), ("holds", False)} <= seen
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_search_matches_class_level_reference_at_complete_resonances(monkeypatch, exhaustive):
+    # the random draws above meet no complete resonance: with at most seven
+    # classes and N <= 4 no structural combination exists.  The smallest d = 1
+    # case with one is K = 6, carrier 2, N = 3 (11 classes), where the
+    # classes of n = 1 and 4 cancel in n and in shift.  c2 = 1e3 passes the
+    # small divisors that come before it in enumeration order
+    monkeypatch.setattr(stability, "_CHUNK", 4)
+    table = build_frequency_table(0.05, math.sqrt(0.3), -1, (2,), Grid(K=6, d=1))
+    report = check_assumption2(table, 3, 1e3, 0.1, 15.0, exhaustive)
+    reference = class_level_report(table, 3, 1e3, 0.1, 15.0, exhaustive)
+    assert dumps(asdict(report)) == dumps(asdict(reference))
+    assert not report.part_c_verdict
+    assert report.witnesses[0].kind == "complete-resonance"
+    assert report.n_vectors == (11968 if exhaustive else 5437)
+
+
+def test_screen_keeps_every_structural_resonance_at_a_tiny_delta2():
+    # delta2 = 1e-300 shrinks the small-divisor window to nothing, so only
+    # the part of the screen's bound that does not scale with delta2 (the
+    # float error bound of h*(k.omega) for a structural k, and the last-ulp
+    # slack) keeps the complete resonances: the same six as at delta2 = 0.1
+    table = build_frequency_table(0.04, math.sqrt(0.4), -1, (3,), Grid(K=8, d=1))
+
+    def complete(delta2):
+        report = check_assumption2(table, 4, 8.0, delta2, 20.0, exhaustive=True)
+        return [w.k for w in report.witnesses if w.kind == "complete-resonance"]
+
+    found = complete(1e-300)
+    assert len(found) == 6
+    assert found == complete(0.1)
 
 
 def test_search_pairs_everything_when_the_window_covers_the_circle(monkeypatch):

@@ -223,7 +223,7 @@ def test_cfl_validation():
 
 
 def test_mu_value_and_lower_bound():
-    # the oracle's mu, which the varpi comparisons below rely on
+    # the oracle's mu, on which its varpi (criterion 6) relies
     assert oracle.mu(9, 0.04) == pytest.approx(9.410071291050674, rel=1e-13)
     # tan x >= x on (0, pi/2) makes mu_n >= n
     rng = np.random.default_rng(7)
@@ -233,33 +233,10 @@ def test_mu_value_and_lower_bound():
         assert oracle.mu(n, h) >= n
 
 
-def test_varpi_values(grid2, grid16):
-    def vp(h, sigma, grid):
-        t = build_frequency_table(h, math.sqrt(sigma), -1, (0,), grid)
-        return t.varpi[_at(t, (1,))]
-
-    assert vp(0.1, 0.0, grid2) == pytest.approx(1.0, rel=1e-13)
-    assert vp(0.1, 0.4, grid2) == pytest.approx(0.44834705325123153, rel=1e-12)
-    assert vp(0.04, 0.4, grid16) == pytest.approx(0.4473956662746935, rel=1e-12)
-
-
-def test_varpi_domain(grid2, grid16):
-    # varpi is NaN where it is undefined: at the origin, outside the tan
-    # branch, and where mu^2 + 2*lam*sigma*mu < 0; a NaN amplitude is rejected
-    t = build_frequency_table(0.1, math.sqrt(0.4), -1, (0,), grid2)
-    assert math.isnan(t.varpi[grid2.index_of((0,))])
-    t = build_frequency_table(0.04, math.sqrt(0.4), -1, (0,), grid16)
-    assert math.isnan(t.varpi[grid16.index_of((7,))])  # n*h = 1.96 > pi/2
-    t = build_frequency_table(0.1, 1.0, -1, (0,), grid2)
-    assert math.isnan(t.varpi[grid2.index_of((1,))])  # mu < 2*sigma
-    with pytest.raises(DomainError, match="rho"):
-        build_frequency_table(0.1, math.nan, -1, (0,), grid2)
-
-
 # (d, K, ell, h, rho, lam): the default point, unstable modes at h = 0.042,
 # a nonzero frequency shift at ell = 3, an aliased 2-D carrier with four unstable modes, d = 2
 # with lam = +1, a degenerate branch sign (rho = 0, n = 0 at j = -2), and a
-# grid small enough that every varpi exists, so eps_hat is defined
+# d = 1, K = 4 grid at the default amplitude
 ORACLE_POINTS = [
     (1, 16, (0,), 0.04, RHO, -1),
     (1, 16, (0,), 0.042, RHO, -1),
@@ -289,7 +266,6 @@ def _point_id(point):
 def test_frequency_table_matches_oracle(d, K, ell, h, rho, lam):
     grid = Grid(K=K, d=d)
     t = build_frequency_table(h, rho, lam, ell, grid)
-    gaps = []
     for j in grid.modes():
         m = oracle.mode(j, ell, h, rho, lam, K)
         i = grid.index_of(j)
@@ -299,14 +275,9 @@ def test_frequency_table_matches_oracle(d, K, ell, h, rho, lam):
             continue
         # the table's half-angle q2 and the oracle's direct 1 - R^2 agree here
         assert m.n == 0 or abs(1.0 - m.r * m.r) > 1e-9, f"j={j} too close to q2 = 0"
-        for name in ("alpha", "beta", "omega", "growth", "varpi"):
+        for name in ("alpha", "beta", "omega", "growth"):
             got, want = getattr(t, name)[i].item(), getattr(m, name)
             assert _close(got, want), f"{name} at j={j}: table {got}, oracle {want}"
-        gaps.append(abs(m.varpi - m.omega))
-    if any(ell) or any(math.isnan(gap) for gap in gaps):
-        assert t.eps_hat is None
-    else:
-        assert _close(t.eps_hat, max(gaps))
 
 
 def test_frequency_table_statuses_and_growth(grid16):
@@ -326,16 +297,6 @@ def test_frequency_table_omega_even(grid16):
         assert t.omega[_at(t, j)] == t.omega[_at(t, tuple(-c for c in j))]
 
 
-def test_frequency_table_eps_hat(grid2, grid16):
-    # varpi leaves the tan branch for |j|^2 >= 40 at h=0.04, so no certificate
-    assert build_frequency_table(0.04, RHO, -1, (0,), grid16).eps_hat is None
-    # zero amplitude: omega and varpi both collapse to |j|^2
-    t0 = build_frequency_table(0.1, 0.0, -1, (0,), grid2)
-    assert t0.eps_hat is not None and t0.eps_hat <= 1e-12
-    t = build_frequency_table(0.1, RHO, -1, (0,), grid2)
-    assert t.eps_hat == pytest.approx(0.000537807860752082, rel=1e-10)
-
-
 def test_frequency_table_immutable(grid2):
     t = build_frequency_table(0.1, RHO, -1, (0,), grid2)
     with pytest.raises(ValueError):
@@ -352,8 +313,7 @@ def test_assumption2_small_reference(grid16):
     assert r.tightest.delta == pytest.approx(0.01493905579617283, rel=1e-12)
     assert r.tightest.lhs == pytest.approx(3.361111111111111, rel=1e-12)
     assert r.tightest.rhs == pytest.approx(3.4510767419995374, rel=1e-12)
-    assert r.freq_source == "omega"
-    assert r.part_a_ok and r.part_b_ok and r.part_c_verdict
+    assert r.part_b_ok and r.part_c_verdict
 
 
 def test_assumption2_no_small_divisors(grid16):
@@ -365,42 +325,22 @@ def test_assumption2_no_small_divisors(grid16):
     assert r.tightest is None
 
 
-def test_assumption2_varpi_routing(grid2, grid16):
-    tv = build_frequency_table(0.1, RHO, -1, (0,), grid2)
-    r = check_assumption2(tv, N=2, c2=8.0, delta2=0.1, s2=10.0, eps_hat=1.0)
-    assert r.freq_source == "varpi"
-    assert r.part_a_ok and r.holds
-    # a bound tighter than the certified deviation fails part (a)
-    r2 = check_assumption2(tv, N=2, c2=8.0, delta2=0.1, s2=10.0, eps_hat=1e-6)
-    assert not r2.part_a_ok and not r2.holds
-    # incomplete modified frequencies cannot back a varpi-based check
-    t16 = build_frequency_table(0.04, RHO, -1, (0,), grid16)
-    with pytest.raises(DomainError):
-        check_assumption2(t16, N=2, c2=8.0, delta2=0.1, s2=10.0, eps_hat=1.0)
-
-
-def test_assumption2_routes_split_on_a_near_resonance():
-    # the one disagreeing draw of the d = 3 route-agreement scan under CFL
-    # (h/cfl_max_h = 0.49): both routes find e_3 + e_12 + e_20 - e_36 (classes
-    # named by |j|^2) nearly resonant, but only h*(k.varpi) = 2.9e-9 falls
-    # inside the complete-resonance tolerance 2*pi*1e-9; h*(k.omega) = 2.2e-8
-    # is a small divisor that passes part (b)
+def test_assumption2_holds_at_a_d3_near_resonance():
+    # a d = 3 point under CFL (h/cfl_max_h = 0.49) where e_3 + e_12 + e_20 - e_36
+    # (classes named by |j|^2) nearly cancels: h*(k.omega) = 2.2e-8.  No two
+    # classes share n at carrier 0, so it is no complete resonance; it is the
+    # tightest small divisor, and part (b) passes it
     grid = Grid(K=4, d=3)
     t = build_frequency_table(
         0.007857467762084654, math.sqrt(0.5268103245109661), 1, (0, 0, 0), grid
     )
-    combo = (
+    r = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0)
+    assert r.holds and r.n_vectors == 658688
+    assert r.tightest.k == (
         ((-1, -1, -1), 1), ((-2, -2, -2), 1), ((-4, -2, 0), 1), ((-4, -4, -2), -1)
     )
-    ro = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0)
-    assert ro.holds and ro.n_vectors == 658688
-    assert ro.tightest.k == combo and ro.tightest.lhs == 0.05
-    assert ro.tightest.delta == pytest.approx(2.768035145095382e-06, rel=1e-6)
-    rv = check_assumption2(t, N=3, c2=8.0, delta2=0.1, s2=15.0, eps_hat=1.0)
-    assert rv.part_a_ok and not rv.part_c_verdict and not rv.holds
-    w = rv.witnesses[0]
-    assert w.kind == "complete-resonance" and w.k == combo
-    assert w.delta == pytest.approx(3.713333143195996e-07, rel=1e-6)
+    assert r.tightest.lhs == 0.05
+    assert r.tightest.delta == pytest.approx(2.768035145095382e-06, rel=1e-6)
 
 
 @pytest.mark.parametrize("h_over_cfl", [0.1, 0.5, 1.0])
@@ -439,8 +379,10 @@ def test_assumption2_rejects_flagged_tables(grid16, grid2):
 
 def test_assumption2_keeps_coincident_frequencies_apart(grid2):
     # mode -2 (n = 4) given the omega of +-1 (n = 1) stays in its own class,
-    # so e_{-1} - e_{-2} is a complete resonance; grouping the modes by their
-    # float omega would merge the two classes and hide it
+    # so e_{-1} - e_{-2} is a combination with k.omega = 0 exactly; grouping
+    # the modes by their float omega would merge the two classes and hide it.
+    # Its keys do not cancel (n = 1 and 4), so it is no complete resonance but
+    # a small divisor with delta = 0 and rhs = 0, which part (b) fails
     base = build_frequency_table(0.1, RHO, -1, (0,), grid2)
     omega = base.omega.copy()
     shared = omega[grid2.index_of((1,))]
@@ -448,9 +390,11 @@ def test_assumption2_keeps_coincident_frequencies_apart(grid2):
     assert abs(math.remainder(base.h * shared, 2.0 * math.pi)) > 0.01
     t = dataclasses.replace(base, omega=omega)
     r = check_assumption2(t, N=1, c2=8.0, delta2=0.1, s2=5.0)
-    assert not r.part_c_verdict
-    assert r.witnesses[0].kind == "complete-resonance"
-    assert r.witnesses[0].k == (((-1,), 1), ((-2,), -1))
+    assert not r.part_b_ok and r.part_c_verdict and r.n_vectors == 8
+    w = r.witnesses[0]
+    assert w.kind == "small-divisor"
+    assert w.k == (((-1,), 1), ((-2,), -1))
+    assert (w.delta, w.rhs, w.lhs) == (0.0, 0.0, 4.0)
 
 
 def test_assumption2_parameter_validation(grid2):
@@ -459,11 +403,7 @@ def test_assumption2_parameter_validation(grid2):
         check_assumption2(t, N=0, c2=8.0, delta2=0.1, s2=5.0)
     with pytest.raises(DomainError):
         check_assumption2(t, N=2, c2=0.0, delta2=0.1, s2=5.0)
-    with pytest.raises(DomainError):
-        check_assumption2(t, N=2, c2=8.0, delta2=0.1, s2=5.0, eps_hat=-1.0)
-    for bad in (
-        {"c2": math.nan}, {"delta2": math.nan}, {"s2": math.nan}, {"eps_hat": math.nan},
-    ):
+    for bad in ({"c2": math.nan}, {"delta2": math.nan}, {"s2": math.nan}):
         with pytest.raises(DomainError):
             check_assumption2(t, N=2, **{"c2": 8.0, "delta2": 0.1, "s2": 5.0, **bad})
 
@@ -481,22 +421,25 @@ def test_assumption2_rejects_a_bool_order(grid2):
 
 
 def test_assumption2_complete_resonance():
-    # force h * omega onto a multiple of 2*pi: every combination is resonant
+    # force h * omega onto 2*pi: a complete resonance in floats, but the one
+    # class has no partner of its n, so no combination is structural; each is
+    # a small divisor at delta ~ 1e-16 (sin(pi) in floats) that part (b) fails
     g = Grid(K=1, d=1)
     base = build_frequency_table(1.0, 0.5, 1, (0,), g)
     t = dataclasses.replace(base, omega=np.array([2.0 * math.pi, np.nan]))
     r = check_assumption2(t, N=1, c2=8.0, delta2=0.1, s2=5.0)
-    assert not r.holds
-    assert not r.part_c_verdict
+    assert not r.holds and not r.part_b_ok and r.part_c_verdict
     assert len(r.witnesses) == 1
-    assert r.witnesses[0].kind == "complete-resonance"
-    assert r.witnesses[0].k == (((-1,), 1),)
-    assert math.isnan(r.witnesses[0].rhs)
+    w = r.witnesses[0]
+    assert w.kind == "small-divisor"
+    assert w.k == (((-1,), 1),)
+    assert w.delta == pytest.approx(2.45e-16, rel=0.01)
+    assert w.lhs == 1.0 and w.rhs == pytest.approx(0.00604, rel=0.01)
 
     rx = check_assumption2(t, N=1, c2=8.0, delta2=0.1, s2=5.0, exhaustive=True)
     assert rx.n_vectors == 4
-    assert rx.n_violations == 8
-    assert {w.kind for w in rx.witnesses} == {"complete-resonance", "small-divisor"}
+    assert rx.n_violations == 4
+    assert {w.kind for w in rx.witnesses} == {"small-divisor"}
 
 
 def test_assumption2_report_serialization(grid16):
@@ -505,9 +448,8 @@ def test_assumption2_report_serialization(grid16):
     doc = json.loads(dumps(dataclasses.asdict(r)))
     # the field names and their order are the JSON schema of the check report
     assert list(doc) == [
-        "holds", "N", "c2", "delta2", "s2", "eps_hat", "freq_source", "header",
-        "part_a_ok", "part_b_ok", "part_c_verdict", "tightest", "witnesses",
-        "n_vectors", "n_small_divisors", "n_violations",
+        "holds", "N", "c2", "delta2", "s2", "header", "part_b_ok", "part_c_verdict",
+        "tightest", "witnesses", "n_vectors", "n_small_divisors", "n_violations",
     ]
     assert list(doc["tightest"]) == ["k", "delta", "l", "lhs", "rhs", "kind"]
     assert doc["holds"] is True

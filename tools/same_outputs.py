@@ -38,6 +38,10 @@ COMMANDS = {
     # exits 1 with 20 witnesses, complete resonances at a nonzero carrier among them
     "check-k8-ell3-exhaustive": ("check", "--K", "8", "--ell", "3", "--N", "4",
                                  "--exhaustive"),
+    # the same with no small-divisor window: only the screen's floor, its bound
+    # as delta2 goes to 0, keeps the six structural resonances
+    "check-k8-ell3-structural": ("check", "--K", "8", "--ell", "3", "--N", "4",
+                                 "--delta2", "1e-300", "--exhaustive"),
     # 9,173,504 vectors, 5,566 small divisors
     "check-n6": ("check", "--N", "6"),
     "sweep-k12": ("sweep", "--K", "12", "--N", "5",
