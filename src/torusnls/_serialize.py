@@ -19,8 +19,9 @@ ASCII bytes, in whole-array passes:
 - layout: %g's fixed (exponent -4 to 16) or scientific form with trailing
   zeros stripped, one of 850 layouts by sign, form and digit count, each a
   list of rows of a per-value character table (the digits, the exponent's
-  digits and .-e+); one gather writes every value's layout into a
-  NUL-padded 24-byte row, and an S24 view turns the rows into bytes.
+  digits and .-e+), held as those rows' flat offsets into the table; one
+  gather writes every value's layout into a NUL-padded 24-byte row, and
+  an S24 view turns the rows into bytes.
 
 A value goes to format_float instead, one at a time, when it is zero or not
 finite, when its magnitude lies outside [1e-280, 1e280) (where 10^(16-e) or
@@ -202,25 +203,43 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, base, exponent_digits
 
 
+@cache
+def _offsets(size: int) -> np.ndarray:
+    """The layout table as flat offsets into a character table of `size`
+    columns: row r, column 0 is flat element r * size."""
+    offsets = _layouts()[0].astype(np.intp) * size
+    offsets.flags.writeable = False
+    return offsets
+
+
+@cache
+def _columns() -> np.ndarray:
+    """(_GATHER_ROWS, _WIDTH): each row's position in a gather chunk, the
+    column it reads from a character table sliced at the chunk's start."""
+    columns = np.repeat(np.arange(_GATHER_ROWS, dtype=np.intp)[:, None], _WIDTH, axis=1)
+    columns.flags.writeable = False
+    return columns
+
+
 class FloatFormatter:
     """Formats float64 arrays as format_float formats each value, as ASCII
     bytes (see the module docstring), `size` values per pass.
 
     The buffers of one pass serve the next; the tables are built at the
-    first FloatFormatter, not at import.  The layout gather indexes
-    _GATHER_ROWS values at a time, so its flat index, 8 bytes per output
-    character, stays small.
+    first FloatFormatter (the layout offsets at the first of each size), not
+    at import.  The layout gather indexes _GATHER_ROWS values at a time, so
+    its flat index, 8 bytes per output character, stays small.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self._table, self._class_base, self._exponent_digits = _layouts()
-        self._powers = _powers_of_ten()
+        _, self._class_base, self._exponent_digits = _layouts()
         # row r of the character table, column c, is flat element r * size + c
-        self._columns = np.arange(size)[:, None]
+        self._offsets = _offsets(size)
+        self._columns = _columns()
+        self._powers = _powers_of_ten()
         self._chars = np.empty((_ROWS, size), dtype=np.uint8)
         self._chars[_DOT:_EXP] = np.frombuffer(_CONSTANTS, dtype=np.uint8)[:, None]
-        self._rows = np.empty((min(size, _GATHER_ROWS), _WIDTH), dtype=np.uint8)
         self._index = np.empty((min(size, _GATHER_ROWS), _WIDTH), dtype=np.intp)
         self._text = np.empty((size, _WIDTH), dtype=np.uint8)
         self._halves = np.empty((3, 2, size), dtype=np.uint32)
@@ -316,11 +335,11 @@ class FloatFormatter:
         flat = self._chars.reshape(-1)
         for start in range(0, n, _GATHER_ROWS):
             stop = min(n, start + _GATHER_ROWS)
-            rows, index = self._rows[: stop - start], self._index[: stop - start]
-            np.take(self._table, layout[start:stop], axis=0, out=rows, mode="clip")
-            np.multiply(rows, np.intp(self.size), out=index)
-            index += self._columns[start:stop]
-            np.take(flat, index, out=text[start:stop], mode="clip")
+            index = self._index[: stop - start]
+            np.take(self._offsets, layout[start:stop], axis=0, out=index, mode="clip")
+            index += self._columns[: stop - start]
+            # value start + i, row r is flat element r * size + start + i
+            np.take(flat[start:], index, out=text[start:stop], mode="clip")
         cells = text.view(f"S{_WIDTH}").reshape(-1).tolist()
         for i in np.flatnonzero(fallback).tolist():
             cells[i] = format_float(float(x[i])).encode()

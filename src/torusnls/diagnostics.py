@@ -38,7 +38,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,26 +87,31 @@ class SuperActionSet:
     """Per-class action sums I_m, keyed by the coupling index m = n(j).
 
     Classes are sorted ascending; the values partition the total action,
-    sum_m I_m = sum_j |xi_j|^2.  A batch of sets (super_actions of a batch)
-    holds one tuple of values per row.
+    sum_m I_m = sum_j |xi_j|^2.  values is a read-only float64 array,
+    (classes,) for one set and (B, classes) for a batch of sets
+    (super_actions of a batch), one row per set; values whose last axis
+    does not hold one value per class raise ClassSetMismatchError.
     """
 
     ms: tuple[int, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        """The values as a read-only float64 array, (B, classes) for a batch
-        (weighted_deviation reads it)."""
-        a = np.array(self.values, dtype=np.float64)
-        a.flags.writeable = False
-        return a
+    def __post_init__(self):
+        # a read-only view, so an array passed in stays writable for its owner
+        values = np.asarray(self.values, dtype=np.float64).view()
+        if values.ndim not in (1, 2) or values.shape[-1] != len(self.ms):
+            raise ClassSetMismatchError(
+                f"values of shape {values.shape} for {len(self.ms)} classes {self.ms}: "
+                "the last axis must hold one value per class"
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def super_actions(xi: XiField) -> SuperActionSet:
     """Group |xi_j|^2 over nonzero modes by the coupling index n(j).
 
-    A batch of xi maps gives a batch of sets: values holds one tuple per row.
+    A batch of xi maps gives a batch of sets: values holds one row per map.
     The sums are one bincount over all rows, with row b's classes offset by
     b times (classes + 1): a bin adds its weights in storage order, as a
     bincount of the row alone does.  The extra class per row holds the
@@ -119,7 +124,7 @@ def super_actions(xi: XiField) -> SuperActionSet:
     bins = index + width * np.arange(n)[:, None]
     weights = np.abs(rows) ** 2
     sums = np.bincount(bins.reshape(-1), weights=weights.reshape(-1), minlength=n * width)
-    values = tuple(map(tuple, sums.reshape(n, width)[:, :-1].tolist()))
+    values = sums.reshape(n, width)[:, :-1]
     return SuperActionSet(ms=ms, values=values if xi.xi.ndim > xi.grid.d else values[0])
 
 
@@ -136,19 +141,23 @@ def weighted_deviation(
     """D = sum_m max(1, m)^s |I_m - I_m(0)|.
 
     The weights are computed once per class set and s.  The terms are
-    formed elementwise in float64 and summed left to right over the classes
-    in Python floats, so D does not depend on numpy's pairwise summation.
-    now may be a batch of sets (super_actions of a batch); D is then an
-    array with one value per row.
+    formed elementwise in float64 and summed strictly left to right over
+    the classes by np.add.accumulate (each partial sum rounded, as a
+    Python left fold rounds it), so D depends neither on numpy's pairwise
+    summation nor on the compensated sum() of Python 3.12 and later.  An
+    empty class set gives 0.0.  now may be a batch of sets (super_actions
+    of a batch); D is then an array with one value per row.
     """
     if now.ms != initial.ms:
         raise ClassSetMismatchError(
             f"class sets differ: {now.ms} vs {initial.ms}"
         )
-    terms = _class_weights(now.ms, s) * np.abs(now._array - initial._array)
-    if terms.ndim == 1:
-        return float(sum(terms.tolist()))
-    return np.array([float(sum(row)) for row in terms.tolist()])
+    terms = _class_weights(now.ms, s) * np.abs(now.values - initial.values)
+    if now.ms:
+        d = np.add.accumulate(terms, axis=-1)[..., -1]
+    else:
+        d = np.zeros(terms.shape[:-1])
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -228,13 +237,14 @@ class SpectrumWriter:
 
     Columns t, j, abs_uj (j1, ..., jd for d > 1), one row per mode in
     storage order for each snapshot.  Building one does nothing else: the
-    first write builds the FloatFormatter and the row template (",j,%b" per
-    mode, joined by a snapshot's time), opens path (whose directory must
-    exist) and writes the header; close() after no write leaves the header
-    alone.  write() formats the magnitudes _EMIT_VALUES at a time, as many
-    whole snapshots as fit (a larger snapshot alone, in passes of
-    _EMIT_VALUES), and each snapshot's rows take its cells in one formatting
-    call; the formatter gives format_float's bytes, so a file does not
+    first write builds the FloatFormatter and the parts list of a snapshot's
+    rows (per mode its time prefix, its ",j," label and its cell), opens
+    path (whose directory must exist) and writes the header; close() after
+    no write leaves the header alone.  write() formats the magnitudes
+    _EMIT_VALUES at a time, as many whole snapshots as fit (a larger
+    snapshot alone, in passes of _EMIT_VALUES), and each snapshot's rows
+    take its cells in one formatting call and are one join of the parts
+    list; the formatter gives format_float's bytes, so a file does not
     depend on how its snapshots were batched.  seconds is the
     time.perf_counter total spent in write() and close().  As a context
     manager it is closed on exit, after an exception too.
@@ -265,19 +275,24 @@ class SpectrumWriter:
         if not len(times):
             return
         start = time.perf_counter()
+        size = self.grid.size
         if self._formatter is None:
             self._formatter = FloatFormatter(_EMIT_VALUES)
-            self._parts = [
-                b"", *(f",{','.join(map(str, j))},%b\n".encode() for j in self.grid.modes())
-            ]
+            # three parts per row, the time prefix, the label and the cell;
+            # each prefix after the first also ends the row before
+            self._parts = [b""] * (3 * size) + [b"\n"]
+            self._parts[1::3] = [f",{','.join(map(str, j))},".encode() for j in self.grid.modes()]
+        parts = self._parts
         fh = self._file()
-        size = self.grid.size
         per_pass = max(1, _EMIT_VALUES // size)
         for first in range(0, len(times), per_pass):
             cells = self._formatter(np.asarray(mags[first : first + per_pass]))
             for i, t in enumerate(times[first : first + per_pass]):
-                rows = format_float(float(t)).encode().join(self._parts)
-                fh.write(rows % tuple(cells[i * size : (i + 1) * size]))
+                prefix = format_float(float(t)).encode()
+                parts[0] = prefix
+                parts[3:-1:3] = [b"\n" + prefix] * (size - 1)
+                parts[2::3] = cells[i * size : (i + 1) * size]
+                fh.write(b"".join(parts))
         self.seconds += time.perf_counter() - start
 
     def close(self) -> None:
@@ -384,14 +399,17 @@ class TrajectoryRecorder:
             shown |= (lo <= times) & (times <= hi)
         orbital = sobolev_norm(project_away(u, table.ell), self.s)
         self._series.append(np.stack((times, mass, orbital, self._deviations_of(u, mass))))
+        shown_times = times[shown].tolist()
+        # a block wholly inside the windows needs no boolean-index copy
+        mags = np.abs(u.coeffs if shown.all() else u.coeffs[shown])
         if self.spectrum is None:
-            self._snapshots.extend(zip(times[shown].tolist(), np.abs(u.coeffs[shown])))
+            self._snapshots.extend(zip(shown_times, mags))
             return
         # Held until the next block's replace them: a live array made after
         # the block's temporaries keeps glibc's malloc from handing them back
         # to the system at every block and faulting them in again at the next.
-        self._last_mags = np.abs(u.coeffs[shown])
-        self.spectrum.write(times[shown].tolist(), self._last_mags)
+        self._last_mags = mags
+        self.spectrum.write(shown_times, mags)
 
     def _deviations_of(self, u: SpectralField, mass: np.ndarray) -> np.ndarray:
         """D of each row of the batch u; NaN without a xi map or where it fails."""

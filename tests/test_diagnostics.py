@@ -86,7 +86,7 @@ def test_super_actions_match_unique_bincount(make_datum, d, ell):
         sums = np.bincount(inverse, weights=(np.abs(xi.xi) ** 2)[grid.nonzero])
         sa = super_actions(xi)
         assert sa.ms == tuple(int(m) for m in ms)
-        assert sa.values == tuple(float(v) for v in sums)
+        assert sa.values.tolist() == [float(v) for v in sums]
 
 
 def test_weighted_deviation_hand_value():
@@ -102,15 +102,23 @@ def test_weighted_deviation_zero_class_uses_unit_weight():
     assert weighted_deviation(a, b, 5.0) == pytest.approx(0.1, rel=1e-12)
 
 
+def left_fold(terms):
+    """The terms summed strictly left to right, each partial sum rounded (the
+    builtin sum() is compensated from Python 3.12 on)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def test_weighted_deviation_matches_scalar_sum():
-    # reference: the scalar formula, Python pow and abs, summed left to right
-    # by a generator; the elementwise float64 terms summed from a list must
-    # give the same float
+    # reference: the scalar formula, Python pow and abs, in a left fold; the
+    # elementwise float64 terms summed by numpy must give the same float
     def scalar(now, initial, s):
-        return float(sum(
+        return left_fold(
             float(max(1, m)) ** s * abs(a - b)
-            for m, a, b in zip(now.ms, now.values, initial.values)
-        ))
+            for m, a, b in zip(now.ms, now.values.tolist(), initial.values.tolist())
+        )
 
     rng = np.random.default_rng(7)
     for trial in range(60):
@@ -127,13 +135,46 @@ def test_weighted_deviation_matches_scalar_sum():
             assert weighted_deviation(b, a, s) == scalar(b, a, s)
 
 
+def test_weighted_deviation_sums_left_to_right():
+    # terms (1e16, 1, 1): each 1 is half an ulp of 1e16 and rounds away (ties
+    # to even), so the left fold gives 1e16; Python 3.12's compensated sum()
+    # gives 1.0000000000000002e16
+    a = SuperActionSet(ms=(0, 1, 2), values=(1e16, 1.0, 1.0))
+    b = SuperActionSet(ms=(0, 1, 2), values=(0.0, 0.0, 0.0))
+    assert left_fold([1e16, 1.0, 1.0]) == 1e16
+    assert weighted_deviation(a, b, 0.0) == 1e16
+    batch = SuperActionSet(ms=a.ms, values=[a.values, b.values])
+    assert weighted_deviation(batch, b, 0.0).tolist() == [1e16, 0.0]
+
+
+def test_weighted_deviation_of_no_classes_is_zero():
+    empty = SuperActionSet(ms=(), values=())
+    assert weighted_deviation(empty, empty, 5.0) == 0.0
+    batch = SuperActionSet(ms=(), values=np.empty((3, 0)))
+    assert weighted_deviation(batch, empty, 5.0).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_super_action_set_checks_its_shape():
+    # one value per class on the last axis, or ClassSetMismatchError naming
+    # both lengths; a 1-value set on two classes used to broadcast silently
+    for values in ((0.3,), (0.1, 0.2, 0.3), [(0.1,), (0.2,)], 0.3):
+        with pytest.raises(ClassSetMismatchError, match="2 classes") as err:
+            SuperActionSet(ms=(1, 4), values=values)
+        assert str(np.shape(values)) in str(err.value)
+    given = np.array([0.2, 0.3])
+    sa = SuperActionSet(ms=(1, 4), values=given)
+    assert sa.values.dtype == np.float64 and not sa.values.flags.writeable
+    assert given.flags.writeable  # the caller's array is left as it was
+
+
 def test_super_actions_and_deviation_of_a_batch(grid16, make_datum, diag16):
     # a batch of xi maps gives one set of values per row and one D per row,
     # each bit for bit what the row alone gives
     fields = [make_datum(grid16, (0,), RHO, 0.01, seed=seed) for seed in range(5)]
     batch = super_actions(u_to_xi(SpectralField.stack(grid16, [u.coeffs for u in fields]), diag16))
     alone = [super_actions(u_to_xi(u, diag16)) for u in fields]
-    assert batch.ms == alone[0].ms and batch.values == tuple(sa.values for sa in alone)
+    assert batch.ms == alone[0].ms
+    assert batch.values.tolist() == [sa.values.tolist() for sa in alone]
     devs = weighted_deviation(batch, alone[0], 5.0)
     assert devs.tolist() == [weighted_deviation(sa, alone[0], 5.0) for sa in alone]
     assert devs[0] == 0.0

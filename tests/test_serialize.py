@@ -84,3 +84,18 @@ def test_fast_path_handles_typical_magnitudes(rng, fallbacks):
     assert_matches_format_float(x)
     assert len(fallbacks) <= 5
 
+
+def test_cells_do_not_depend_on_the_pass_size(rng, fallbacks):
+    """Passes of 1, 7, 511, 513, 2048 and 4097 values give the same cells:
+    gather chunks of 512 that start inside a pass, and short last chunks
+    and passes, the values that fall back among them."""
+    x = np.concatenate([
+        rng.normal(size=5000) * 10.0 ** rng.uniform(-30.0, 30.0, size=5000),
+        [0.0, -0.0, np.inf, -np.nan, 123456789012345.125, 1e300, -1e-300, 5e-324],
+    ])
+    rng.shuffle(x)
+    want = [format_float(v).encode() for v in x.tolist()]
+    for size in (1, 7, 511, 513, 2048, 4097):
+        assert formatted(x, size=size) == want, size
+    # the eight planted values fall back at every size
+    assert len(fallbacks) >= 6 * 8

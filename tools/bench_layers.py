@@ -24,7 +24,11 @@ epsilon = 0.01, s = 5, carrier at the origin):
   starts), then `emit` writes the series and meta and closes the writer.
   A side whose package has no `SpectrumWriter` emits the whole run in one
   `emit`, as its CLI did.  Each side writes the run its own package
-  recorded.
+  recorded;
+- format_ns_per_value: the emission kernel alone, one call of a
+  `_serialize.FloatFormatter` of the spectrum writer's pass size
+  (`diagnostics._EMIT_VALUES`) on all the magnitudes of that recorded run,
+  per value; the formatter is built before the clock starts.
 
 and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
@@ -33,12 +37,13 @@ point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
 call and vectors per second, n_vectors over the call's time.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
-whole blocks; emit_us_per_row: one run's files; the enumerator: ENUM_CALLS
-calls); a figure is the best (and the median) over --repeats loops.  The
-loops run in rounds: each round times every figure of the grid once on each
-side, after one untimed round, so no figure is the first to run in a cold
-process and a burst of load on the host spreads over several figures rather
-than taking one figure's median.
+whole blocks; emit_us_per_row: one run's files; format_ns_per_value: one
+formatter call; the enumerator: ENUM_CALLS calls); a figure is the best
+(and the median) over --repeats loops.  The loops run in rounds: each
+round times every figure of the grid once on each side, after one untimed
+round, so no figure is the first to run in a cold process and a burst of
+load on the host spreads over several figures rather than taking one
+figure's median.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
 current package's, so both see the same host speed.
@@ -83,9 +88,11 @@ def load_package(src: str, name: str) -> str:
 def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     """Figure name -> a factory taking --calls and returning (the loop to
     time, the number of calls, samples or rows it makes); observe_us feeds
-    each recorder block samples, and emit_us_per_row streams the spectrum
-    in blocks of as many snapshots and writes into out_dir."""
+    each recorder block samples, emit_us_per_row streams the spectrum in
+    blocks of as many snapshots and writes into out_dir, and
+    format_ns_per_value formats the same magnitudes in one call."""
     cli = importlib.import_module(f"{pkg}.cli")
+    serialize = importlib.import_module(f"{pkg}._serialize")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
     integrator = importlib.import_module(f"{pkg}.integrator")
     stability = importlib.import_module(f"{pkg}.stability")
@@ -154,6 +161,13 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
         return run, len(snapshots) * datum.grid.size
 
     out["emit_us_per_row"] = emit
+    mags = np.stack([m for _, m in snapshots])
+
+    def format_values(calls):
+        formatter = serialize.FloatFormatter(diagnostics._EMIT_VALUES)
+        return (lambda: formatter(mags)), mags.size / 1e3  # us per 1000 values: ns per value
+
+    out["format_ns_per_value"] = format_values
     return out
 
 
