@@ -248,12 +248,15 @@ def build_config(file_values: dict | None, overrides: dict) -> RunConfig:
 def random_initial_datum(config: RunConfig) -> SpectralField:
     """Random field with carrier mass rho and non-carrier H^s distance epsilon.
 
-    Draws i.i.d. complex standard normals per mode from a counter-based
-    Philox stream (real/imaginary pairs in grid storage order), zeros the
-    carrier slot, damps each coefficient by |j - ell|^-(s+1) (mod-reduced
-    offset), rescales the non-carrier block so the recentered H^s norm is
-    exactly epsilon, and sets the carrier coefficient to the positive real
-    number restoring total mass rho^2.  Bit-reproducible for a given seed.
+    Draws i.i.d. complex standard normals per mode (real/imaginary pairs in
+    grid storage order) from the package's own Philox4x64-10 + ziggurat
+    stream (torusnls._philox), which equals numpy >= 2.0's
+    Generator(Philox(seed)).standard_normal without importing numpy.random;
+    zeros the carrier slot, damps each coefficient by |j - ell|^-(s+1)
+    (mod-reduced offset), rescales the non-carrier block so the recentered
+    H^s norm is exactly epsilon, and sets the carrier coefficient to the
+    positive real number restoring total mass rho^2.  Bit-reproducible for a
+    given seed, whatever the numpy version.
     Raises ConfigError, before drawing, unless epsilon < rho.
     """
     if config.epsilon >= config.rho:
@@ -261,9 +264,11 @@ def random_initial_datum(config: RunConfig) -> SpectralField:
             f"epsilon = {config.epsilon} must stay below rho = {config.rho} "
             "(carrier mass budget)"
         )
+    # the sampler loads on first use; check and sweep never draw a datum
+    from ._philox import standard_normal
+
     grid = config.grid()
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    pairs = rng.standard_normal(grid.shape + (2,))
+    pairs = standard_normal(config.seed, 2 * grid.size).reshape(grid.shape + (2,))
     c = pairs[..., 0] + 1j * pairs[..., 1]
 
     carrier = grid.index_of(config.ell)

@@ -199,7 +199,7 @@ def mod_reduce(v: int | Sequence[int], grid: Grid) -> Mode:
     return tuple((c + K) % (2 * K) - K for c in m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable Fourier-coefficient representation of a grid function.
 

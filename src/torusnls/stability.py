@@ -103,7 +103,7 @@ def cfl_max_h(d: int, K: int, rho0: float, N: int) -> float:
     return math.pi / ((N + 1) * (d * K * K + 2.0 * rho0 * rho0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
     """Per-mode frequency data on the full grid (origin slot is a placeholder).
 

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalizerSet:
     """Per-mode symplectic diagonalizers S_j.
 
@@ -135,7 +135,7 @@ def build_diagonalizers(table: FrequencyTable) -> DiagonalizerSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XiField:
     """Diagonalized perturbation variables plus the carrier's polar angle.
 

@@ -1,5 +1,6 @@
 """Super-actions, instability detection, trajectory recording, and emission."""
 
+import cmath
 import csv
 import dataclasses
 import json
@@ -465,6 +466,34 @@ def test_recorder_blow_up(grid16, table16):
         rec(5, SpectralField(grid16, c))
     assert info.value.step == 5
     assert info.value.time == pytest.approx(5 * H, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf),
+                                 complex(np.nan, 1.0)])
+def test_recorder_raises_at_one_non_finite_coefficient(grid16, table16, bad):
+    rec = TrajectoryRecorder(table16, s=5.0)
+    c = np.zeros(grid16.shape, dtype=complex)
+    c[grid16.index_of((0,))] = RHO
+    rec(0, SpectralField(grid16, c))
+    c[grid16.index_of((2,))] = bad
+    with pytest.raises(BlowUpError) as info:
+        rec(3, SpectralField(grid16, c))
+    assert info.value.step == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_recorder_accepts_finite_coefficients_whose_sum_overflows(grid16, table16):
+    # the cheap check sums the coefficients; an overflowing sum of finite
+    # values gets the full check, which passes, and only a later
+    # non-finite sample raises
+    c = np.full(grid16.shape, complex(1e308, -1e308))
+    assert not cmath.isfinite(c.sum())
+    rec = TrajectoryRecorder(table16, s=5.0)
+    rec(0, SpectralField(grid16, c))
+    c[5] = complex(1e308, np.nan)
+    with pytest.raises(BlowUpError) as info:
+        rec(1, SpectralField(grid16, c))
+    assert info.value.step == 1
 
 
 def test_recorder_without_linear_stability(grid16, make_datum):

@@ -34,16 +34,19 @@ and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
 (d = 1, K = 12, N = 5, c2 = 8, delta2 = 0.1, s2 = 25, lambda = -1) and the
 `check` defaults (K = 16, h = 0.04, rho^2 = 0.4).  Its figures are ms per
-call and vectors per second, n_vectors over the call's time.
+call and vectors per second, n_vectors over the call's time.  And
+datum_ms: one `cli.random_initial_datum` call at each grid of DATUM_GRIDS
+(d = 2, K = 8: 512 normals, the dense-2d datum; d = 3, K = 16: 65,536),
+the package's defaults otherwise.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
 whole blocks; emit_us_per_row: one run's files; format_ns_per_value: one
-formatter call; the enumerator: ENUM_CALLS calls); a figure is the best
-(and the median) over --repeats loops.  The loops run in rounds: each
-round times every figure of the grid once on each side, after one untimed
-round, so no figure is the first to run in a cold process and a burst of
-load on the host spreads over several figures rather than taking one
-figure's median.
+formatter call; the enumerator: ENUM_CALLS calls; datum_ms: one call); a
+figure is the best (and the median) over --repeats loops.  The loops run in
+rounds: each round times every figure of the grid once on each side, after
+one untimed round, so no figure is the first to run in a cold process and a
+burst of load on the host spreads over several figures rather than taking
+one figure's median.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
 current package's, so both see the same host speed.
@@ -71,6 +74,7 @@ EMIT_STEPS = 300
 ENUM_POINTS = ((12, 0.042, 0.4), (12, 0.05, 0.4), (12, 0.06, 0.2), (12, 0.06, 0.4),
                (16, 0.04, 0.4))
 ENUM_CALLS = 3
+DATUM_GRIDS = ((2, 8), (3, 16))
 
 
 def load_package(src: str, name: str) -> str:
@@ -190,6 +194,13 @@ def enumerator_cases(pkg: str) -> dict:
     return out
 
 
+def datum_cases(pkg: str) -> dict:
+    """Grid name -> the configuration whose initial datum is drawn."""
+    cli = importlib.import_module(f"{pkg}.cli")
+    return {f"d{d}_K{K}": (cli.random_initial_datum, cli.RunConfig(d=d, K=K))
+            for d, K in DATUM_GRIDS}
+
+
 def rounds(sides: list, names: list, time_one, repeats: int) -> dict:
     """side -> name -> the --repeats times of time_one(side, name), taken in
     rounds after one untimed round, the side that goes first alternating."""
@@ -252,6 +263,20 @@ def main() -> None:
                 "ms": {"best": min(ts), "median": statistics.median(ts)},
                 "vectors_per_s": enum_cases[side][name][1] / statistics.median(ts) * 1e3,
             }
+            for name, ts in times[side].items()
+        }
+    data = {side: datum_cases(pkg) for side, pkg in sides.items()}
+
+    def datum_ms(side: str, name: str) -> float:
+        draw, config = data[side][name]
+        t0 = time.perf_counter()
+        draw(config)
+        return (time.perf_counter() - t0) * 1e3
+
+    times = rounds(list(sides), list(data["current"]), datum_ms, args.repeats)
+    for side in sides:
+        result[side]["datum_ms"] = {
+            name: {"best": min(ts), "median": statistics.median(ts)}
             for name, ts in times[side].items()
         }
     result["cpu_count"] = os.cpu_count()

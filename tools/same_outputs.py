@@ -75,6 +75,9 @@ COMMANDS = {
     "two-windows-12000-cadence10": ("simulate", "--steps", "12000", "--cadence", "10"),
     # 32,768 modes: one sample per recorder block, 16 formatter passes per snapshot
     "d3-k16-10": ("simulate", "--d", "3", "--K", "16", "--steps", "10", "--cadence", "1"),
+    # a seed of three 32-bit words (2^65 + 5): SeedSequence hashes each into its pool
+    "multiword-seed-60": ("simulate", "--K", "4", "--steps", "60", "--cadence", "1",
+                          "--seed", "36893488147419103237"),
 }
 
 # keys whose values measure the host rather than the computation
