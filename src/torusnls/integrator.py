@@ -5,12 +5,22 @@ e^{-i |j|^2 t}, the nonlinear flow multiplies each collocation value by
 e^{-i lam |u(x)|^2 t}. Either composition order conserves the discrete mass
 exactly (up to rounding) because the nonlinear factor is unimodular.
 
-`step` is the raw one-step map. `integrate` follows each step with a
-projection onto the initial mass (Hairer-Lubich-Wanner, Geometric Numerical
-Integration, IV.4): the state is rescaled by sqrt(m0/m). In exact arithmetic
-the factor is 1; in floating point it stops FFT rounding from random-walking
-the mass, which the nonlinear phase lam |u|^2 would otherwise integrate into
-a phase drift growing linearly in t.
+The three splittings are conjugate: Strang linear-outside is
+L(h/2)^-1∘(L∘N)∘L(h/2) and Strang nonlinear-outside is
+N(h/2)∘(L∘N)∘N(h/2)^-1, with L∘N the Lie-Trotter step (Hairer-Lubich-Wanner,
+Geometric Numerical Integration, II.5).  So every variant runs one step
+kernel, L(h)∘N(h), in its own frame: `integrate` enters the frame once, and
+leaves it only to hand a state to the observer and at the end.  A Strang run
+of n steps thus costs n Lie-Trotter steps plus one frame map per observed
+sample; its states differ from the step-by-step composition at rounding
+level, while Lie-Trotter's keep their bits.
+
+`step` is the raw one-step map, leave∘kernel∘enter. `integrate` follows each
+kernel step with a projection of the frame state onto the initial mass
+(Hairer-Lubich-Wanner, IV.4): the state is rescaled by sqrt(m0/m). In exact
+arithmetic the factor is 1; in floating point it stops FFT rounding from
+random-walking the mass, which the nonlinear phase lam |u|^2 would otherwise
+integrate into a phase drift growing linearly in t.
 
 Between steps the state stays in numpy's FFT order; `_Stepper.reorder`, one
 Grid.shift gather, converts at the boundary (spectral.py describes the two
@@ -18,7 +28,7 @@ orders).  A nonlinear substep calls the pocketfft gufuncs that np.fft.ifft
 and np.fft.fft call, with the arguments they pass, once per axis, last axis
 first, exactly as np.fft.ifftn and fftn do, so its result equals theirs bit
 for bit without their argument handling.  The transforms, the phase and the
-Strang products write into work arrays the stepper allocates once; a step
+frame maps write into work arrays the stepper allocates once; a kernel step
 allocates only the array it returns.
 """
 
@@ -67,12 +77,26 @@ class StepScheme:
 
 
 class _Stepper:
-    """Precomputed one-step map working on numpy-ordered coefficient arrays.
+    """One step kernel, L(h)∘N(h), and the variant's pair of frame maps:
+    n steps of the variant are leave∘kernel^n∘enter, with
 
-    numpy's FFT order puts mode 0 at position 0 along each axis, storage
-    order puts it at K; `reorder` converts either way (see spectral.py).
-    `advance` takes states of `shape` (the grid's by default; a leading
-    batch axis transforms like one field) and never writes to its input.
+        variant                    enter          leave
+        lie-trotter                identity       identity
+        strang-linear-outside      ×L(h/2)        ×L(-h/2)
+        strang-nonlinear-outside   N(-h/2)        N(h/2)
+
+    States are numpy-ordered coefficient arrays of `shape` (the grid's by
+    default; a leading batch axis transforms like one field); numpy's FFT
+    order puts mode 0 at position 0 along each axis, storage order puts it
+    at K, and `reorder` converts either way (see spectral.py).  `enter` and
+    `kernel` return new arrays and never write to their input.  `leave` may
+    return its input or a work array, valid until the stepper's next call.
+
+    For nonlinear-outside, `leave(w)` leaves w's grid values and N(h/2)'s
+    phase in the work arrays, and a `kernel(w)` that follows on the same w
+    takes them from there instead of transforming w again.  The kernel
+    always forms N(h)'s phase as the square of N(h/2)'s, so its result has
+    the same bits whether or not `leave` ran first.
     """
 
     def __init__(self, grid: Grid, scheme: StepScheme, lam: float,
@@ -85,8 +109,7 @@ class _Stepper:
         self.lam = lam
         h = scheme.h
         n2 = self.reorder(grid.mode_norm2)
-        self._lin_full = np.exp(-1j * h * n2)
-        self._lin_half = np.exp(-1j * (h / 2) * n2)
+        self._lin = np.exp(-1j * h * n2)
         self._size = grid.size
         shape = grid.shape if shape is None else tuple(shape)
         # np.fft.ifft/fft's gufunc calls on the last d axes, last first (the
@@ -99,6 +122,20 @@ class _Stepper:
         # other, and |v|^2
         self._work = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
         self._abs2 = np.empty(shape)
+        self._halved = scheme.variant is StepVariant.STRANG_NONLINEAR_OUTSIDE
+        self._t = h / 2 if self._halved else h  # the time of the kernel's phase
+        self._staged = None  # (w, its grid values) after a nonlinear-outside leave(w)
+        if scheme.variant is StepVariant.STRANG_LINEAR_OUTSIDE:
+            self._lin_enter = np.exp(-1j * (h / 2) * n2)
+            self._lin_leave = np.exp(1j * (h / 2) * n2)
+        elif self._halved:
+            # leave's own pair, so the staged values and phase survive it, and
+            # a forward transform that divides by n along each axis, as the
+            # inverse does, in place of a pass dividing by size
+            self._leave_work = (np.empty(shape, dtype=complex),
+                                np.empty(shape, dtype=complex))
+            self._leave_forward = [(pocketfft.fft, fct, axes)
+                                   for _, fct, axes in self._inverse]
 
     def reorder(self, a: np.ndarray) -> np.ndarray:
         """Storage order <-> numpy order: a shift by K along every axis."""
@@ -109,41 +146,68 @@ class _Stepper:
         a, b = self._work
         return b if c is a else a
 
-    def _transform(self, calls, c: np.ndarray) -> np.ndarray:
-        """Apply the 1-D transforms in turn, each into the work array c is not."""
+    def _transform(self, calls, c: np.ndarray, pair=None) -> np.ndarray:
+        """Apply the 1-D transforms in turn, each into the array of the pair
+        (the work arrays by default) that it does not read."""
+        a, b = self._work if pair is None else pair
         for ufunc, fct, axes in calls:
-            c = ufunc(c, fct, axes=axes, out=self._spare(c))
+            c = ufunc(c, fct, axes=axes, out=b if c is a else a)
         return c
 
-    def _nl(self, c: np.ndarray, t: float) -> np.ndarray:
-        """fftn(phase * ifftn(c) * size) in a work array, not yet divided by size."""
+    def _values(self, c: np.ndarray, t: float) -> np.ndarray:
+        """v = ifftn(c) * size in a work array, returned, and N(t)'s phase
+        e^{-i lam t |v|^2} in the other."""
         vals = self._transform(self._inverse, c)
         np.multiply(vals, self._size, out=vals)
         r = np.abs(vals, out=self._abs2)
         np.square(r, out=r)
-        # the phase goes to the work array the values are not in; the complex
-        # products keep the operand order of vals *= np.exp(-1j*lam*t * r)
         phase = np.multiply(-1j * self.lam * t, r, out=self._spare(vals))
         np.exp(phase, out=phase)
-        np.multiply(vals, phase, out=vals)
+        return vals
+
+    def _flow(self, vals: np.ndarray) -> np.ndarray:
+        """fftn(v * phase) in a work array, not yet divided by size; the
+        complex product keeps the operand order of vals *= phase."""
+        np.multiply(vals, self._spare(vals), out=vals)
         return self._transform(self._forward, vals)
 
-    def advance(self, c: np.ndarray) -> np.ndarray:
-        h = self.scheme.h
-        v = self.scheme.variant
-        if v is StepVariant.LIE_TROTTER:
-            out = self._nl(c, h) / self._size
-            out *= self._lin_full
-        elif v is StepVariant.STRANG_LINEAR_OUTSIDE:
-            half = np.multiply(c, self._lin_half, out=self._work[0])
-            out = self._nl(half, h) / self._size
-            out *= self._lin_half
-        else:
-            mid = self._nl(c, h / 2)
-            np.divide(mid, self._size, out=mid)
-            np.multiply(mid, self._lin_full, out=mid)
-            out = self._nl(mid, h / 2) / self._size
+    def enter(self, c: np.ndarray) -> np.ndarray:
+        """The variant's state mapped into the kernel's frame."""
+        if self._halved:
+            return self._flow(self._values(c, -self.scheme.h / 2)) / self._size
+        if self.scheme.variant is StepVariant.STRANG_LINEAR_OUTSIDE:
+            return c * self._lin_enter
+        return c
+
+    def _kernel_values(self, w: np.ndarray) -> np.ndarray:
+        """_values(w) at the kernel's phase time, or what a nonlinear-outside
+        leave(w) left in the work arrays."""
+        staged = self._staged
+        if staged is not None and staged[0] is w:
+            return staged[1]
+        return self._values(w, self._t)
+
+    def kernel(self, w: np.ndarray) -> np.ndarray:
+        """One Lie-Trotter step L(h)∘N(h) of a frame state."""
+        vals = self._kernel_values(w)
+        self._staged = None
+        if self._halved:
+            phase = self._spare(vals)
+            np.multiply(phase, phase, out=phase)  # N(h) = N(h/2)∘N(h/2)
+        out = self._flow(vals) / self._size
+        out *= self._lin
         return out
+
+    def leave(self, w: np.ndarray) -> np.ndarray:
+        """A frame state mapped back to the variant's state."""
+        if self._halved:
+            vals = self._kernel_values(w)
+            self._staged = (w, vals)
+            prod = np.multiply(vals, self._spare(vals), out=self._leave_work[0])
+            return self._transform(self._leave_forward, prod, self._leave_work)
+        if self.scheme.variant is StepVariant.STRANG_LINEAR_OUTSIDE:
+            return np.multiply(w, self._lin_leave, out=self._work[0])
+        return w
 
     def wrap(self, c: np.ndarray) -> SpectralField:
         """The field of a numpy-ordered state; the reorder gather is its only copy."""
@@ -155,9 +219,13 @@ def _mass(c: np.ndarray) -> float:
 
 
 def step(f: SpectralField, scheme: StepScheme, lam: float) -> SpectralField:
-    """Advance one time step with the given splitting variant (no mass projection)."""
+    """Advance one time step with the given splitting variant (no mass projection).
+
+    The step is the stepper's leave∘kernel∘enter: bit for bit the composition
+    for Lie-Trotter, within rounding of it for the Strang variants.
+    """
     st = _Stepper(f.grid, scheme, lam, f.coeffs.shape)
-    return st.wrap(st.advance(st.reorder(f.coeffs)))
+    return st.wrap(st.leave(st.kernel(st.enter(st.reorder(f.coeffs)))))
 
 
 def integrate(
@@ -176,12 +244,14 @@ def integrate(
     wrapped in ObserverError with the step recorded; whatever the observer
     accumulated up to that point is intact.
 
-    After every step the coefficients are rescaled to the initial mass
-    m0 = sum |c|^2, so the observed mass (the `mass` column of the series
-    CSV) is constant to rounding. The rescale is skipped while m0 or the
-    current mass is zero or non-finite: a zero field stays zero and a
-    non-finite state reaches the observer unchanged. Iterate `step` for the
-    unprojected scheme.
+    The run steps in the variant's frame (see the module docstring) and
+    leaves it only where the observer is called and for the returned field,
+    so the cadence changes no bit of the trajectory. After every step the
+    frame state is rescaled to the initial mass m0 = sum |c|^2, so the
+    observed mass (the `mass` column of the series CSV) is constant to
+    rounding. The rescale is skipped while m0 or the current mass is zero or
+    non-finite: a zero field stays zero and a non-finite state reaches the
+    observer unchanged. Iterate `step` for the unprojected scheme.
     """
     if n_steps < 0:
         raise DomainError(f"n_steps must be >= 0, got {n_steps}")
@@ -204,12 +274,15 @@ def integrate(
     project = 0.0 < m0 < math.inf
     if observer is not None:
         notify(0, f0)
+    if n_steps == 0:
+        return f0
+    w = st.enter(c)
     for n in range(1, n_steps + 1):
-        c = st.advance(c)
+        w = st.kernel(w)
         if project:
-            m = _mass(c)
+            m = _mass(w)
             if 0.0 < m < math.inf:
-                c *= math.sqrt(m0 / m)
+                w *= math.sqrt(m0 / m)
         if observer is not None and (n % cadence == 0 or n == n_steps):
-            notify(n, st.wrap(c))
-    return st.wrap(c) if n_steps > 0 else f0
+            notify(n, st.wrap(st.leave(w)))
+    return st.wrap(st.leave(w))

@@ -125,8 +125,12 @@ def test_raw_step_mass_conservation(grid16, rng, variant):
     assert abs(f.mass() - m0) / m0 < 1e-13
 
 
-def test_integrate_mass_guard(grid16):
-    scheme = StepScheme(StepVariant.LIE_TROTTER, 0.04)
+@pytest.mark.parametrize("variant", list(StepVariant))
+def test_integrate_mass_guard(grid16, variant):
+    # the projection is skipped on a zero or non-finite mass, and no frame map
+    # (nonlinear-outside enters through N(-h/2)) turns a zero or NaN into
+    # anything else
+    scheme = StepScheme(variant, 0.04)
     zero = integrate(SpectralField.zero(grid16), scheme, -1.0, 20)
     assert np.array_equal(zero.coeffs, np.zeros(grid16.shape))
     nan = SpectralField(grid16, np.full(grid16.shape, np.nan, dtype=complex))
@@ -182,17 +186,29 @@ def test_integrate_observer_cadence(grid16):
     assert seen == [0, 7, 14, 21, 23]
 
 
-def test_integrate_without_observer_builds_only_the_result(grid16, rng, monkeypatch):
+@pytest.mark.parametrize("variant", list(StepVariant))
+@pytest.mark.parametrize("cadence", [1, 7])
+def test_integrate_without_observer_builds_only_the_result(grid16, rng, monkeypatch,
+                                                           variant, cadence):
+    # leaving the kernel's frame to observe changes no bit of the trajectory:
+    # leave writes nothing that a later kernel step reads, and without an
+    # observer the run leaves the frame once, for the returned field
     from torusnls.integrator import _Stepper
 
     f = _random_field(grid16, rng, scale=0.3)
-    scheme = StepScheme(StepVariant.STRANG_LINEAR_OUTSIDE, 0.03)
-    observed = integrate(f, scheme, 1.0, 12, observer=lambda n, u: None, cadence=1)
-    wraps = []
-    real_wrap = _Stepper.wrap
-    monkeypatch.setattr(_Stepper, "wrap", lambda st, c: wraps.append(1) or real_wrap(st, c))
-    plain = integrate(f, scheme, 1.0, 12, cadence=1)
-    assert len(wraps) == 1  # the returned field
+    scheme = StepScheme(variant, 0.03)
+    observed = integrate(f, scheme, 1.0, 12, observer=lambda n, u: None, cadence=cadence)
+    calls = {"wrap": 0, "leave": 0}
+    for name in calls:
+        real = getattr(_Stepper, name)
+
+        def counted(st, c, name=name, real=real):
+            calls[name] += 1
+            return real(st, c)
+
+        monkeypatch.setattr(_Stepper, name, counted)
+    plain = integrate(f, scheme, 1.0, 12, cadence=cadence)
+    assert calls == {"wrap": 1, "leave": 1}  # the returned field
     assert np.array_equal(plain.coeffs, observed.coeffs)
 
 
@@ -239,40 +255,56 @@ def test_observer_error_wrapping(grid16):
 @pytest.mark.parametrize("d, K", [(1, 16), (1, 5), (2, 3), (2, 8), (3, 2)])
 @pytest.mark.parametrize("variant", list(StepVariant))
 def test_stepper_advance_matches_fftn_reference(rng, d, K, variant):
-    # the per-axis 1-D transforms must give what np.fft.ifftn/fftn give,
-    # bit for bit, on every grid (2K = 10 and 6 are not powers of two)
+    # the kernel L(h)∘N(h) built from per-axis 1-D transforms gives what
+    # np.fft.ifftn/fftn give, bit for bit, on every grid (2K = 10 and 6 are
+    # not powers of two); nonlinear-outside squares N(h/2)'s phase
     from torusnls.integrator import _Stepper
 
     grid = Grid(K=K, d=d)
     h, lam = 0.04, -1.0
     n2 = np.fft.ifftshift(grid.mode_norm2)
     lin_full, lin_half = np.exp(-1j * h * n2), np.exp(-1j * (h / 2) * n2)
+    halved = variant is StepVariant.STRANG_NONLINEAR_OUTSIDE
 
-    def nl(c, t):
+    def nl(c, t, square=False):
         vals = np.fft.ifftn(c) * grid.size
-        vals *= np.exp(-1j * lam * t * np.abs(vals) ** 2)
+        phase = np.exp(-1j * lam * t * np.abs(vals) ** 2)
+        vals *= phase * phase if square else phase
         return np.fft.fftn(vals) / grid.size
 
+    st = _Stepper(grid, StepScheme(variant, h), lam)
+    c = np.fft.ifftshift(_random_field(grid, rng, scale=0.3).coeffs)
+    for _ in range(3):
+        got = st.kernel(c)
+        assert np.array_equal(got, nl(c, h / 2 if halved else h, halved) * lin_full)
+        c = got
+    assert np.array_equal(st.wrap(c).coeffs, np.fft.fftshift(c))
+
+    # step, leave∘kernel∘enter, against the variant's composition:
+    # Lie-Trotter bit for bit, the Strang variants within 64 ulp of the
+    # largest coefficient (measured: at most 22, here at d = 2, K = 8)
     reference = {
         StepVariant.LIE_TROTTER: lambda c: nl(c, h) * lin_full,
         StepVariant.STRANG_LINEAR_OUTSIDE: lambda c: nl(c * lin_half, h) * lin_half,
         StepVariant.STRANG_NONLINEAR_OUTSIDE:
             lambda c: nl(nl(c, h / 2) * lin_full, h / 2),
     }[variant]
-    st = _Stepper(grid, StepScheme(variant, h), lam)
-    c = np.fft.ifftshift(_random_field(grid, rng, scale=0.3).coeffs)
-    for _ in range(3):
-        got = st.advance(c)
-        assert np.array_equal(got, reference(c))
-        c = got
-    assert np.array_equal(st.wrap(c).coeffs, np.fft.fftshift(c))
+    f = _random_field(grid, rng, scale=0.3)
+    got = step(f, StepScheme(variant, h), lam).coeffs
+    expect = np.fft.fftshift(reference(np.fft.ifftshift(f.coeffs)))
+    if variant is StepVariant.LIE_TROTTER:
+        assert np.array_equal(got, expect)
+    else:
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(expect))
+        assert np.max(np.abs(got - expect)) <= tol
 
 
 @pytest.mark.parametrize("d, K", [(1, 5), (2, 3), (3, 2)])
 @pytest.mark.parametrize("variant", list(StepVariant))
 def test_stepper_returns_fresh_arrays_and_keeps_its_input(rng, d, K, variant):
-    # the work arrays stay inside the stepper: advance never writes to its
-    # input or to an array it returned, and step's results share no memory
+    # the work arrays stay inside the stepper: enter and kernel never write to
+    # their input or to an array they returned, leave writes to none of them,
+    # and step's results share no memory
     from torusnls.integrator import _Stepper
 
     grid = Grid(K=K, d=d)
@@ -280,12 +312,15 @@ def test_stepper_returns_fresh_arrays_and_keeps_its_input(rng, d, K, variant):
     st = _Stepper(grid, scheme, -1.0)
     c = np.fft.ifftshift(_random_field(grid, rng, scale=0.3).coeffs)
     c0 = c.copy()
-    r1 = st.advance(c)
+    w = st.enter(c)
+    r1 = st.kernel(w)
     r1_copy = r1.copy()
-    r2 = st.advance(r1)
-    r3 = st.advance(r1)
+    r2 = st.kernel(r1)
+    left = st.leave(r1).copy()
+    r3 = st.kernel(r1)
     assert np.array_equal(c, c0) and np.array_equal(r1, r1_copy)
     assert np.array_equal(r2, r3) and not np.shares_memory(r2, r3)
+    assert np.array_equal(st.leave(r1), left)
     f = _random_field(grid, rng, scale=0.3)
     g1 = step(f, scheme, -1.0)
     g2 = step(g1, scheme, -1.0)
@@ -295,6 +330,34 @@ def test_stepper_returns_fresh_arrays_and_keeps_its_input(rng, d, K, variant):
     batch = step(SpectralField.stack(grid, [f.coeffs, g1.coeffs]), scheme, -1.0)
     assert np.array_equal(batch.coeffs[0], g1.coeffs)
     assert np.array_equal(batch.coeffs[1], g2.coeffs)
+
+
+def _momentum(f):
+    """P = sum_j j |u_j|^2, one component per axis."""
+    a2 = np.abs(f.coeffs) ** 2
+    axes = np.meshgrid(*[f.grid.axis_modes] * f.grid.d, indexing="ij")
+    return np.array([np.sum(j * a2) for j in axes])
+
+
+@pytest.mark.parametrize("d, K", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("variant", list(StepVariant))
+def test_momentum_conserved(d, K, variant):
+    # both partial flows keep P: L moves no |u_j|, and N's phase is a function
+    # of |u|^2 (Gauckler-Lubich, Found. Comput. Math. 10, 2010). Aliasing is
+    # negligible for the CLI's datum, whose modes decay as |j|^-6, so P stays
+    # within rounding of P(0): measured at most 1.6 * eps * K * mass over the
+    # three variants. A kernel that mirrors the modes, or a reorder off by
+    # one, moves it by about P(0) or the mass.
+    from torusnls.cli import RunConfig, random_initial_datum
+
+    f = random_initial_datum(RunConfig(d=d, K=K))
+    p0 = _momentum(f)
+    drift = []
+    integrate(f, StepScheme(variant, 0.04), -1.0, 1000, cadence=1,
+              observer=lambda n, u: drift.append(np.max(np.abs(_momentum(u) - p0))))
+    tol = 16 * np.finfo(float).eps * K * f.mass()
+    assert np.max(np.abs(p0)) > 1e6 * tol  # a mirrored P would not pass
+    assert len(drift) == 1001 and max(drift) <= tol
 
 
 def test_scheme_validation():

@@ -14,7 +14,12 @@ epsilon = 0.01, s = 5, carrier at the origin):
   followed by finalize(), and the figure is per sample.  The block size is
   the current package's (`diagnostics._block_rows` of the grid), and the
   baseline side is fed blocks of the same size;
-- advance_us: one `_Stepper.advance` for each splitting variant, h = 0.04;
+- step_us: one step of each splitting variant, h = 0.04, from the
+  package's initial datum, timed through the public `integrate` (so a
+  baseline without the current stepper's methods runs the same loop): a run
+  of --calls steps at cadence 1 with a no-op observer (`cadence1`, every
+  step leaves the integrator's frame and is wrapped into a field) and at
+  cadence 250 (`cadence250`), per step;
 - emit_us_per_row: the output files of a recorded run of EMIT_STEPS
   Lie-Trotter steps observed every step with every sample in the snapshot
   window (301 snapshots: 9,632 spectrum rows at d = 1, 77,056 at d = 2),
@@ -70,6 +75,7 @@ import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
 EMIT_STEPS = 300
+STEP_CADENCES = (1, 250)
 # (K, h, rho^2) at N = 5
 ENUM_POINTS = ((12, 0.042, 0.4), (12, 0.05, 0.4), (12, 0.06, 0.2), (12, 0.06, 0.4),
                (16, 0.04, 0.4))
@@ -125,18 +131,17 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
 
     out = {"observe_us": observe}
     for variant in integrator.StepVariant:
-        st = integrator._Stepper(
-            datum.grid, integrator.StepScheme(variant, config.h), config.lam
-        )
+        scheme = integrator.StepScheme(variant, config.h)
+        for cadence in STEP_CADENCES:
 
-        def advance(calls, st=st):
-            def run():
-                for _ in range(calls):
-                    st.advance(c)
+            def steps(calls, scheme=scheme, cadence=cadence):
+                def run():
+                    integrator.integrate(datum, scheme, config.lam, calls,
+                                         observer=lambda n, u: None, cadence=cadence)
 
-            return run, calls
+                return run, calls
 
-        out[f"advance_us.{variant.value}"] = advance
+            out[f"step_us.{variant.value}.cadence{cadence}"] = steps
 
     recorder = diagnostics.TrajectoryRecorder(
         table, config.s, snapshot_windows=((0.0, math.inf),), metadata={"runid": pkg}

@@ -10,15 +10,24 @@ stderr and every file the run wrote.  JSON (the check report on stdout and
 "timing" and "environment" keys left out at every depth, since those
 measure the host; everything else is compared byte for byte.
 
-Prints one JSON line, {"identical": ..., "commands": {name: [what differs]}},
-and exits 1 when any output differs.
+Prints one JSON line, {"identical": ..., "commands": {name: [what differs]},
+"differences": {name: {output: ...}}}, and exits 1 when any output differs.
+"differences" sizes what differs: for a CSV with the same header and row
+count, the largest absolute and relative difference per column; for other
+text whose words other than its numbers match (stdout, JSON without the
+volatile keys), the same over all its numbers, in order.  Relative is |a - b| / max(|a|, |b|); two NaNs
+are equal.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +87,12 @@ COMMANDS = {
     # a seed of three 32-bit words (2^65 + 5): SeedSequence hashes each into its pool
     "multiword-seed-60": ("simulate", "--K", "4", "--steps", "60", "--cadence", "1",
                           "--seed", "36893488147419103237"),
+    # the Strang variants at a sparse cadence: most steps never leave the
+    # integrator's frame
+    "strang-nonlinear-2000-cadence50": ("simulate", "--scheme", "strang-nonlinear-outside",
+                                        "--steps", "2000", "--cadence", "50"),
+    "strang-linear-2000-cadence50": ("simulate", "--scheme", "strang-linear-outside",
+                                     "--steps", "2000", "--cadence", "50"),
 }
 
 # keys whose values measure the host rather than the computation
@@ -113,6 +128,41 @@ def comparable(name: str, data: bytes):
     return data
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|NaN|inf|Infinity)")
+
+
+def _spread(pairs) -> dict:
+    """The largest absolute and relative difference over (a, b) pairs."""
+    worst = {"abs": 0.0, "rel": 0.0}
+    for a, b in pairs:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(a - b)
+        worst["abs"] = max(worst["abs"], diff)
+        worst["rel"] = max(worst["rel"], diff / max(abs(a), abs(b)))
+    return worst
+
+
+def difference(name: str, a: bytes, b: bytes):
+    """How far two differing outputs are apart, or None when they do not line up."""
+    if name.endswith(".csv"):
+        rows_a = list(csv.reader(io.StringIO(a.decode())))
+        rows_b = list(csv.reader(io.StringIO(b.decode())))
+        if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+            return None
+        try:
+            return {col: _spread((float(x[i]), float(y[i]))
+                                 for x, y in zip(rows_a[1:], rows_b[1:]))
+                    for i, col in enumerate(rows_a[0])}
+        except ValueError:
+            return None
+    a, b = (c if isinstance(c, bytes) else json.dumps(c).encode()
+            for c in (comparable(name, a), comparable(name, b)))
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    return _spread(zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True,
@@ -121,6 +171,7 @@ def main() -> int:
     baseline = Path(args.baseline).resolve()
 
     differs: dict[str, list[str]] = {}
+    sizes: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in COMMANDS.items():
             outputs = []
@@ -134,8 +185,11 @@ def main() -> int:
                 if key not in current or key not in base
                 or comparable(key, current[key]) != comparable(key, base[key])
             ]
+            sizes[name] = {key: difference(key, current[key], base[key])
+                           for key in differs[name] if key in current and key in base}
     identical = not any(differs.values())
-    print(json.dumps({"identical": identical, "commands": differs}))
+    print(json.dumps({"identical": identical, "commands": differs,
+                      "differences": {k: v for k, v in sizes.items() if v}}))
     return 0 if identical else 1
 
 
