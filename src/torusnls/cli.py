@@ -377,11 +377,12 @@ def _make_out_dir(out: str) -> None:
 def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     """Integrate a random initial datum and emit trajectory diagnostics.
 
-    The output directory is made before the first step.  The spectrum CSV
-    is written while the run goes on: the recorder streams each block's
-    snapshots into a SpectrumWriter, and emit closes it.  On an exception
-    other than a blow-up the writer is closed too, and the rows written so
-    far stay behind.
+    The output directory is made before the first step.  The spectrum CSV,
+    named here and nowhere else, is written while the run goes on: the
+    recorder streams each block's snapshots into a SpectrumWriter, and emit
+    writes the series and meta and closes it.  On an exception other than a
+    blow-up the writer is closed too, and the rows written so far stay
+    behind.
 
     The meta JSON records the run's timing (time.perf_counter, in process):
     wall_s, step_s (integration minus observer time), steps_per_s (steps
@@ -461,7 +462,7 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
             "step_s": step_s,
             "observe_s": observe_s,
         }
-        emit(diag, config.out, started, spectrum)
+        emit(diag, config.out, spectrum, started)
 
     if blown_up is not None:
         print(

@@ -26,10 +26,10 @@ File emission writes three artifacts per run id: a series CSV
 (t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
 magnitudes inside configured time windows, and a JSON metadata sidecar.
 All floats are written with 17 significant digits.  Spectrum rows are
-formatted by one SpectrumWriter: a recorder given one streams each block's
-snapshots into it while the run goes on and keeps none of them, so the
-run's memory does not grow with its length; emit closes that writer, or
-writes a recorder's retained snapshots through a writer of its own.
+formatted by one SpectrumWriter, the only way snapshots leave a recorder:
+the recorder streams each block's snapshots into it while the run goes on
+and keeps none of them, so the run's memory does not grow with its length;
+emit writes the series and metadata and closes that writer.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     NotLinearlyStableError,
 )
-from .spectral import Grid, SpectralField, mod_reduce, project_away, sobolev_norm
+from .spectral import Grid, SpectralField, project_away, sobolev_norm
 from .stability import FrequencyTable
 from .transforms import DiagonalizerSet, XiField, _xi_undefined, build_diagonalizers, u_to_xi
 
@@ -224,7 +224,6 @@ class TrajectoryDiagnostics:
     mass: np.ndarray
     orbital_distance: np.ndarray
     deviation: np.ndarray
-    snapshots: tuple[tuple[float, np.ndarray], ...]
     metadata: dict
 
     def __post_init__(self):
@@ -267,11 +266,11 @@ class SpectrumWriter:
             self._fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
         return self._fh
 
-    def write(self, times, mags) -> None:
-        """Append the rows of the snapshots at times (floats); mags[i] holds
-        the grid-shaped magnitudes of snapshot i (a sequence of arrays, or
-        one array with a leading snapshot axis).  After close() it raises
-        ValueError, as a closed file does."""
+    def write(self, times, mags: np.ndarray) -> None:
+        """Append the rows of the snapshots at times (floats); mags is one
+        array with a leading snapshot axis, mags[i] the grid-shaped
+        magnitudes of snapshot i.  After close() it raises ValueError, as a
+        closed file does."""
         if not len(times):
             return
         start = time.perf_counter()
@@ -286,7 +285,7 @@ class SpectrumWriter:
         fh = self._file()
         per_pass = max(1, _EMIT_VALUES // size)
         for first in range(0, len(times), per_pass):
-            cells = self._formatter(np.asarray(mags[first : first + per_pass]))
+            cells = self._formatter(mags[first : first + per_pass])
             for i, t in enumerate(times[first : first + per_pass]):
                 prefix = format_float(float(t)).encode()
                 parts[0] = prefix
@@ -316,13 +315,14 @@ class TrajectoryRecorder:
     orbital distance, super-action deviation (relative to the first sample
     whose xi map succeeds), and a mode-magnitude snapshot when the time falls
     inside one of the snapshot windows.  Pass the instance as the observer
-    to integrate(), then call finalize().  Given a SpectrumWriter
-    (spectrum), each block's snapshots go to it as the block is computed and
-    the diagnostics' snapshots stay empty; without one they are kept, for
-    emit to write.
+    to integrate(), then call finalize().  The snapshots go to the
+    SpectrumWriter spectrum as each block is computed, and none is kept;
+    snapshot windows without a writer raise DomainError here, and a
+    recorder without windows computes no magnitudes.
 
-    A call checks the field and keeps it: non-finite values raise
-    BlowUpError and a field of another shape DomainError, both at once.
+    A call checks the field and keeps it: a field of another shape raises
+    DomainError and one with non-finite values BlowUpError, both at once
+    and in that order.
     The observables are computed per block of kept samples (64 of them, or
     fewer on a grid of more than 256 modes, so a block holds at most 16384
     coefficients), each public function once over the block stacked as a
@@ -355,6 +355,10 @@ class TrajectoryRecorder:
         self.s = float(s)
         self.windows = tuple((float(a), float(b)) for a, b in snapshot_windows)
         self.metadata = dict(metadata or {})
+        if self.windows and spectrum is None:
+            raise DomainError(
+                f"snapshot windows {self.windows} need a SpectrumWriter (spectrum) to stream into"
+            )
         self.spectrum = spectrum
 
         self._ctx: DiagonalizerSet | None
@@ -369,21 +373,20 @@ class TrajectoryRecorder:
         # one (4, rows) float64 array per block: times, mass, orbital distance
         # and deviation, 32 bytes a sample
         self._series: list[np.ndarray] = []
-        self._snapshots: list[tuple[float, np.ndarray]] = []
         self._last_mags: np.ndarray | None = None
 
     def __call__(self, n: int, u: SpectralField) -> None:
         table = self.table
         t = n * table.h
+        if u.coeffs.shape != table.grid.shape:
+            raise DomainError(
+                f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
+            )
         # a finite sum has finite terms; an overflowing one gets the full check
         total = u.coeffs.sum()
         finite = math.isfinite(total.real) and math.isfinite(total.imag)
         if not finite and not np.isfinite(u.coeffs).all():
             raise BlowUpError(n, t)
-        if u.coeffs.shape != table.grid.shape:
-            raise DomainError(
-                f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
-            )
         self._pending.append((t, u.coeffs))  # read-only, so kept without a copy
         if len(self._pending) == self._block:
             self._flush()
@@ -402,12 +405,11 @@ class TrajectoryRecorder:
             shown |= (lo <= times) & (times <= hi)
         orbital = sobolev_norm(project_away(u, table.ell), self.s)
         self._series.append(np.stack((times, mass, orbital, self._deviations_of(u, mass))))
+        if not self.windows:  # no snapshot, and perhaps no writer to take one
+            return
         shown_times = times[shown].tolist()
         # a block wholly inside the windows needs no boolean-index copy
         mags = np.abs(u.coeffs if shown.all() else u.coeffs[shown])
-        if self.spectrum is None:
-            self._snapshots.extend(zip(shown_times, mags))
-            return
         # Held until the next block's replace them: a live array made after
         # the block's temporaries keeps glibc's malloc from handing them back
         # to the system at every block and faulting them in again at the next.
@@ -421,7 +423,7 @@ class TrajectoryRecorder:
             return out
         table = self.table
         grid = table.grid
-        carrier = u.coeffs[(slice(None), *grid.index_of(mod_reduce(table.ell, grid)))]
+        carrier = u.coeffs[(slice(None), *grid.index_of(table.ell))]
         ok = np.flatnonzero(_xi_undefined(table, mass, carrier) == 0)
         if ok.size == 0:
             return out
@@ -456,7 +458,6 @@ class TrajectoryRecorder:
             mass=mass,
             orbital_distance=orbital,
             deviation=deviation,
-            snapshots=tuple(self._snapshots),
             metadata=meta,
         )
 
@@ -483,26 +484,25 @@ def _write_series(path: str, diag: TrajectoryDiagnostics, formatter: FloatFormat
 def emit(
     diag: TrajectoryDiagnostics,
     path: str,
+    spectrum: SpectrumWriter,
     started: float | None = None,
-    spectrum: SpectrumWriter | None = None,
 ) -> None:
-    """Write <runid>_series.csv, <runid>_spectrum.csv and <runid>_meta.json.
+    """Write <runid>_series.csv and <runid>_meta.json, and close spectrum.
 
     path is the output directory (created if missing); the run id comes from
-    diag.metadata["runid"] (default "run").  Files are comma-separated with
-    LF line endings; floats carry 17 significant digits so a parse recovers
-    them bit-exactly.  An empty trajectory produces header-only CSVs.
+    diag.metadata["runid"] (default "run").  spectrum is the SpectrumWriter
+    the recorder of diag streamed its snapshots into; closing it finishes
+    the spectrum CSV (the header alone if no snapshot was written).  Files
+    are comma-separated with LF line endings; floats carry 17 significant
+    digits so a parse recovers them bit-exactly.  An empty trajectory
+    produces a header-only series CSV.
 
     The series' four columns are formatted by _serialize.FloatFormatter,
     512 rows (2048 values) per pass: whole-array passes that give the bytes
     format_float gives, with the values they cannot place exactly (zero,
     non-finite, magnitude outside [1e-280, 1e280), or within 2^-30 of a
-    rounding tie) handed to format_float one at a time.  The spectrum is
-    written by a SpectrumWriter in the same way.  spectrum is the writer the
-    recorder of diag streamed its snapshots into (diag.snapshots is then
-    empty): emit writes diag.snapshots through it and closes it.  Without
-    one, emit writes them through a writer of its own at
-    <path>/<runid>_spectrum.csv.
+    rounding tie) handed to format_float one at a time.  The spectrum
+    writer formats its rows in the same way.
 
     started, a time.perf_counter() reading taken when the run began, adds to
     the metadata's "timing" block wall_s (seconds from started to the meta
@@ -510,15 +510,11 @@ def emit(
     from before this call included).
     """
     csv_start = time.perf_counter()
-    streamed_s = 0.0 if spectrum is None else spectrum.seconds
+    streamed_s = spectrum.seconds
     runid = str(diag.metadata.get("runid", "run"))
     os.makedirs(path, exist_ok=True)
 
     _write_series(os.path.join(path, f"{runid}_series.csv"), diag, FloatFormatter(_EMIT_VALUES))
-
-    if spectrum is None:
-        spectrum = SpectrumWriter(os.path.join(path, f"{runid}_spectrum.csv"), diag.grid)
-    spectrum.write([t for t, _ in diag.snapshots], [mags for _, mags in diag.snapshots])
     spectrum.close()
 
     meta = diag.metadata

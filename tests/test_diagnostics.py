@@ -3,6 +3,7 @@
 import cmath
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from torusnls.spectral import _row_sums
 
 RHO = math.sqrt(0.4)
 H = 0.04
+ALL = ((0.0, 1e3),)  # a snapshot window holding every sample of these runs
 
 
 @pytest.fixture
@@ -238,33 +240,83 @@ def test_default_snapshot_windows():
     assert default_snapshot_windows(300.0) == ((0.0, 300.0),)
 
 
-def test_recorder_series(grid16, table16, make_datum):
+def _reference_spectrum(grid, snapshots):
+    """The spectrum CSV of (t, magnitudes) snapshots, rendered one cell at a
+    time with format_float."""
+    cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
+    lines = [["t", *cols, "abs_uj"]]
+    for t, mags in snapshots:
+        for j, m in zip(grid.modes(), mags.reshape(-1)):
+            lines.append([format_float(float(t)), *map(str, j), format_float(float(m))])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _windowed(samples, h, windows):
+    """(t, |u_j|) of each (n, u) sample whose time n * h lies in a window."""
+    return [(n * h, np.abs(u.coeffs)) for n, u in samples
+            if any(lo <= n * h <= hi for lo, hi in windows)]
+
+
+def _record(table, samples, out, windows=ALL, metadata=None):
+    """Feed the (n, u) samples, up to a BlowUpError, to a recorder that
+    streams its snapshots into out/<runid>_spectrum.csv; emit the run into
+    out and return its diagnostics."""
+    metadata = {"runid": "run", **(metadata or {})}
+    out.mkdir(parents=True, exist_ok=True)
+    with SpectrumWriter(str(out / f"{metadata['runid']}_spectrum.csv"), table.grid) as writer:
+        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=windows,
+                                 metadata=metadata, spectrum=writer)
+        try:
+            for n, u in samples:
+                rec(n, u)
+        except BlowUpError:
+            pass
+        diag = rec.finalize()
+        emit(diag, str(out), writer)
+    return diag
+
+
+def test_recorder_series(grid16, table16, make_datum, tmp_path):
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
-    rec = TrajectoryRecorder(
-        table16, s=5.0,
-        snapshot_windows=((0.0, 100.0),),
-    )
-    integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
-              observer=rec, cadence=10)
-    d = rec.finalize()
+    path = tmp_path / "series_spectrum.csv"
+    with SpectrumWriter(str(path), grid16) as writer:
+        rec = TrajectoryRecorder(
+            table16, s=5.0,
+            snapshot_windows=((0.0, 100.0),),
+            spectrum=writer,
+        )
+        integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
+                  observer=rec, cadence=10)
+        d = rec.finalize()
     assert d.times.shape == (11,)
     assert d.times[0] == 0.0
     assert d.times[-1] == pytest.approx(100 * H, rel=1e-14)
     assert d.deviation[0] == 0.0
     assert np.all(np.isfinite(d.deviation))
     assert np.all(np.abs(d.mass - 0.4) < 1e-13)
-    assert len(d.snapshots) == 11
-    t0, mags0 = d.snapshots[0]
-    assert t0 == 0.0 and mags0.shape == (32,)
+    rows = path.read_bytes().decode().splitlines()
+    assert len(rows) == 1 + 11 * 32  # every sample a snapshot of 32 modes
+    assert rows[1].startswith("0,-16,") and rows[-1].startswith("4,15,")
     assert d.metadata["transform_ok"] is True
     assert d.metadata["K"] == 16 and d.metadata["lambda"] == -1
     # an s that would make every distance and D NaN is refused up front
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match="s must be"):
             TrajectoryRecorder(table16, s=bad)
-    # a field on another grid is refused, not recorded with D = NaN
-    with pytest.raises(DomainError, match="shape"):
-        rec(101, make_datum(Grid(K=8), (0,), RHO, 0.01, seed=2))
+    # a field on another grid is refused, not recorded with D = NaN, and
+    # before its values are checked: a non-finite one too
+    other = make_datum(Grid(K=8), (0,), RHO, 0.01, seed=2)
+    for c in (other.coeffs, np.full(other.coeffs.shape, np.nan, dtype=complex)):
+        with pytest.raises(DomainError, match="shape"):
+            rec(101, SpectralField(other.grid, c))
+
+
+def test_recorder_refuses_snapshot_windows_without_a_writer(table16):
+    # a SpectrumWriter is the snapshots' only way out of the recorder, so
+    # windows without one are refused when the recorder is built
+    with pytest.raises(DomainError, match=r"windows \(\(0\.0, 1\.0\), \(2\.5, 3\.5\)\)"):
+        TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1.0), (2.5, 3.5)))
+    assert "snapshots" not in {f.name for f in dataclasses.fields(TrajectoryDiagnostics)}
 
 
 @pytest.mark.parametrize("d, K, ell, stable", [
@@ -335,18 +387,18 @@ def _public_composition(table, fields, s):
         "orbital_distance": [sobolev_norm(project_away(u, table.ell), s) for u in fields],
         "deviation": [math.nan if sa is None else weighted_deviation(sa, sa0, s)
                       for sa in actions],
-        "snapshots": [np.abs(u.coeffs) for u in fields],
     }
 
 
-def _assert_same_bits(got, fields, table, s=5.0):
+def _assert_same_bits(got, fields, table, out, s=5.0):
+    """got's series equal the public functions' bit for bit, and the spectrum
+    streamed into out/run_spectrum.csv holds every field's |u_j|."""
     want = _public_composition(table, fields, s)
     assert got.times.size == len(fields)
     for name in ("mass", "orbital_distance", "deviation"):
         assert getattr(got, name).tobytes() == np.asarray(want[name]).tobytes(), name
-    assert len(got.snapshots) == len(fields)
-    for (_, mags), expect in zip(got.snapshots, want["snapshots"]):
-        assert mags.tobytes() == expect.tobytes()
+    assert (out / "run_spectrum.csv").read_bytes().decode() == _reference_spectrum(
+        table.grid, _windowed(enumerate(fields), table.h, ALL))
 
 
 @pytest.mark.parametrize("d, K, ell", [
@@ -358,7 +410,7 @@ def _assert_same_bits(got, fields, table, s=5.0):
     (2, 8, (0, 0)),
     (2, 16, (0, 0)),  # 1024 modes: blocks of 16 samples
 ])
-def test_recorder_blocks_match_public_composition(make_datum, d, K, ell):
+def test_recorder_blocks_match_public_composition(make_datum, d, K, ell, tmp_path):
     # 150 samples: full blocks and a partial one (two and a partial at 64
     # samples per block), computed per block, each value equal bit for bit
     # to the per-sample public functions
@@ -368,16 +420,13 @@ def test_recorder_blocks_match_public_composition(make_datum, d, K, ell):
     assert 150 > 2 * rows and 150 % rows
     table = build_frequency_table(H, RHO, -1, ell, grid)
     fields = _trajectory(make_datum, grid, ell, 149)
-    rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),))
-    for n, u in enumerate(fields):
-        rec(n, u)
-    got = rec.finalize()
-    _assert_same_bits(got, fields, table)
+    got = _record(table, enumerate(fields), tmp_path)
+    _assert_same_bits(got, fields, table, tmp_path)
     if got.metadata["transform_ok"]:
         assert got.deviation[0] == 0.0 and np.all(np.isfinite(got.deviation))
 
 
-def test_recorder_blocks_nan_only_at_failed_rows(grid16, table16, make_datum):
+def test_recorder_blocks_nan_only_at_failed_rows(grid16, table16, make_datum, tmp_path):
     # a mass off the budget (block 0) and a zero carrier of the right mass
     # (block 1) give D = NaN at those rows alone
     fields = _trajectory(make_datum, grid16, (0,), 99)
@@ -386,44 +435,39 @@ def test_recorder_blocks_nan_only_at_failed_rows(grid16, table16, make_datum):
     c[grid16.index_of(0)] = 0.0
     fields[70] = SpectralField(grid16, c * (RHO / math.sqrt(float(np.sum(np.abs(c) ** 2)))))
     assert abs(fields[70].mass() - RHO**2) < 1e-12
-    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
-    for n, u in enumerate(fields):
-        rec(n, u)
-    got = rec.finalize()
-    _assert_same_bits(got, fields, table16)
+    got = _record(table16, enumerate(fields), tmp_path)
+    _assert_same_bits(got, fields, table16, tmp_path)
     assert np.flatnonzero(np.isnan(got.deviation)).tolist() == [30, 70]
 
 
-def test_recorder_blocks_reference_in_a_later_block(grid16, table16, make_datum):
+def test_recorder_blocks_reference_in_a_later_block(grid16, table16, make_datum, tmp_path):
     # no sample of the first block passes the mass check, so the D reference
     # is the first sample of the second block
     fields = _trajectory(make_datum, grid16, (0,), 99)
     rows = _block_rows(grid16)
     fields[:rows] = [SpectralField(grid16, 1.5 * u.coeffs) for u in fields[:rows]]
-    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
-    for n, u in enumerate(fields):
-        rec(n, u)
-    got = rec.finalize()
-    _assert_same_bits(got, fields, table16)
+    got = _record(table16, enumerate(fields), tmp_path)
+    _assert_same_bits(got, fields, table16, tmp_path)
     assert np.all(np.isnan(got.deviation[:rows]))
     assert got.deviation[rows] == 0.0
     assert np.all(got.deviation[rows + 1:] > 0.0)
 
 
-def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum):
+def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum, tmp_path):
     # the BlowUpError comes at the non-finite sample itself; finalize then
     # returns exactly the samples before it, the kept ones computed
     fields = _trajectory(make_datum, grid16, (0,), 99)
     bad = fields[90].coeffs.copy()
     bad[3] = np.inf
-    rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1e3),))
-    for n, u in enumerate(fields[:90]):
-        rec(n, u)
-    with pytest.raises(BlowUpError) as info:
-        rec(90, SpectralField(grid16, bad))
-    assert info.value.step == 90
-    got = rec.finalize()
-    _assert_same_bits(got, fields[:90], table16)
+    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid16) as writer:
+        rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=ALL, spectrum=writer)
+        for n, u in enumerate(fields[:90]):
+            rec(n, u)
+        with pytest.raises(BlowUpError) as info:
+            rec(90, SpectralField(grid16, bad))
+        assert info.value.step == 90
+        got = rec.finalize()
+    _assert_same_bits(got, fields[:90], table16, tmp_path)
     assert got.times[-1] == 89 * H
 
 
@@ -443,17 +487,15 @@ def test_batched_sums_over_gathered_rows_equal_row_sums(rng, d, K, ell):
         assert sums[i] == one.reshape(-1).sum() == one.sum()
 
 
-def test_recorder_snapshot_windows_filter(grid16, table16, make_datum):
-    u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
-    rec = TrajectoryRecorder(
-        table16, s=5.0,
-        snapshot_windows=((0.0, 0.1),),  # only the first samples qualify
-    )
-    integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
-              observer=rec, cadence=10)
-    d = rec.finalize()
+def test_recorder_snapshot_windows_filter(grid16, table16, make_datum, tmp_path):
+    samples = _observed(make_datum, grid16, 100, 10)
+    windows = ((0.0, 0.1),)  # only the first sample qualifies
+    d = _record(table16, samples, tmp_path, windows)
     assert d.times.shape == (11,)
-    assert len(d.snapshots) < 11
+    shown = _windowed(samples, H, windows)
+    assert [t for t, _ in shown] == [0.0]
+    assert (tmp_path / "run_spectrum.csv").read_bytes().decode() == _reference_spectrum(
+        grid16, shown)
 
 
 def test_recorder_blow_up(grid16, table16):
@@ -512,16 +554,9 @@ def test_recorder_without_linear_stability(grid16, make_datum):
 
 
 def test_emit_files(grid16, table16, make_datum, tmp_path):
-    u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
-    rec = TrajectoryRecorder(
-        table16, s=5.0,
-        snapshot_windows=((0.0, 100.0),),
-        metadata={"runid": "unit", "note": float("nan")},
-    )
-    integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 20,
-              observer=rec, cadence=10)
-    d = rec.finalize()
-    emit(d, str(tmp_path))
+    samples = _observed(make_datum, grid16, 20, 10)
+    d = _record(table16, samples, tmp_path, ((0.0, 100.0),),
+                metadata={"runid": "unit", "note": float("nan")})
 
     series = list(csv.reader(open(tmp_path / "unit_series.csv")))
     assert series[0] == ["t", "mass", "orbital_distance", "D"]
@@ -534,7 +569,7 @@ def test_emit_files(grid16, table16, make_datum, tmp_path):
     assert spectrum[0] == ["t", "j", "abs_uj"]
     assert len(spectrum) == 1 + 3 * 32
     assert spectrum[1][1] == "-16"
-    assert float(spectrum[1][2]) == d.snapshots[0][1][0]
+    assert float(spectrum[1][2]) == np.abs(samples[0][1].coeffs)[0]
 
     meta = json.loads(open(tmp_path / "unit_meta.json").read())
     assert meta["runid"] == "unit"
@@ -559,7 +594,7 @@ def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make
     columns = ("times", "mass", "orbital_distance", "deviation")
     long = dataclasses.replace(d, **{k: np.tile(getattr(d, k), 11) for k in columns})
     for diag, nans in ((d, 2), (long, 22)):
-        emit(diag, str(tmp_path / "emit"))
+        emit(diag, str(tmp_path / "emit"), SpectrumWriter(str(tmp_path / "spectrum.csv"), grid16))
         reference = tmp_path / "reference.csv"
         write_csv(str(reference), ("t", "mass", "orbital_distance", "D"),
                   zip(*(getattr(diag, k).tolist() for k in columns)))
@@ -569,8 +604,7 @@ def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make
 
 
 def test_emit_empty_trajectory(table16, tmp_path):
-    rec = TrajectoryRecorder(table16, s=5.0, metadata={"runid": "empty"})
-    emit(rec.finalize(), str(tmp_path))
+    assert _record(table16, [], tmp_path, metadata={"runid": "empty"}).times.size == 0
     series = open(tmp_path / "empty_series.csv").read()
     assert series == "t,mass,orbital_distance,D\n"
     spectrum = open(tmp_path / "empty_spectrum.csv").read()
@@ -579,61 +613,52 @@ def test_emit_empty_trajectory(table16, tmp_path):
 
 def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):
     u = make_datum(grid2d, (0, 0), RHO, 0.005, seed=7)
-    rec = TrajectoryRecorder(
-        build_frequency_table(0.02, RHO, -1, (0, 0), grid2d), s=2.0,
-        snapshot_windows=((0.0, 10.0),), metadata={"runid": "two"},
-    )
-    integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.02), -1, 5,
-              observer=rec, cadence=5)
-    emit(rec.finalize(), str(tmp_path))
+    with SpectrumWriter(str(tmp_path / "two_spectrum.csv"), grid2d) as writer:
+        rec = TrajectoryRecorder(
+            build_frequency_table(0.02, RHO, -1, (0, 0), grid2d), s=2.0,
+            snapshot_windows=((0.0, 10.0),), metadata={"runid": "two"}, spectrum=writer,
+        )
+        integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.02), -1, 5,
+                  observer=rec, cadence=5)
+        emit(rec.finalize(), str(tmp_path), writer)
     spectrum = list(csv.reader(open(tmp_path / "two_spectrum.csv")))
     assert spectrum[0] == ["t", "j1", "j2", "abs_uj"]
     assert spectrum[1][1:3] == ["-2", "-2"]
 
 
-def _reference_spectrum(diag):
-    """The spectrum CSV rendered one cell at a time with format_float."""
-    grid = diag.grid
-    cols = ["j"] if grid.d == 1 else [f"j{i + 1}" for i in range(grid.d)]
-    lines = [["t", *cols, "abs_uj"]]
-    for t, mags in diag.snapshots:
-        for j, m in zip(grid.modes(), mags.reshape(-1)):
-            lines.append([format_float(float(t)), *map(str, j), format_float(float(m))])
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
 @pytest.mark.parametrize("d, ell", [(1, (3,)), (2, (1, -2))])
 def test_emit_spectrum_text_of_recorded_run(make_datum, tmp_path, d, ell):
     grid = Grid(K=16 if d == 1 else 4, d=d)
-    rec = TrajectoryRecorder(
-        build_frequency_table(H, RHO, -1, ell, grid), s=5.0,
-        snapshot_windows=((0.0, 0.5),), metadata={"runid": "ref"},
-    )
+    samples = []
     integrate(make_datum(grid, ell, RHO, 0.01, seed=4),
               StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, 30,
-              observer=rec, cadence=1)
-    diag = rec.finalize()
-    assert len(diag.snapshots) == 13  # t = 0, 0.04, ..., 0.48
-    emit(diag, str(tmp_path))
+              observer=lambda n, u: samples.append((n, u)), cadence=1)
+    windows = ((0.0, 0.5),)
+    _record(build_frequency_table(H, RHO, -1, ell, grid), samples, tmp_path, windows,
+            metadata={"runid": "ref"})
+    shown = _windowed(samples, H, windows)
+    assert len(shown) == 13  # t = 0, 0.04, ..., 0.48
     text = (tmp_path / "ref_spectrum.csv").read_bytes().decode()
-    assert text == _reference_spectrum(diag)
+    assert text == _reference_spectrum(grid, shown)
 
 
 def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
     grid = Grid(K=2, d=1)
-    odd = np.array([np.nan, np.inf, 0.0, 0.1 + 0.2])
+    snapshots = [(0.1 + 0.2, np.array([np.nan, np.inf, 0.0, 0.1 + 0.2])),
+                 (0.5, np.array([1e-300, 2.5, 1 / 3, 7.0]))]
     diag = TrajectoryDiagnostics(
         grid=grid,
         times=np.array([0.1 + 0.2, 0.5]),
         mass=np.array([0.4, 0.4]),
         orbital_distance=np.array([0.01, 0.01]),
         deviation=np.array([0.0, 0.0]),
-        snapshots=((0.1 + 0.2, odd), (0.5, np.array([1e-300, 2.5, 1 / 3, 7.0]))),
         metadata={"runid": "odd"},
     )
-    emit(diag, str(tmp_path))
+    writer = SpectrumWriter(str(tmp_path / "odd_spectrum.csv"), grid)
+    writer.write([t for t, _ in snapshots], np.stack([m for _, m in snapshots]))
+    emit(diag, str(tmp_path), writer)
     text = (tmp_path / "odd_spectrum.csv").read_bytes().decode()
-    assert text == _reference_spectrum(diag)
+    assert text == _reference_spectrum(grid, snapshots)
     assert "0.30000000000000004,-2,NaN\n0.30000000000000004,-1,Infinity\n" in text
 
 
@@ -646,46 +671,33 @@ def _observed(make_datum, grid, steps, cadence):
     return samples
 
 
-def _streamed_equals_retained(tmp_path, grid, windows, samples):
-    """Feed samples to a recorder that streams its spectrum into a
-    SpectrumWriter and to one that keeps its snapshots, each up to a
-    BlowUpError; assert the streamed run's three files equal emit's of the
-    kept snapshots, and return the kept diagnostics."""
+def _streamed_spectrum(tmp_path, grid, windows, samples):
+    """Feed samples, up to a BlowUpError, to a recorder that streams its
+    spectrum into a SpectrumWriter; assert the file equals the reference
+    rendering of the windowed samples before the first non-finite one, and
+    return those samples' times."""
     table = build_frequency_table(H, RHO, -1, (0,) * grid.d, grid)
-    out = {side: tmp_path / side for side in ("streamed", "retained")}
-    writer = SpectrumWriter(str(out["streamed"] / "run_spectrum.csv"), grid)
-    diags = {}
-    for side, spectrum in (("streamed", writer), ("retained", None)):
-        out[side].mkdir()
-        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=windows,
-                                 metadata={"runid": "run"}, spectrum=spectrum)
-        try:
-            for n, u in samples:
-                rec(n, u)
-        except BlowUpError:
-            pass
-        diags[side] = rec.finalize()
-    assert diags["streamed"].snapshots == ()
-    emit(diags["streamed"], str(out["streamed"]), spectrum=writer)
-    emit(diags["retained"], str(out["retained"]))
-    for name in ("run_series.csv", "run_spectrum.csv", "run_meta.json"):
-        assert (out["streamed"] / name).read_bytes() == (out["retained"] / name).read_bytes()
-    return diags["retained"]
+    diag = _record(table, samples, tmp_path, windows)
+    kept = list(itertools.takewhile(lambda s: np.isfinite(s[1].coeffs).all(), samples))
+    assert diag.times.size == len(kept)
+    shown = _windowed(kept, H, windows)
+    assert (tmp_path / "run_spectrum.csv").read_bytes().decode() == _reference_spectrum(
+        grid, shown)
+    return [t for t, _ in shown]
 
 
 def test_streamed_spectrum_ends_on_a_partial_block(grid16, make_datum, tmp_path):
     samples = _observed(make_datum, grid16, 1000, 7)
-    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), samples)
-    assert len(diag.snapshots) == len(samples) == 144  # blocks of 64, 64 and 16
-    assert diag.snapshots[-1][0] == 1000 * H  # the last sample is off the cadence
+    times = _streamed_spectrum(tmp_path, grid16, ALL, samples)
+    assert len(times) == len(samples) == 144  # blocks of 64, 64 and 16
+    assert times[-1] == 1000 * H  # the last sample is off the cadence
 
 
 def test_streamed_spectrum_of_blocks_straddling_a_window_gap(grid16, make_datum, tmp_path):
     # block 0 holds t = 0 ... 2.52: the first window, the gap and the second
     # window's first sample; block 1 the rest of the second window
     samples = _observed(make_datum, grid16, 200, 1)
-    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1.0), (2.5, 3.5)), samples)
-    times = [t for t, _ in diag.snapshots]
+    times = _streamed_spectrum(tmp_path, grid16, ((0.0, 1.0), (2.5, 3.5)), samples)
     assert times[:26] == [n * H for n in range(26)]
     assert times[26] == 63 * H and times[-1] == 87 * H
 
@@ -694,30 +706,29 @@ def test_streamed_spectrum_of_a_grid_of_more_than_256_modes(make_datum, tmp_path
     grid = Grid(K=4, d=3)
     assert _block_rows(grid) == 32
     samples = _observed(make_datum, grid, 40, 1)
-    diag = _streamed_equals_retained(tmp_path, grid, ((0.0, 1e3),), samples)
-    assert len(diag.snapshots) == 41
+    assert len(_streamed_spectrum(tmp_path, grid, ALL, samples)) == 41
 
 
 def test_streamed_spectrum_after_a_blow_up_mid_block(grid16, make_datum, tmp_path):
     samples = _observed(make_datum, grid16, 99, 1)
     samples[90] = (90, SpectralField(grid16, np.full(grid16.shape, np.nan, dtype=complex)))
-    diag = _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), samples)
-    assert len(diag.snapshots) == 90  # a block of 64, then 26 in finalize()
+    times = _streamed_spectrum(tmp_path, grid16, ALL, samples)
+    assert len(times) == 90  # a block of 64, then 26 in finalize()
 
 
 def test_streamed_spectrum_of_an_empty_trajectory(grid16, tmp_path):
-    _streamed_equals_retained(tmp_path, grid16, ((0.0, 1e3),), [])
-    assert (tmp_path / "streamed" / "run_spectrum.csv").read_bytes() == b"t,j,abs_uj\n"
+    assert _streamed_spectrum(tmp_path, grid16, ALL, []) == []
+    assert (tmp_path / "run_spectrum.csv").read_bytes() == b"t,j,abs_uj\n"
 
 
 def test_spectrum_writer_closes_once_and_then_refuses_rows(grid2, tmp_path):
     path = tmp_path / "w_spectrum.csv"
     with SpectrumWriter(str(path), grid2) as writer:
-        writer.write([0.5], [np.array([1.0, 2.0, 0.0, 0.25])])
+        writer.write([0.5], np.array([[1.0, 2.0, 0.0, 0.25]]))
     writer.close()
     assert path.read_bytes() == b"t,j,abs_uj\n0.5,-2,1\n0.5,-1,2\n0.5,0,0\n0.5,1,0.25\n"
     with pytest.raises(ValueError, match="closed"):
-        writer.write([1.0], [np.zeros(4)])
+        writer.write([1.0], np.zeros((1, 4)))
 
 
 def _traced_peak_of_streamed_run(make_datum, grid, steps, out):
@@ -727,7 +738,7 @@ def _traced_peak_of_streamed_run(make_datum, grid, steps, out):
     tracemalloc.start()
     try:
         with SpectrumWriter(str(out), grid) as writer:
-            rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),),
+            rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL,
                                      spectrum=writer)
             integrate(datum, scheme, -1, steps, observer=rec, cadence=1)
             rec.finalize()
@@ -757,7 +768,7 @@ def _traced_series_of_streamed_run(make_datum, grid, steps, out):
     datum = make_datum(grid, (0,) * grid.d, RHO, 0.01, seed=6)
     scheme = StepScheme(StepVariant.LIE_TROTTER, H)
     with SpectrumWriter(str(out), grid) as writer:
-        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=((0.0, 1e3),),
+        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL,
                                  spectrum=writer)
         tracemalloc.start()
         try:

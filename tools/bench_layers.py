@@ -8,32 +8,32 @@ epsilon = 0.01, s = 5, carrier at the origin):
 
 - observe_us: one observed sample as `integrate` delivers it, the
   numpy-ordered state wrapped into a SpectralField and handed to a
-  TrajectoryRecorder whose snapshot window covers the sample.  The recorder
-  computes its observables per block of samples, so the loop feeds blocks
-  of samples to fresh recorders (built before the clock starts), each
-  followed by finalize(), and the figure is per sample.  The block size is
-  the current package's (`diagnostics._block_rows` of the grid), and the
-  baseline side is fed blocks of the same size;
+  TrajectoryRecorder whose snapshot window covers the sample and which
+  streams into a SpectrumWriter, less the writer's seconds, as `simulate`
+  counts observe_s.  The recorder computes its observables per block of
+  samples, so the loop feeds blocks of samples to fresh recorders (built
+  before the clock starts), each followed by finalize(), and the figure is
+  per sample.  The block size is the current package's
+  (`diagnostics._block_rows` of the grid), and the baseline side is fed
+  blocks of the same size;
 - step_us: one step of each splitting variant, h = 0.04, from the
   package's initial datum, timed through the public `integrate` (so a
   baseline without the current stepper's methods runs the same loop): a run
   of --calls steps at cadence 1 with a no-op observer (`cadence1`, every
   step leaves the integrator's frame and is wrapped into a field) and at
   cadence 250 (`cadence250`), per step;
-- emit_us_per_row: the output files of a recorded run of EMIT_STEPS
-  Lie-Trotter steps observed every step with every sample in the snapshot
-  window (301 snapshots: 9,632 spectrum rows at d = 1, 77,056 at d = 2),
-  written into a temporary directory as the CLI writes them, per spectrum
-  row: the snapshots go to a `SpectrumWriter` one recorder block at a
-  time (blocks of the size observe_us uses, stacked before the clock
-  starts), then `emit` writes the series and meta and closes the writer.
-  A side whose package has no `SpectrumWriter` emits the whole run in one
-  `emit`, as its CLI did.  Each side writes the run its own package
-  recorded;
+- emit_us_per_row: the output files of a run of EMIT_STEPS Lie-Trotter
+  steps observed every step (301 snapshots: 9,632 spectrum rows at d = 1,
+  77,056 at d = 2), written into a temporary directory as the CLI writes
+  them, per spectrum row: the |u_j| of the samples a list observer
+  collected go to a `SpectrumWriter` one recorder block at a time (blocks
+  of the size observe_us uses, cut before the clock starts), then `emit`
+  writes a recorder's series of the same samples and the meta, and closes
+  the writer.  Each side writes the run its own package integrated;
 - format_ns_per_value: the emission kernel alone, one call of a
   `_serialize.FloatFormatter` of the spectrum writer's pass size
-  (`diagnostics._EMIT_VALUES`) on all the magnitudes of that recorded run,
-  per value; the formatter is built before the clock starts.
+  (`diagnostics._EMIT_VALUES`) on all the magnitudes of that run, per
+  value; the formatter is built before the clock starts.
 
 and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
@@ -60,7 +60,6 @@ current package's, so both see the same host speed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -97,10 +96,11 @@ def load_package(src: str, name: str) -> str:
 
 def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     """Figure name -> a factory taking --calls and returning (the loop to
-    time, the number of calls, samples or rows it makes); observe_us feeds
-    each recorder block samples, emit_us_per_row streams the spectrum in
-    blocks of as many snapshots and writes into out_dir, and
-    format_ns_per_value formats the same magnitudes in one call."""
+    time, the number of calls, samples or rows it makes); a loop may return
+    seconds its figure leaves out.  observe_us feeds each recorder block
+    samples, emit_us_per_row streams the spectrum in blocks of as many
+    snapshots and writes into out_dir, and format_ns_per_value formats the
+    same magnitudes in one call."""
     cli = importlib.import_module(f"{pkg}.cli")
     serialize = importlib.import_module(f"{pkg}._serialize")
     diagnostics = importlib.import_module(f"{pkg}.diagnostics")
@@ -116,8 +116,10 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     stepper = integrator._Stepper(datum.grid, config.step_scheme(), config.lam)
 
     def observe(calls):
+        writer = diagnostics.SpectrumWriter(os.path.join(out_dir, f"{pkg}_obs.csv"), datum.grid)
         recorders = [
-            diagnostics.TrajectoryRecorder(table, config.s, snapshot_windows=((0.0, 1.0),))
+            diagnostics.TrajectoryRecorder(table, config.s, snapshot_windows=((0.0, 1.0),),
+                                           spectrum=writer)
             for _ in range(max(1, calls // block))
         ]
 
@@ -126,6 +128,8 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
                 for _ in range(block):
                     recorder(1, stepper.wrap(c))
                 recorder.finalize()
+            writer.close()
+            return writer.seconds
 
         return run, len(recorders) * block
 
@@ -143,38 +147,35 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
 
             out[f"step_us.{variant.value}.cadence{cadence}"] = steps
 
-    recorder = diagnostics.TrajectoryRecorder(
-        table, config.s, snapshot_windows=((0.0, math.inf),), metadata={"runid": pkg}
-    )
+    samples = []
     integrator.integrate(datum, config.step_scheme(), config.lam, EMIT_STEPS,
-                         observer=recorder, cadence=1)
+                         observer=lambda n, u: samples.append((n, u)), cadence=1)
+    recorder = diagnostics.TrajectoryRecorder(table, config.s, metadata={"runid": pkg})
+    for n, u in samples:
+        recorder(n, u)
     recorded = recorder.finalize()
-    snapshots = recorded.snapshots
-    blocks = [
-        ([t for t, _ in chunk], np.stack([m for _, m in chunk]))
-        for chunk in (snapshots[i : i + block] for i in range(0, len(snapshots), block))
-    ]
-    streamed = dataclasses.replace(recorded, snapshots=())
+    times = [n * table.h for n, _ in samples]
+    mags = np.abs(np.stack([u.coeffs for _, u in samples]))
 
     def emit(calls):
         def run():
-            if not hasattr(diagnostics, "SpectrumWriter"):  # a checkout that emits at the end
-                diagnostics.emit(recorded, out_dir)
-                return
             path = os.path.join(out_dir, f"{pkg}_spectrum.csv")
             writer = diagnostics.SpectrumWriter(path, datum.grid)
-            for times, mags in blocks:
-                writer.write(times, mags)
-            diagnostics.emit(streamed, out_dir, spectrum=writer)
+            for first in range(0, len(times), block):
+                writer.write(times[first : first + block], mags[first : first + block])
+            diagnostics.emit(recorded, out_dir, spectrum=writer)
 
-        return run, len(snapshots) * datum.grid.size
+        return run, mags.size
 
     out["emit_us_per_row"] = emit
-    mags = np.stack([m for _, m in snapshots])
 
     def format_values(calls):
         formatter = serialize.FloatFormatter(diagnostics._EMIT_VALUES)
-        return (lambda: formatter(mags)), mags.size / 1e3  # us per 1000 values: ns per value
+
+        def run():
+            formatter(mags)
+
+        return run, mags.size / 1e3  # us per 1000 values: ns per value
 
     out["format_ns_per_value"] = format_values
     return out
@@ -223,8 +224,8 @@ def rounds(sides: list, names: list, time_one, repeats: int) -> dict:
 def loop_us(factory, calls: int) -> float:
     fn, n = factory(calls)
     t0 = time.perf_counter()
-    fn()
-    return (time.perf_counter() - t0) / n * 1e6
+    left_out = fn() or 0.0
+    return (time.perf_counter() - t0 - left_out) / n * 1e6
 
 
 def main() -> None:
