@@ -9,12 +9,15 @@ the carrier mode removed.
 
 TrajectoryRecorder takes the run's plane-wave context as one FrequencyTable
 (grid, carrier, h, rho, lambda): it builds the diagonalizers from that table
-and writes those parameters into the metadata from it.  It keeps the observed
-fields and computes their observables per block of samples, through the
-public functions: each takes a batch (SpectralField.stack, leading axis B)
-as it takes one field (SpectralField.mass, sobolev_norm, project_away,
-u_to_xi, super_actions, weighted_deviation), in one pass per block, so a
-block gives the bits a sample at a time gives.  Two traps would break those
+and writes those parameters into the metadata from it.  It copies each
+observed field into a block buffer made when the recorder is built, and
+computes the observables per block of samples, through the public
+functions: each takes a batch (leading axis B) as it takes one field
+(SpectralField.mass, sobolev_norm, project_away, u_to_xi, super_actions,
+weighted_deviation), in one pass per block, so a block gives the bits a
+sample at a time gives.  The buffer's first rows are the block's batch, and
+the shown rows' magnitudes go into a second reused buffer, so a block
+allocates no array of its own size for them.  Two traps would break those
 bits: a batch gathered with rows[:, idx] is not C-contiguous, and a row sum
 over it adds in sequence instead of pairwise (Grid.shift gathers with
 take(idx, axis=1)); and np.arctan2 differs from math.atan2 in the last bit
@@ -122,7 +125,8 @@ def super_actions(xi: XiField) -> SuperActionSet:
     rows = xi.xi.reshape(-1, table.grid.size)
     n, width = len(rows), len(ms) + 1
     bins = index + width * np.arange(n)[:, None]
-    weights = np.abs(rows) ** 2
+    weights = np.abs(rows)
+    np.square(weights, out=weights)
     sums = np.bincount(bins.reshape(-1), weights=weights.reshape(-1), minlength=n * width)
     values = sums.reshape(n, width)[:, :-1]
     return SuperActionSet(ms=ms, values=values if xi.xi.ndim > xi.grid.d else values[0])
@@ -320,14 +324,17 @@ class TrajectoryRecorder:
     snapshot windows without a writer raise DomainError here, and a
     recorder without windows computes no magnitudes.
 
-    A call checks the field and keeps it: a field of another shape raises
-    DomainError and one with non-finite values BlowUpError, both at once
-    and in that order.
+    A call checks the field and copies it into the next row of the block
+    buffer: a field of another shape raises DomainError and one with
+    non-finite values BlowUpError, both at once and in that order, and
+    neither is copied.
     The observables are computed per block of kept samples (64 of them, or
     fewer on a grid of more than 256 modes, so a block holds at most 16384
-    coefficients), each public function once over the block stacked as a
-    batch: SpectralField.mass, sobolev_norm of project_away, u_to_xi,
-    super_actions, weighted_deviation and the snapshot magnitudes.  Each row
+    coefficients), each public function once over the buffer's filled rows
+    as a batch: SpectralField.mass, sobolev_norm of project_away, u_to_xi,
+    super_actions, weighted_deviation and the snapshot magnitudes, which go
+    into a magnitude buffer of the same rows.  Both buffers are made when
+    the recorder is built and reused by every block.  Each row
     gets the bits the function gives the sample alone (the module docstring
     names the two traps that would break this).  finalize() computes the
     last, partial block (and streams its snapshots); after a BlowUpError it
@@ -367,13 +374,18 @@ class TrajectoryRecorder:
         except NotLinearlyStableError:
             self._ctx = None
 
-        self._block = _block_rows(table.grid)
+        grid = table.grid
+        block = _block_rows(grid)
         self._sa0: SuperActionSet | None = None
-        self._pending: list[tuple[float, np.ndarray]] = []
+        # the block's samples: their times and fields in the first _rows rows
+        self._times = np.empty(block)
+        self._fields = np.empty((block, *grid.shape), dtype=complex)
+        self._rows = 0
+        # the shown rows' |u_j|, in its first rows; none without windows
+        self._mags = np.empty((block, *grid.shape)) if self.windows else None
         # one (4, rows) float64 array per block: times, mass, orbital distance
         # and deviation, 32 bytes a sample
         self._series: list[np.ndarray] = []
-        self._last_mags: np.ndarray | None = None
 
     def __call__(self, n: int, u: SpectralField) -> None:
         table = self.table
@@ -387,34 +399,34 @@ class TrajectoryRecorder:
         finite = math.isfinite(total.real) and math.isfinite(total.imag)
         if not finite and not np.isfinite(u.coeffs).all():
             raise BlowUpError(n, t)
-        self._pending.append((t, u.coeffs))  # read-only, so kept without a copy
-        if len(self._pending) == self._block:
+        row = self._rows
+        self._times[row] = t
+        self._fields[row] = u.coeffs
+        self._rows = row + 1
+        if self._rows == len(self._fields):
             self._flush()
 
     def _flush(self) -> None:
         """Compute the kept samples' observables, each function once over the block."""
-        if not self._pending:
+        rows, self._rows = self._rows, 0
+        if not rows:
             return
         table = self.table
-        times = np.array([t for t, _ in self._pending])
-        u = SpectralField.stack(table.grid, [c for _, c in self._pending])
-        self._pending = []
+        times = self._times[:rows]
+        u = SpectralField._adopt(table.grid, self._fields[:rows])
         mass = u.mass()
-        shown = np.zeros(len(times), dtype=bool)
-        for lo, hi in self.windows:
-            shown |= (lo <= times) & (times <= hi)
         orbital = sobolev_norm(project_away(u, table.ell), self.s)
         self._series.append(np.stack((times, mass, orbital, self._deviations_of(u, mass))))
         if not self.windows:  # no snapshot, and perhaps no writer to take one
             return
-        shown_times = times[shown].tolist()
-        # a block wholly inside the windows needs no boolean-index copy
-        mags = np.abs(u.coeffs if shown.all() else u.coeffs[shown])
-        # Held until the next block's replace them: a live array made after
-        # the block's temporaries keeps glibc's malloc from handing them back
-        # to the system at every block and faulting them in again at the next.
-        self._last_mags = mags
-        self.spectrum.write(shown_times, mags)
+        shown = np.zeros(rows, dtype=bool)
+        for lo, hi in self.windows:
+            shown |= (lo <= times) & (times <= hi)
+        k = int(np.count_nonzero(shown))
+        if k:
+            # a block wholly inside the windows needs no boolean-index copy
+            fields = u.coeffs if k == rows else u.coeffs[shown]
+            self.spectrum.write(times[shown].tolist(), np.abs(fields, out=self._mags[:k]))
 
     def _deviations_of(self, u: SpectralField, mass: np.ndarray) -> np.ndarray:
         """D of each row of the batch u; NaN without a xi map or where it fails."""

@@ -92,11 +92,18 @@ class _Stepper:
     `kernel` return new arrays and never write to their input.  `leave` may
     return its input or a work array, valid until the stepper's next call.
 
-    For nonlinear-outside, `leave(w)` leaves w's grid values and N(h/2)'s
-    phase in the work arrays, and a `kernel(w)` that follows on the same w
-    takes them from there instead of transforming w again.  The kernel
-    always forms N(h)'s phase as the square of N(h/2)'s, so its result has
-    the same bits whether or not `leave` ran first.
+    For nonlinear-outside, `leave(w)` also stashes the next kernel step's
+    transform of w: from w's grid values v and N(h/2)'s phase p it forms
+    its own product v·p and the kernel's v·p² (N(h) = N(h/2)∘N(h/2)) in
+    one (2, *shape) pair, and transforms both with one forward call per
+    axis, dividing its own row by n along each axis and the kernel's by 1.
+    The stash is keyed on the array w: if the next kernel call gets that
+    same array, unchanged, it only divides the row by the grid size and
+    applies L(h); any other array it transforms.  Either way that call
+    drops the stash, and a later leave replaces it.  The kernel always
+    forms N(h)'s phase as the square of N(h/2)'s, and the batched forward
+    call gives each row the bits of a call on that row alone, so a kernel
+    step has the same bits whether or not `leave` ran first.
     """
 
     def __init__(self, grid: Grid, scheme: StepScheme, lam: float,
@@ -124,18 +131,25 @@ class _Stepper:
         self._abs2 = np.empty(shape)
         self._halved = scheme.variant is StepVariant.STRANG_NONLINEAR_OUTSIDE
         self._t = h / 2 if self._halved else h  # the time of the kernel's phase
-        self._staged = None  # (w, its grid values) after a nonlinear-outside leave(w)
+        self._stash = None  # (w, the kernel's transformed row) after a leave(w)
         if scheme.variant is StepVariant.STRANG_LINEAR_OUTSIDE:
             self._lin_enter = np.exp(-1j * (h / 2) * n2)
             self._lin_leave = np.exp(1j * (h / 2) * n2)
         elif self._halved:
-            # leave's own pair, so the staged values and phase survive it, and
-            # a forward transform that divides by n along each axis, as the
-            # inverse does, in place of a pass dividing by size
-            self._leave_work = (np.empty(shape, dtype=complex),
-                                np.empty(shape, dtype=complex))
-            self._leave_forward = [(pocketfft.fft, fct, axes)
-                                   for _, fct, axes in self._inverse]
+            # leave's own pair of (2, *shape) arrays, so the work arrays'
+            # values and phase survive it: row 0 leave's product, row 1 the
+            # kernel's.  One forward call per axis transforms both, row 0
+            # divided by n along each axis as the inverse is (in place of a
+            # pass dividing by size), row 1 by 1 as the kernel's transform is
+            pair = (2, *shape)
+            self._leave_work = (np.empty(pair, dtype=complex), np.empty(pair, dtype=complex))
+            per_row = (2,) + (1,) * (len(shape) - 1)
+            self._leave_forward = [
+                (pocketfft.fft,
+                 np.array([np.reciprocal(shape[a], dtype=np.float64), 1.0]).reshape(per_row),
+                 [(a + 1,), (), (a + 1,)])
+                for a in axes
+            ]
 
     def reorder(self, a: np.ndarray) -> np.ndarray:
         """Storage order <-> numpy order: a shift by K along every axis."""
@@ -179,32 +193,33 @@ class _Stepper:
             return c * self._lin_enter
         return c
 
-    def _kernel_values(self, w: np.ndarray) -> np.ndarray:
-        """_values(w) at the kernel's phase time, or what a nonlinear-outside
-        leave(w) left in the work arrays."""
-        staged = self._staged
-        if staged is not None and staged[0] is w:
-            return staged[1]
-        return self._values(w, self._t)
-
     def kernel(self, w: np.ndarray) -> np.ndarray:
         """One Lie-Trotter step L(h)∘N(h) of a frame state."""
-        vals = self._kernel_values(w)
-        self._staged = None
-        if self._halved:
-            phase = self._spare(vals)
-            np.multiply(phase, phase, out=phase)  # N(h) = N(h/2)∘N(h/2)
-        out = self._flow(vals) / self._size
+        stash, self._stash = self._stash, None
+        if stash is not None and stash[0] is w:
+            out = stash[1] / self._size
+        else:
+            vals = self._values(w, self._t)
+            if self._halved:
+                phase = self._spare(vals)
+                np.multiply(phase, phase, out=phase)  # N(h) = N(h/2)∘N(h/2)
+            out = self._flow(vals) / self._size
         out *= self._lin
         return out
 
     def leave(self, w: np.ndarray) -> np.ndarray:
         """A frame state mapped back to the variant's state."""
         if self._halved:
-            vals = self._kernel_values(w)
-            self._staged = (w, vals)
-            prod = np.multiply(vals, self._spare(vals), out=self._leave_work[0])
-            return self._transform(self._leave_forward, prod, self._leave_work)
+            vals = self._values(w, self._t)
+            phase = self._spare(vals)
+            prod = self._leave_work[0]
+            # the complex products keep the operand order of _flow's
+            np.multiply(vals, phase, out=prod[0])
+            np.multiply(phase, phase, out=phase)
+            np.multiply(vals, phase, out=prod[1])
+            out = self._transform(self._leave_forward, prod, self._leave_work)
+            self._stash = (w, out[1])
+            return out[0]
         if self.scheme.variant is StepVariant.STRANG_LINEAR_OUTSIDE:
             return np.multiply(w, self._lin_leave, out=self._work[0])
         return w

@@ -263,7 +263,8 @@ class SpectralField:
 
     def mass(self) -> float | np.ndarray:
         """Discrete L2 mass sum_j |u_j|^2 (Parseval: (2K)^-d sum_x |u(x)|^2)."""
-        return self._each(_row_sums(self.grid, np.abs(self.coeffs) ** 2))
+        a = np.abs(self.coeffs)
+        return self._each(_row_sums(self.grid, np.square(a, out=a)))
 
     def _each(self, values: np.ndarray) -> float | np.ndarray:
         """Per-row values (B,) as returned: the array for a batch, a float for one field."""
@@ -288,7 +289,10 @@ def sobolev_norm(f: SpectralField, s: float) -> float | np.ndarray:
     norm of each row.
     """
     grid = f.grid
-    return f._each(np.sqrt(_row_sums(grid, grid.sobolev_weights(s) * np.abs(f.coeffs) ** 2)))
+    a = np.abs(f.coeffs)
+    np.square(a, out=a)
+    np.multiply(grid.sobolev_weights(s), a, out=a)
+    return f._each(np.sqrt(_row_sums(grid, a)))
 
 
 def project_away(f: SpectralField, ell: int | Sequence[int]) -> SpectralField:

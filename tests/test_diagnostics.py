@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -257,15 +258,15 @@ def _windowed(samples, h, windows):
             if any(lo <= n * h <= hi for lo, hi in windows)]
 
 
-def _record(table, samples, out, windows=ALL, metadata=None):
-    """Feed the (n, u) samples, up to a BlowUpError, to a recorder that
-    streams its snapshots into out/<runid>_spectrum.csv; emit the run into
-    out and return its diagnostics."""
+def _record(table, samples, out, windows=ALL, metadata=None, recorder=TrajectoryRecorder):
+    """Feed the (n, u) samples, up to a BlowUpError, to a recorder (of the
+    given class) that streams its snapshots into out/<runid>_spectrum.csv;
+    emit the run into out and return its diagnostics."""
     metadata = {"runid": "run", **(metadata or {})}
     out.mkdir(parents=True, exist_ok=True)
     with SpectrumWriter(str(out / f"{metadata['runid']}_spectrum.csv"), table.grid) as writer:
-        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=windows,
-                                 metadata=metadata, spectrum=writer)
+        rec = recorder(table, s=5.0, snapshot_windows=windows,
+                       metadata=metadata, spectrum=writer)
         try:
             for n, u in samples:
                 rec(n, u)
@@ -390,15 +391,16 @@ def _public_composition(table, fields, s):
     }
 
 
-def _assert_same_bits(got, fields, table, out, s=5.0):
+def _assert_same_bits(got, fields, table, out, s=5.0, windows=ALL):
     """got's series equal the public functions' bit for bit, and the spectrum
-    streamed into out/run_spectrum.csv holds every field's |u_j|."""
+    streamed into out/run_spectrum.csv holds the |u_j| of every field inside
+    the windows."""
     want = _public_composition(table, fields, s)
     assert got.times.size == len(fields)
     for name in ("mass", "orbital_distance", "deviation"):
         assert getattr(got, name).tobytes() == np.asarray(want[name]).tobytes(), name
     assert (out / "run_spectrum.csv").read_bytes().decode() == _reference_spectrum(
-        table.grid, _windowed(enumerate(fields), table.h, ALL))
+        table.grid, _windowed(enumerate(fields), table.h, windows))
 
 
 @pytest.mark.parametrize("d, K, ell", [
@@ -469,6 +471,121 @@ def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum, tmp_path
         got = rec.finalize()
     _assert_same_bits(got, fields[:90], table16, tmp_path)
     assert got.times[-1] == 89 * H
+
+
+class _PoisonedRecorder(TrajectoryRecorder):
+    """A recorder that checks it computes each block in the buffers it was
+    built with, and fills both with NaN after each block, so a row read
+    before it is written again shows in every output."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._built = (self._fields, self._mags)
+
+    def _flush(self):
+        super()._flush()
+        assert self._fields is self._built[0] and self._mags is self._built[1]
+        self._fields.fill(math.nan)
+        if self._mags is not None:
+            self._mags.fill(math.nan)
+
+
+def test_recorder_buffer_two_full_blocks_then_a_partial_one(make_datum, tmp_path):
+    # the last block fills 22 of 64 rows; the 42 after them hold the second
+    # block's samples (NaN here), which neither the series nor the spectrum
+    # may read
+    grid = Grid(K=8, d=2)
+    table = build_frequency_table(H, RHO, -1, (0, 0), grid)
+    fields = _trajectory(make_datum, grid, (0, 0), 149)
+    assert len(fields) == 2 * _block_rows(grid) + 22
+    got = _record(table, enumerate(fields), tmp_path, recorder=_PoisonedRecorder)
+    _assert_same_bits(got, fields, table, tmp_path)
+    assert np.all(np.isfinite(got.deviation))
+
+
+def test_recorder_buffer_blow_up_in_the_second_block(grid16, table16, make_datum, tmp_path):
+    # the non-finite sample is refused before it is copied, and finalize
+    # computes the 26 rows before it, not the rows the first block left
+    fields = _trajectory(make_datum, grid16, (0,), 99)
+    bad = fields[90].coeffs.copy()
+    bad[5] = np.nan
+    samples = [*enumerate(fields[:90]), (90, SpectralField(grid16, bad)),
+               *enumerate(fields[91:], 91)]
+    got = _record(table16, samples, tmp_path, recorder=_PoisonedRecorder)
+    _assert_same_bits(got, fields[:90], table16, tmp_path)
+    assert np.all(np.isfinite(got.orbital_distance))
+
+
+def test_recorder_buffer_window_over_part_of_a_later_block(grid16, table16, make_datum,
+                                                            tmp_path):
+    # the window shows samples 80 ... 100 of 150: rows 16 ... 36 of the
+    # second block, whose magnitudes go into the first 21 rows of the
+    # magnitude buffer; no other block shows a sample
+    fields = _trajectory(make_datum, grid16, (0,), 149)
+    windows = ((80 * H, 100 * H),)
+    got = _record(table16, enumerate(fields), tmp_path, windows, recorder=_PoisonedRecorder)
+    _assert_same_bits(got, fields, table16, tmp_path, windows=windows)
+    assert len(_windowed(enumerate(fields), H, windows)) == 21
+
+
+def _block_sized_operations(call, nbytes):
+    """How many operations inside call() allocate at least nbytes above the
+    traced memory where they start: tracemalloc's peak is read and reset
+    before every bytecode instruction of every Python frame that call()
+    runs, so one numpy call or array operator counts once, however it frees
+    its arrays."""
+    count = 0
+    last = 0
+
+    def trace(frame, event, arg):
+        nonlocal count, last
+        frame.f_trace_opcodes = True
+        current, peak = tracemalloc.get_traced_memory()
+        count += peak - last >= nbytes
+        tracemalloc.reset_peak()
+        last = current
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    try:
+        last = tracemalloc.get_traced_memory()[0]
+        sys.settrace(trace)
+        try:
+            call()
+        finally:
+            sys.settrace(previous)
+    finally:
+        tracemalloc.stop()
+    return count
+
+
+def test_recorder_block_allocations(make_datum, tmp_path):
+    # after the first block, the call that completes the second computes a
+    # full block (64 samples of 256 modes, all shown), and 12 of its
+    # operations allocate an array of at least 64 * 256 float64 values:
+    # |u| in SpectralField.mass (twice: u_to_xi sums the mass again), in
+    # sobolev_norm and in super_actions, and super_actions' bin index; the
+    # gathers project_away and u_to_xi return and u_to_xi's partner gather;
+    # and numpy's 8192-element iteration buffer in four complex ufunc calls
+    # of u_to_xi (the three broadcast products written into an operand, and
+    # the sum with the strided partner).  The block and its magnitudes go
+    # into the recorder's buffers, and every square of |u| is taken in
+    # place; stacking the block, allocating its magnitudes and squaring |u|
+    # into new arrays made 19.
+    grid = Grid(K=8, d=2)
+    table = build_frequency_table(H, RHO, -1, (0, 0), grid)
+    rows = _block_rows(grid)
+    fields = _trajectory(make_datum, grid, (0, 0), 2 * rows - 1)
+    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid) as writer:
+        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL, spectrum=writer)
+        for n, u in enumerate(fields[:-1]):
+            rec(n, u)
+        n = len(fields) - 1
+        count = _block_sized_operations(lambda: rec(n, fields[n]), rows * grid.size * 8)
+        got = rec.finalize()
+    assert got.times.size == 2 * rows
+    assert count == 12
 
 
 @pytest.mark.parametrize("d, K, ell", [(1, 16, (3,)), (1, 5, (2,)), (2, 3, (1, 0)),

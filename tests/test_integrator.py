@@ -332,6 +332,47 @@ def test_stepper_returns_fresh_arrays_and_keeps_its_input(rng, d, K, variant):
     assert np.array_equal(batch.coeffs[1], g2.coeffs)
 
 
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("d, K", [(1, 16), (1, 5), (2, 3), (2, 8), (3, 2)])
+def test_stepper_leave_stashes_the_next_kernel_step(rng, d, K, batched):
+    # a nonlinear-outside leave(w) transforms its own product and the next
+    # kernel step's in one call per axis; a kernel(w) right after takes the
+    # stashed row, and gets the bits of a stepper that never left the frame
+    from torusnls.integrator import _Stepper
+
+    grid = Grid(K=K, d=d)
+    shape = (3, *grid.shape) if batched else grid.shape
+    axes = tuple(range(len(shape) - d, len(shape)))
+    h, lam = 0.04, -1.0
+    scheme = StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, h)
+
+    def state():
+        return 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def fresh_kernel(c):
+        return _Stepper(grid, scheme, lam, shape).kernel(c)
+
+    def reference_leave(c):
+        # N(h/2), its forward transform dividing by n along each axis
+        vals = np.fft.ifftn(c, axes=axes) * grid.size
+        vals *= np.exp(-1j * lam * (h / 2) * np.abs(vals) ** 2)
+        return np.fft.fftn(vals, axes=axes, norm="forward")
+
+    st = _Stepper(grid, scheme, lam, shape)
+    w, w2 = state(), state()
+    assert np.array_equal(st.leave(w), reference_leave(w))
+    assert np.array_equal(st.kernel(w), fresh_kernel(w))
+    # another array than the one left ignores the stash
+    st.leave(w)
+    assert np.array_equal(st.kernel(w2), fresh_kernel(w2))
+    # the kernel takes the stash once: w changed in place after that step
+    # gets a step of its own
+    st.leave(w)
+    st.kernel(w)
+    w[...] = w2
+    assert np.array_equal(st.kernel(w), fresh_kernel(w2))
+
+
 def _momentum(f):
     """P = sum_j j |u_j|^2, one component per axis."""
     a2 = np.abs(f.coeffs) ** 2

@@ -11,11 +11,11 @@ epsilon = 0.01, s = 5, carrier at the origin):
   TrajectoryRecorder whose snapshot window covers the sample and which
   streams into a SpectrumWriter, less the writer's seconds, as `simulate`
   counts observe_s.  The recorder computes its observables per block of
-  samples, so the loop feeds blocks of samples to fresh recorders (built
-  before the clock starts), each followed by finalize(), and the figure is
-  per sample.  The block size is the current package's
-  (`diagnostics._block_rows` of the grid), and the baseline side is fed
-  blocks of the same size;
+  samples, so the loop feeds one recorder (built before the clock starts)
+  --calls samples rounded down to whole blocks, then calls finalize(), as
+  `simulate` feeds its one recorder, and the figure is per sample.  The
+  block size is the current package's (`diagnostics._block_rows` of the
+  grid), and the baseline side is fed blocks of the same size;
 - step_us: one step of each splitting variant, h = 0.04, from the
   package's initial datum, timed through the public `integrate` (so a
   baseline without the current stepper's methods runs the same loop): a run
@@ -54,7 +54,12 @@ burst of load on the host spreads over several figures rather than taking
 one figure's median.
 With --baseline, the torusnls package under that src/ directory is loaded
 as a second package in the same process, and its loops alternate with the
-current package's, so both see the same host speed.
+current package's, so both see the same host speed.  The host's speed also
+changes between one loop and the next (two loops of the same code, back to
+back, can differ by 30 %), so "ratio" gives, per figure, the median over
+the rounds of the current side's time over the baseline's in the same
+round: with --baseline src, the same code on both sides, it lies closer to
+1 than the ratio of the two medians.
 """
 
 from __future__ import annotations
@@ -117,21 +122,19 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
 
     def observe(calls):
         writer = diagnostics.SpectrumWriter(os.path.join(out_dir, f"{pkg}_obs.csv"), datum.grid)
-        recorders = [
-            diagnostics.TrajectoryRecorder(table, config.s, snapshot_windows=((0.0, 1.0),),
-                                           spectrum=writer)
-            for _ in range(max(1, calls // block))
-        ]
+        recorder = diagnostics.TrajectoryRecorder(table, config.s,
+                                                  snapshot_windows=((0.0, 1.0),),
+                                                  spectrum=writer)
+        samples = max(1, calls // block) * block
 
         def run():
-            for recorder in recorders:
-                for _ in range(block):
-                    recorder(1, stepper.wrap(c))
-                recorder.finalize()
+            for _ in range(samples):
+                recorder(1, stepper.wrap(c))
+            recorder.finalize()
             writer.close()
             return writer.seconds
 
-        return run, len(recorders) * block
+        return run, samples
 
     out = {"observe_us": observe}
     for variant in integrator.StepVariant:
@@ -209,16 +212,25 @@ def datum_cases(pkg: str) -> dict:
 
 def rounds(sides: list, names: list, time_one, repeats: int) -> dict:
     """side -> name -> the --repeats times of time_one(side, name), taken in
-    rounds after one untimed round, the side that goes first alternating."""
+    rounds after one untimed round.  The side that goes first alternates
+    from figure to figure within a round, and each round starts with the
+    side that did not start the round before."""
     times = {side: {name: [] for name in names} for side in sides}
     for r in range(-1, repeats):  # round -1 warms up and is not kept
-        order = sides if r % 2 == 0 else sides[::-1]
-        for name in names:
+        for i, name in enumerate(names):
+            order = sides if (r + i) % 2 == 0 else sides[::-1]
             for side in order:
                 t = time_one(side, name)
                 if r >= 0:
                     times[side][name].append(t)
     return times
+
+
+def paired_ratios(times: dict) -> dict:
+    """name -> the median over rounds of the current side's time over the
+    baseline's in the same round."""
+    return {name: statistics.median(c / b for c, b in zip(ts, times["baseline"][name]))
+            for name, ts in times["current"].items()}
 
 
 def loop_us(factory, calls: int) -> float:
@@ -239,6 +251,8 @@ def main() -> None:
     if args.baseline:
         sides["baseline"] = load_package(args.baseline, "torusnls_baseline")
     result: dict = {side: {} for side in sides}
+    if args.baseline:
+        result["ratio"] = {}
     current = importlib.import_module("torusnls")
     with tempfile.TemporaryDirectory() as out_dir:
         for d, K in GRIDS:
@@ -254,6 +268,8 @@ def main() -> None:
                     name: {"best": min(ts), "median": statistics.median(ts)}
                     for name, ts in times[side].items()
                 }
+            if args.baseline:
+                result["ratio"][f"d{d}_K{K}"] = paired_ratios(times)
     enum_cases = {side: enumerator_cases(pkg) for side, pkg in sides.items()}
 
     def call_ms(side: str, name: str) -> float:
@@ -262,6 +278,8 @@ def main() -> None:
         return (time.perf_counter() - t0) / ENUM_CALLS * 1e3
 
     times = rounds(list(sides), list(enum_cases["current"]), call_ms, args.repeats)
+    if args.baseline:
+        result["ratio"]["enumerator"] = paired_ratios(times)
     for side in sides:
         result[side]["enumerator"] = {
             name: {
@@ -280,6 +298,8 @@ def main() -> None:
         return (time.perf_counter() - t0) * 1e3
 
     times = rounds(list(sides), list(data["current"]), datum_ms, args.repeats)
+    if args.baseline:
+        result["ratio"]["datum_ms"] = paired_ratios(times)
     for side in sides:
         result[side]["datum_ms"] = {
             name: {"best": min(ts), "median": statistics.median(ts)}
