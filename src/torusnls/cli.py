@@ -377,20 +377,24 @@ def _make_out_dir(out: str) -> None:
 def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     """Integrate a random initial datum and emit trajectory diagnostics.
 
-    The output directory is made before the first step.  The spectrum CSV,
-    named here and nowhere else, is written while the run goes on: the
-    recorder streams each block's snapshots into a SpectrumWriter, and emit
-    writes the series and meta and closes it.  On an exception other than a
-    blow-up the writer is closed too, and the rows written so far stay
-    behind.
+    The output directory is made before the first step, and the three files
+    are named here: <runid>_spectrum.csv is written while the run goes on
+    (the recorder hands each block to a SpectrumWriter, which writes the
+    snapshots in the default windows), emit writes <runid>_series.csv and
+    closes the writer, and <runid>_meta.json is built here as one dict and
+    written last.  On an exception other than a blow-up the writer is
+    closed too, and the rows written so far stay behind.
 
-    The meta JSON records the run's timing (time.perf_counter, in process):
-    wall_s, step_s (integration minus observer time), steps_per_s (steps
-    over step_s), observe_s (the observer's calls plus the recorder's
-    finalize, which computes the last block of samples, less the time the
-    spectrum writer took in them) and emit_s (both CSVs, the streamed
-    spectrum rows included); and its environment: the Python and numpy
-    versions and the core count.
+    The meta JSON records the run's configuration, the plane wave's
+    parameters, transform_ok, the snapshot windows, the blow-up step and
+    time or the instability report, the environment (the Python and numpy
+    versions and the core count) and the timing (time.perf_counter, in
+    process): wall_s (to the meta write), steps_per_s (steps over step_s),
+    step_s (integration minus observer time), observe_s (the observer's
+    calls plus the recorder's finalize, which computes the last block of
+    samples, less the time the spectrum writer took in them: picking the
+    shown samples, their |u_j| and their rows) and emit_s (both CSVs, the
+    streamed spectrum rows included).
     """
     started = time.perf_counter()
     runid = runid or _run_id(config)
@@ -399,22 +403,10 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
         config.h, config.rho, config.lam, config.ell, config.grid()
     )
     _make_out_dir(config.out)
-    with SpectrumWriter(os.path.join(config.out, f"{runid}_spectrum.csv"), table.grid) as spectrum:
-        recorder = TrajectoryRecorder(
-            table,
-            config.s,
-            snapshot_windows=default_snapshot_windows(config.horizon),
-            metadata={
-                "runid": runid,
-                "scheme": config.scheme,
-                "epsilon": config.epsilon,
-                "seed": config.seed,
-                "n_steps": config.n_steps,
-                "cadence": config.cadence,
-                "version": __version__,
-            },
-            spectrum=spectrum,
-        )
+    path = os.path.join(config.out, runid)
+    windows = default_snapshot_windows(config.horizon)
+    with SpectrumWriter(f"{path}_spectrum.csv", table.grid, windows) as spectrum:
+        recorder = TrajectoryRecorder(table, config.s, spectrum)
         observe_s = 0.0
 
         def observe(n: int, u: SpectralField) -> None:
@@ -447,22 +439,47 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
         finalize_start = time.perf_counter()
         diag = recorder.finalize()  # computes the last block of samples
         observe_s += time.perf_counter() - finalize_start
-        observe_s -= spectrum.seconds  # counted in emit_s
+        streamed_s = spectrum.seconds  # the writer's time so far, counted in emit_s
+        observe_s -= streamed_s
+        meta = {
+            "runid": runid,
+            "scheme": config.scheme,
+            "epsilon": config.epsilon,
+            "seed": config.seed,
+            "n_steps": config.n_steps,
+            "cadence": config.cadence,
+            "version": __version__,
+            "h": table.h,
+            "K": table.grid.K,
+            "d": table.grid.d,
+            "ell": table.ell,
+            "lambda": table.lam,
+            "rho": table.rho,
+            "s": recorder.s,
+            "transform_ok": diag.transform_ok,
+            "snapshot_windows": spectrum.windows,
+        }
         if blown_up is not None:
-            diag.metadata["blow_up_step"] = blown_up.step
-            diag.metadata["blow_up_time"] = blown_up.time
+            meta["blow_up_step"] = blown_up.step
+            meta["blow_up_time"] = blown_up.time
         if diag.times.size and config.epsilon > 0.0:
             inst = detect_instability(
                 diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
             )
-            diag.metadata["instability"] = asdict(inst)
-        diag.metadata["environment"] = _environment()
-        diag.metadata["timing"] = {
+            meta["instability"] = asdict(inst)
+        meta["environment"] = _environment()
+        emit_start = time.perf_counter()
+        emit(diag, f"{path}_series.csv", spectrum)
+        now = time.perf_counter()
+        meta["timing"] = {
+            "wall_s": now - started,
             "steps_per_s": steps / step_s if step_s > 0.0 else None,
             "step_s": step_s,
             "observe_s": observe_s,
+            "emit_s": now - emit_start + streamed_s,
         }
-        emit(diag, config.out, spectrum, started)
+        with open(f"{path}_meta.json", "w", newline="\n") as fh:
+            fh.write(dumps(meta) + "\n")
 
     if blown_up is not None:
         print(

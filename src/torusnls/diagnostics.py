@@ -8,44 +8,43 @@ stability diagnostic.  Orbital distance is the H^s norm of the field with
 the carrier mode removed.
 
 TrajectoryRecorder takes the run's plane-wave context as one FrequencyTable
-(grid, carrier, h, rho, lambda): it builds the diagonalizers from that table
-and writes those parameters into the metadata from it.  It copies each
-observed field into a block buffer made when the recorder is built, and
-computes the observables per block of samples, through the public
-functions: each takes a batch (leading axis B) as it takes one field
-(SpectralField.mass, sobolev_norm, project_away, u_to_xi, super_actions,
-weighted_deviation), in one pass per block, so a block gives the bits a
-sample at a time gives.  The buffer's first rows are the block's batch, and
-the shown rows' magnitudes go into a second reused buffer, so a block
-allocates no array of its own size for them.  Two traps would break those
-bits: a batch gathered with rows[:, idx] is not C-contiguous, and a row sum
-over it adds in sequence instead of pairwise (Grid.shift gathers with
-take(idx, axis=1)); and np.arctan2 differs from math.atan2 in the last bit
-on SIMD hosts (u_to_xi takes the carrier angle with math.atan2 per row).
-Every complex product also keeps its operand order, since numpy's SIMD
-complex multiply is not symmetric in its operands.
+(grid, carrier, h, rho, lambda) and builds the diagonalizers from it.  It
+only observes: it copies each observed field into a block buffer made when
+the recorder is built, computes the observables per block of samples,
+through the public functions: each takes a batch (leading axis B) as it
+takes one field (SpectralField.mass, sobolev_norm, project_away, u_to_xi,
+super_actions, weighted_deviation), in one pass per block, so a block gives
+the bits a sample at a time gives; and hands the block's times and
+coefficients to its SpectrumWriter.  The buffer's first rows are the
+block's batch.  Two traps would break those bits: a batch gathered with
+rows[:, idx] is not C-contiguous, and a row sum over it adds in sequence
+instead of pairwise (Grid.shift gathers with take(idx, axis=1)); and
+np.arctan2 differs from math.atan2 in the last bit on SIMD hosts (u_to_xi
+takes the carrier angle with math.atan2 per row).  Every complex product
+also keeps its operand order, since numpy's SIMD complex multiply is not
+symmetric in its operands.
 
-File emission writes three artifacts per run id: a series CSV
-(t, mass, orbital_distance, D), a long-format spectrum CSV of per-mode
-magnitudes inside configured time windows, and a JSON metadata sidecar.
-All floats are written with 17 significant digits.  Spectrum rows are
-formatted by one SpectrumWriter, the only way snapshots leave a recorder:
-the recorder streams each block's snapshots into it while the run goes on
-and keeps none of them, so the run's memory does not grow with its length;
-emit writes the series and metadata and closes that writer.
+File emission writes two CSVs per run: a series CSV (t, mass,
+orbital_distance, D) and a long-format spectrum CSV of per-mode magnitudes
+inside the run's snapshot windows.  All floats are written with 17
+significant digits.  The spectrum is written by one SpectrumWriter, which
+owns the windows: it picks a block's shown samples, takes their |u_j| into
+a magnitude buffer of its own and formats their rows while the run goes on,
+and keeps none of them, so the run's memory does not grow with its length.
+emit writes the series and closes that writer; the caller names both files
+and writes the run's metadata (cli.cmd_simulate writes <runid>_meta.json).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._serialize import FloatFormatter, dumps, format_float
+from ._serialize import FloatFormatter, format_float
 from .errors import (
     BlowUpError,
     ClassSetMismatchError,
@@ -72,6 +71,9 @@ __all__ = [
 # SpectrumWriter formats the magnitudes this many at a time (whole snapshots
 # where they fit), as emit formats the series' values
 _EMIT_VALUES = 2048
+
+# default_snapshot_windows' window width, in time units
+_SNAPSHOT_WIDTH = 200.0
 
 # TrajectoryRecorder computes its kept samples' observables in one pass per
 # block of _BLOCK_ROWS samples, fewer on a grid of more than 256 modes so a
@@ -216,11 +218,11 @@ def detect_instability(
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryDiagnostics:
-    """Sampled observables of one trajectory plus run metadata.
+    """Sampled observables of one trajectory.
 
     deviation is NaN throughout when the diagonalizing transform is
-    unavailable (linearly unstable parameters) and at samples where the
-    transform failed; metadata["transform_ok"] records which.
+    unavailable (linearly unstable parameters), transform_ok false, and at
+    samples where the transform failed.
     """
 
     grid: Grid
@@ -228,7 +230,7 @@ class TrajectoryDiagnostics:
     mass: np.ndarray
     orbital_distance: np.ndarray
     deviation: np.ndarray
-    metadata: dict
+    transform_ok: bool
 
     def __post_init__(self):
         for name in ("times", "mass", "orbital_distance", "deviation"):
@@ -236,30 +238,38 @@ class TrajectoryDiagnostics:
 
 
 class SpectrumWriter:
-    """The spectrum CSV of one run, written a batch of snapshots at a time.
+    """The spectrum CSV of one run, written a recorder block at a time.
 
     Columns t, j, abs_uj (j1, ..., jd for d > 1), one row per mode in
-    storage order for each snapshot.  Building one does nothing else: the
-    first write builds the FloatFormatter and the parts list of a snapshot's
-    rows (per mode its time prefix, its ",j," label and its cell), opens
-    path (whose directory must exist) and writes the header; close() after
-    no write leaves the header alone.  write() formats the magnitudes
-    _EMIT_VALUES at a time, as many whole snapshots as fit (a larger
-    snapshot alone, in passes of _EMIT_VALUES), and each snapshot's rows
-    take its cells in one formatting call and are one join of the parts
-    list; the formatter gives format_float's bytes, so a file does not
-    depend on how its snapshots were batched.  seconds is the
-    time.perf_counter total spent in write() and close().  As a context
-    manager it is closed on exit, after an exception too.
+    storage order for each snapshot: each sample whose time lies in one of
+    windows (pairs of times, ends included).  The writer owns the windows,
+    the choice of shown samples and a magnitude buffer of one recorder
+    block (_block_rows(grid) samples), made when it is built (none without
+    windows) and reused by every write.  Building one does nothing else:
+    the first write with a snapshot builds the FloatFormatter and the parts
+    list of a snapshot's rows (per mode its time prefix, its ",j," label
+    and its cell), opens path (whose directory must exist) and writes the
+    header; close() after no such write leaves the header alone.  write()
+    formats the magnitudes _EMIT_VALUES at a time, as many whole snapshots
+    as fit (a larger snapshot alone, in passes of _EMIT_VALUES), and each
+    snapshot's rows take its cells in one formatting call and are one join
+    of the parts list; the formatter gives format_float's bytes, so a file
+    does not depend on how its snapshots were batched.  seconds is the
+    time.perf_counter total spent in write() (the magnitudes included) and
+    close().  As a context manager it is closed on exit, after an exception
+    too.
     """
 
-    def __init__(self, path: str, grid: Grid):
+    def __init__(self, path: str, grid: Grid, windows: tuple[tuple[float, float], ...]):
         self.path = path
         self.grid = grid
+        self.windows = tuple((float(a), float(b)) for a, b in windows)
         self.seconds = 0.0
         self._fh = None
         self._formatter: FloatFormatter | None = None
         self._parts: list[bytes] = []
+        # the shown samples' |u_j|, in its first rows
+        self._mags = np.empty((_block_rows(grid), *grid.shape)) if self.windows else None
 
     def _file(self):
         """The open file, its header written; made at the first call."""
@@ -270,14 +280,25 @@ class SpectrumWriter:
             self._fh.write(",".join(["t", *mode_cols, "abs_uj"]).encode() + b"\n")
         return self._fh
 
-    def write(self, times, mags: np.ndarray) -> None:
-        """Append the rows of the snapshots at times (floats); mags is one
-        array with a leading snapshot axis, mags[i] the grid-shaped
-        magnitudes of snapshot i.  After close() it raises ValueError, as a
+    def write(self, times: np.ndarray, fields: np.ndarray) -> None:
+        """Append the rows of the snapshots among one recorder block's
+        samples: times, a float64 array of at most _block_rows(grid) sample
+        times, and fields, their coefficients with a leading sample axis.
+        After close() a block with a snapshot raises ValueError, as a
         closed file does."""
-        if not len(times):
-            return
         start = time.perf_counter()
+        shown = np.zeros(len(times), dtype=bool)
+        for lo, hi in self.windows:
+            shown |= (lo <= times) & (times <= hi)
+        k = int(np.count_nonzero(shown))
+        if k:
+            # a block wholly inside the windows needs no boolean-index copy
+            mags = np.abs(fields if k == len(times) else fields[shown], out=self._mags[:k])
+            self._write_rows(times[shown].tolist(), mags)
+        self.seconds += time.perf_counter() - start
+
+    def _write_rows(self, times: list[float], mags: np.ndarray) -> None:
+        """The rows of the snapshots at times; mags[i] holds snapshot i's |u_j|."""
         size = self.grid.size
         if self._formatter is None:
             self._formatter = FloatFormatter(_EMIT_VALUES)
@@ -291,12 +312,11 @@ class SpectrumWriter:
         for first in range(0, len(times), per_pass):
             cells = self._formatter(mags[first : first + per_pass])
             for i, t in enumerate(times[first : first + per_pass]):
-                prefix = format_float(float(t)).encode()
+                prefix = format_float(t).encode()
                 parts[0] = prefix
                 parts[3:-1:3] = [b"\n" + prefix] * (size - 1)
                 parts[2::3] = cells[i * size : (i + 1) * size]
                 fh.write(b"".join(parts))
-        self.seconds += time.perf_counter() - start
 
     def close(self) -> None:
         """Finish the file (the header alone if nothing was written); a
@@ -316,13 +336,11 @@ class TrajectoryRecorder:
     """Observer callback accumulating diagnostics during integration.
 
     Samples arrive at the integrator's cadence; each records time, mass,
-    orbital distance, super-action deviation (relative to the first sample
-    whose xi map succeeds), and a mode-magnitude snapshot when the time falls
-    inside one of the snapshot windows.  Pass the instance as the observer
-    to integrate(), then call finalize().  The snapshots go to the
-    SpectrumWriter spectrum as each block is computed, and none is kept;
-    snapshot windows without a writer raise DomainError here, and a
-    recorder without windows computes no magnitudes.
+    orbital distance and super-action deviation (relative to the first
+    sample whose xi map succeeds).  Pass the instance as the observer to
+    integrate(), then call finalize().  Each block of samples, once
+    computed, goes to the SpectrumWriter spectrum (when one is given),
+    which writes the snapshots among them; the recorder keeps none.
 
     A call checks the field and copies it into the next row of the block
     buffer: a field of another shape raises DomainError and one with
@@ -332,13 +350,12 @@ class TrajectoryRecorder:
     fewer on a grid of more than 256 modes, so a block holds at most 16384
     coefficients), each public function once over the buffer's filled rows
     as a batch: SpectralField.mass, sobolev_norm of project_away, u_to_xi,
-    super_actions, weighted_deviation and the snapshot magnitudes, which go
-    into a magnitude buffer of the same rows.  Both buffers are made when
-    the recorder is built and reused by every block.  Each row
+    super_actions and weighted_deviation.  The buffer is made when the
+    recorder is built and reused by every block.  Each row
     gets the bits the function gives the sample alone (the module docstring
     names the two traps that would break this).  finalize() computes the
-    last, partial block (and streams its snapshots); after a BlowUpError it
-    returns the samples before it.
+    last, partial block (and hands it to the writer); after a BlowUpError
+    it returns the samples before it.
 
     table is the frequency table of the run's plane wave; when its
     parameters are not linearly stable the deviation is NaN throughout
@@ -348,24 +365,11 @@ class TrajectoryRecorder:
     nonnegative (DomainError).
     """
 
-    def __init__(
-        self,
-        table: FrequencyTable,
-        s: float,
-        snapshot_windows: tuple[tuple[float, float], ...] = (),
-        metadata: dict | None = None,
-        spectrum: SpectrumWriter | None = None,
-    ):
+    def __init__(self, table: FrequencyTable, s: float, spectrum: SpectrumWriter | None = None):
         if not (s >= 0.0 and math.isfinite(s)):
             raise DomainError(f"s must be finite and nonnegative, got {s!r}")
         self.table = table
         self.s = float(s)
-        self.windows = tuple((float(a), float(b)) for a, b in snapshot_windows)
-        self.metadata = dict(metadata or {})
-        if self.windows and spectrum is None:
-            raise DomainError(
-                f"snapshot windows {self.windows} need a SpectrumWriter (spectrum) to stream into"
-            )
         self.spectrum = spectrum
 
         self._ctx: DiagonalizerSet | None
@@ -381,8 +385,6 @@ class TrajectoryRecorder:
         self._times = np.empty(block)
         self._fields = np.empty((block, *grid.shape), dtype=complex)
         self._rows = 0
-        # the shown rows' |u_j|, in its first rows; none without windows
-        self._mags = np.empty((block, *grid.shape)) if self.windows else None
         # one (4, rows) float64 array per block: times, mass, orbital distance
         # and deviation, 32 bytes a sample
         self._series: list[np.ndarray] = []
@@ -417,16 +419,8 @@ class TrajectoryRecorder:
         mass = u.mass()
         orbital = sobolev_norm(project_away(u, table.ell), self.s)
         self._series.append(np.stack((times, mass, orbital, self._deviations_of(u, mass))))
-        if not self.windows:  # no snapshot, and perhaps no writer to take one
-            return
-        shown = np.zeros(rows, dtype=bool)
-        for lo, hi in self.windows:
-            shown |= (lo <= times) & (times <= hi)
-        k = int(np.count_nonzero(shown))
-        if k:
-            # a block wholly inside the windows needs no boolean-index copy
-            fields = u.coeffs if k == rows else u.coeffs[shown]
-            self.spectrum.write(times[shown].tolist(), np.abs(fields, out=self._mags[:k]))
+        if self.spectrum is not None:
+            self.spectrum.write(times, u.coeffs)
 
     def _deviations_of(self, u: SpectralField, mass: np.ndarray) -> np.ndarray:
         """D of each row of the batch u; NaN without a xi map or where it fails."""
@@ -449,63 +443,35 @@ class TrajectoryRecorder:
 
     def finalize(self) -> TrajectoryDiagnostics:
         self._flush()
-        table = self.table
-        meta = dict(self.metadata)
-        meta.setdefault("h", table.h)
-        meta.setdefault("K", table.grid.K)
-        meta.setdefault("d", table.grid.d)
-        meta.setdefault("ell", table.ell)
-        meta.setdefault("lambda", table.lam)
-        meta.setdefault("rho", table.rho)
-        meta.setdefault("s", self.s)
-        meta["transform_ok"] = self._ctx is not None
-        meta["snapshot_windows"] = self.windows
         # one array in place of the blocks, so a second call returns the same
         self._series = [np.concatenate(self._series, axis=1) if self._series
                         else np.empty((4, 0))]
         times, mass, orbital, deviation = self._series[0]
         return TrajectoryDiagnostics(
-            grid=table.grid,
+            grid=self.table.grid,
             times=times,
             mass=mass,
             orbital_distance=orbital,
             deviation=deviation,
-            metadata=meta,
+            transform_ok=self._ctx is not None,
         )
 
 
-def default_snapshot_windows(horizon: float, width: float = 200.0) -> tuple:
-    """Two windows of the given width at the start and end of the horizon."""
-    if horizon <= 2.0 * width:
+def default_snapshot_windows(horizon: float) -> tuple:
+    """Two windows of _SNAPSHOT_WIDTH time units at the start and end of
+    the horizon, or one over all of it when they would overlap."""
+    if horizon <= 2.0 * _SNAPSHOT_WIDTH:
         return ((0.0, float(horizon)),)
-    return ((0.0, width), (float(horizon) - width, float(horizon)))
+    return ((0.0, _SNAPSHOT_WIDTH), (float(horizon) - _SNAPSHOT_WIDTH, float(horizon)))
 
 
-def _write_series(path: str, diag: TrajectoryDiagnostics, formatter: FloatFormatter) -> None:
-    """The series CSV, formatter.size values (a quarter as many rows) per pass;
-    its temporaries are gone when it returns."""
-    columns = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
-    per_chunk = formatter.size // len(columns)
-    with open(path, "wb") as fh:
-        fh.write(b"t,mass,orbital_distance,D\n")
-        for first in range(0, len(diag.times), per_chunk):
-            rows = np.column_stack([a[first : first + per_chunk] for a in columns])
-            fh.write(b"%b,%b,%b,%b\n" * len(rows) % tuple(formatter(rows)))
+def emit(diag: TrajectoryDiagnostics, path: str, spectrum: SpectrumWriter) -> None:
+    """Write the series CSV of diag to path, and close spectrum.
 
-
-def emit(
-    diag: TrajectoryDiagnostics,
-    path: str,
-    spectrum: SpectrumWriter,
-    started: float | None = None,
-) -> None:
-    """Write <runid>_series.csv and <runid>_meta.json, and close spectrum.
-
-    path is the output directory (created if missing); the run id comes from
-    diag.metadata["runid"] (default "run").  spectrum is the SpectrumWriter
-    the recorder of diag streamed its snapshots into; closing it finishes
-    the spectrum CSV (the header alone if no snapshot was written).  Files
-    are comma-separated with LF line endings; floats carry 17 significant
+    path's directory must exist.  spectrum is the SpectrumWriter the
+    recorder of diag streamed its blocks into; closing it finishes the
+    spectrum CSV (the header alone if no snapshot was written).  Files are
+    comma-separated with LF line endings; floats carry 17 significant
     digits so a parse recovers them bit-exactly.  An empty trajectory
     produces a header-only series CSV.
 
@@ -515,31 +481,13 @@ def emit(
     non-finite, magnitude outside [1e-280, 1e280), or within 2^-30 of a
     rounding tie) handed to format_float one at a time.  The spectrum
     writer formats its rows in the same way.
-
-    started, a time.perf_counter() reading taken when the run began, adds to
-    the metadata's "timing" block wall_s (seconds from started to the meta
-    write) and emit_s (seconds spent writing the two CSVs, spectrum.seconds
-    from before this call included).
     """
-    csv_start = time.perf_counter()
-    streamed_s = spectrum.seconds
-    runid = str(diag.metadata.get("runid", "run"))
-    os.makedirs(path, exist_ok=True)
-
-    _write_series(os.path.join(path, f"{runid}_series.csv"), diag, FloatFormatter(_EMIT_VALUES))
+    formatter = FloatFormatter(_EMIT_VALUES)
+    columns = (diag.times, diag.mass, diag.orbital_distance, diag.deviation)
+    per_chunk = formatter.size // len(columns)
+    with open(path, "wb") as fh:
+        fh.write(b"t,mass,orbital_distance,D\n")
+        for first in range(0, len(diag.times), per_chunk):
+            rows = np.column_stack([a[first : first + per_chunk] for a in columns])
+            fh.write(b"%b,%b,%b,%b\n" * len(rows) % tuple(formatter(rows)))
     spectrum.close()
-
-    meta = diag.metadata
-    if started is not None:
-        now = time.perf_counter()
-        meta = {
-            **meta,
-            "timing": {
-                "wall_s": now - started,
-                **meta.get("timing", {}),
-                "emit_s": now - csv_start + streamed_s,
-            },
-        }
-    meta_path = os.path.join(path, f"{runid}_meta.json")
-    with open(meta_path, "w", newline="\n") as fh:
-        fh.write(dumps(meta) + "\n")

@@ -313,6 +313,31 @@ def test_cmd_simulate_blow_up(tmp_path, monkeypatch, capsys):
     assert "instability" not in meta  # no samples survived
 
 
+def test_cmd_simulate_meta_key_order(tmp_path, monkeypatch, capsys):
+    # cmd_simulate builds the meta JSON as one dict: the configuration, the
+    # plane wave's parameters, the recorder's transform_ok, the writer's
+    # windows, then the run's outcome, the environment and the timing
+    head = ["runid", "scheme", "epsilon", "seed", "n_steps", "cadence", "version",
+            "h", "K", "d", "ell", "lambda", "rho", "s", "transform_ok", "snapshot_windows"]
+    cfg = build_config(None, {"K": 4, "N": 2, "ell": 1, "steps": 10, "out": str(tmp_path)})
+    assert cmd_simulate(cfg, runid="done") == 0
+    meta = json.loads((tmp_path / "done_meta.json").read_text())
+    assert list(meta) == [*head, "instability", "environment", "timing"]
+    assert [meta[k] for k in head[7:]] == [
+        0.04, 4, 1, [1], -1, math.sqrt(0.4), 5.0, True, [[0.0, 0.4]]]
+    assert math.isnan(meta["instability"]["onset_time"])  # NaN survives the JSON
+
+    def nan_datum(config):
+        grid = config.grid()
+        return SpectralField(grid, np.full(grid.shape, np.nan, dtype=complex))
+
+    monkeypatch.setattr("torusnls.cli.random_initial_datum", nan_datum)
+    assert cmd_simulate(cfg, runid="boom") == 3
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "boom_meta.json").read_text())
+    assert list(meta) == [*head, "blow_up_step", "blow_up_time", "environment", "timing"]
+
+
 def test_cmd_simulate_refuses_a_file_as_out_before_any_step(tmp_path, monkeypatch, capsys):
     def no_steps(*args, **kwargs):
         raise AssertionError("integrate was called")

@@ -4,7 +4,6 @@ import cmath
 import csv
 import dataclasses
 import itertools
-import json
 import math
 import os
 import sys
@@ -258,34 +257,29 @@ def _windowed(samples, h, windows):
             if any(lo <= n * h <= hi for lo, hi in windows)]
 
 
-def _record(table, samples, out, windows=ALL, metadata=None, recorder=TrajectoryRecorder):
+def _record(table, samples, out, windows=ALL, runid="run", recorder=TrajectoryRecorder):
     """Feed the (n, u) samples, up to a BlowUpError, to a recorder (of the
-    given class) that streams its snapshots into out/<runid>_spectrum.csv;
-    emit the run into out and return its diagnostics."""
-    metadata = {"runid": "run", **(metadata or {})}
+    given class) whose writer streams the snapshots in windows into
+    out/<runid>_spectrum.csv; emit the series into out/<runid>_series.csv
+    and return the run's diagnostics."""
     out.mkdir(parents=True, exist_ok=True)
-    with SpectrumWriter(str(out / f"{metadata['runid']}_spectrum.csv"), table.grid) as writer:
-        rec = recorder(table, s=5.0, snapshot_windows=windows,
-                       metadata=metadata, spectrum=writer)
+    with SpectrumWriter(str(out / f"{runid}_spectrum.csv"), table.grid, windows) as writer:
+        rec = recorder(table, s=5.0, spectrum=writer)
         try:
             for n, u in samples:
                 rec(n, u)
         except BlowUpError:
             pass
         diag = rec.finalize()
-        emit(diag, str(out), writer)
+        emit(diag, str(out / f"{runid}_series.csv"), writer)
     return diag
 
 
 def test_recorder_series(grid16, table16, make_datum, tmp_path):
     u = make_datum(grid16, (0,), RHO, 0.01, seed=2)
     path = tmp_path / "series_spectrum.csv"
-    with SpectrumWriter(str(path), grid16) as writer:
-        rec = TrajectoryRecorder(
-            table16, s=5.0,
-            snapshot_windows=((0.0, 100.0),),
-            spectrum=writer,
-        )
+    with SpectrumWriter(str(path), grid16, ((0.0, 100.0),)) as writer:
+        rec = TrajectoryRecorder(table16, s=5.0, spectrum=writer)
         integrate(u, StepScheme(StepVariant.LIE_TROTTER, H), -1, 100,
                   observer=rec, cadence=10)
         d = rec.finalize()
@@ -298,8 +292,11 @@ def test_recorder_series(grid16, table16, make_datum, tmp_path):
     rows = path.read_bytes().decode().splitlines()
     assert len(rows) == 1 + 11 * 32  # every sample a snapshot of 32 modes
     assert rows[1].startswith("0,-16,") and rows[-1].startswith("4,15,")
-    assert d.metadata["transform_ok"] is True
-    assert d.metadata["K"] == 16 and d.metadata["lambda"] == -1
+    assert d.transform_ok is True
+    # the snapshots leave through the writer alone, and the run's metadata
+    # is its caller's (cmd_simulate builds the meta JSON)
+    assert [f.name for f in dataclasses.fields(TrajectoryDiagnostics)] == [
+        "grid", "times", "mass", "orbital_distance", "deviation", "transform_ok"]
     # an s that would make every distance and D NaN is refused up front
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match="s must be"):
@@ -310,14 +307,6 @@ def test_recorder_series(grid16, table16, make_datum, tmp_path):
     for c in (other.coeffs, np.full(other.coeffs.shape, np.nan, dtype=complex)):
         with pytest.raises(DomainError, match="shape"):
             rec(101, SpectralField(other.grid, c))
-
-
-def test_recorder_refuses_snapshot_windows_without_a_writer(table16):
-    # a SpectrumWriter is the snapshots' only way out of the recorder, so
-    # windows without one are refused when the recorder is built
-    with pytest.raises(DomainError, match=r"windows \(\(0\.0, 1\.0\), \(2\.5, 3\.5\)\)"):
-        TrajectoryRecorder(table16, s=5.0, snapshot_windows=((0.0, 1.0), (2.5, 3.5)))
-    assert "snapshots" not in {f.name for f in dataclasses.fields(TrajectoryDiagnostics)}
 
 
 @pytest.mark.parametrize("d, K, ell, stable", [
@@ -342,7 +331,7 @@ def test_recorder_sample_matches_public_composition(make_datum, d, K, ell, stabl
               StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H), -1, 20,
               observer=observe, cadence=5)
     got = rec.finalize()
-    assert got.metadata["transform_ok"] is stable
+    assert got.transform_ok is stable
     assert len(fields) == got.times.size == 5
     for i, u in enumerate(fields):
         assert got.mass[i] == u.mass()
@@ -424,7 +413,7 @@ def test_recorder_blocks_match_public_composition(make_datum, d, K, ell, tmp_pat
     fields = _trajectory(make_datum, grid, ell, 149)
     got = _record(table, enumerate(fields), tmp_path)
     _assert_same_bits(got, fields, table, tmp_path)
-    if got.metadata["transform_ok"]:
+    if got.transform_ok:
         assert got.deviation[0] == 0.0 and np.all(np.isfinite(got.deviation))
 
 
@@ -461,8 +450,8 @@ def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum, tmp_path
     fields = _trajectory(make_datum, grid16, (0,), 99)
     bad = fields[90].coeffs.copy()
     bad[3] = np.inf
-    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid16) as writer:
-        rec = TrajectoryRecorder(table16, s=5.0, snapshot_windows=ALL, spectrum=writer)
+    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid16, ALL) as writer:
+        rec = TrajectoryRecorder(table16, s=5.0, spectrum=writer)
         for n, u in enumerate(fields[:90]):
             rec(n, u)
         with pytest.raises(BlowUpError) as info:
@@ -474,20 +463,20 @@ def test_recorder_blocks_blow_up_mid_block(grid16, table16, make_datum, tmp_path
 
 
 class _PoisonedRecorder(TrajectoryRecorder):
-    """A recorder that checks it computes each block in the buffers it was
-    built with, and fills both with NaN after each block, so a row read
+    """A recorder that checks it computes each block in the field buffer it
+    was built with, and its writer the magnitudes in the buffer the writer
+    was built with, and fills both with NaN after each block, so a row read
     before it is written again shows in every output."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._built = (self._fields, self._mags)
+        self._built = (self._fields, self.spectrum._mags)
 
     def _flush(self):
         super()._flush()
-        assert self._fields is self._built[0] and self._mags is self._built[1]
+        assert self._fields is self._built[0] and self.spectrum._mags is self._built[1]
         self._fields.fill(math.nan)
-        if self._mags is not None:
-            self._mags.fill(math.nan)
+        self.spectrum._mags.fill(math.nan)
 
 
 def test_recorder_buffer_two_full_blocks_then_a_partial_one(make_datum, tmp_path):
@@ -520,7 +509,7 @@ def test_recorder_buffer_window_over_part_of_a_later_block(grid16, table16, make
                                                             tmp_path):
     # the window shows samples 80 ... 100 of 150: rows 16 ... 36 of the
     # second block, whose magnitudes go into the first 21 rows of the
-    # magnitude buffer; no other block shows a sample
+    # writer's magnitude buffer; no other block shows a sample
     fields = _trajectory(make_datum, grid16, (0,), 149)
     windows = ((80 * H, 100 * H),)
     got = _record(table16, enumerate(fields), tmp_path, windows, recorder=_PoisonedRecorder)
@@ -570,15 +559,15 @@ def test_recorder_block_allocations(make_datum, tmp_path):
     # and numpy's 8192-element iteration buffer in four complex ufunc calls
     # of u_to_xi (the three broadcast products written into an operand, and
     # the sum with the strided partner).  The block and its magnitudes go
-    # into the recorder's buffers, and every square of |u| is taken in
-    # place; stacking the block, allocating its magnitudes and squaring |u|
-    # into new arrays made 19.
+    # into the recorder's and the writer's buffers, and every square of |u|
+    # is taken in place; stacking the block, allocating its magnitudes and
+    # squaring |u| into new arrays made 19.
     grid = Grid(K=8, d=2)
     table = build_frequency_table(H, RHO, -1, (0, 0), grid)
     rows = _block_rows(grid)
     fields = _trajectory(make_datum, grid, (0, 0), 2 * rows - 1)
-    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid) as writer:
-        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL, spectrum=writer)
+    with SpectrumWriter(str(tmp_path / "run_spectrum.csv"), grid, ALL) as writer:
+        rec = TrajectoryRecorder(table, s=5.0, spectrum=writer)
         for n, u in enumerate(fields[:-1]):
             rec(n, u)
         n = len(fields) - 1
@@ -665,15 +654,14 @@ def test_recorder_without_linear_stability(grid16, make_datum):
     integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.042), -1, 50,
               observer=rec, cadence=10)
     d = rec.finalize()
-    assert d.metadata["transform_ok"] is False
+    assert d.transform_ok is False
     assert np.all(np.isnan(d.deviation))
     assert np.all(np.isfinite(d.orbital_distance))
 
 
 def test_emit_files(grid16, table16, make_datum, tmp_path):
     samples = _observed(make_datum, grid16, 20, 10)
-    d = _record(table16, samples, tmp_path, ((0.0, 100.0),),
-                metadata={"runid": "unit", "note": float("nan")})
+    d = _record(table16, samples, tmp_path, ((0.0, 100.0),), runid="unit")
 
     series = list(csv.reader(open(tmp_path / "unit_series.csv")))
     assert series[0] == ["t", "mass", "orbital_distance", "D"]
@@ -688,10 +676,8 @@ def test_emit_files(grid16, table16, make_datum, tmp_path):
     assert spectrum[1][1] == "-16"
     assert float(spectrum[1][2]) == np.abs(samples[0][1].coeffs)[0]
 
-    meta = json.loads(open(tmp_path / "unit_meta.json").read())
-    assert meta["runid"] == "unit"
-    assert math.isnan(meta["note"])
-    assert meta["h"] == H
+    # the meta JSON is cmd_simulate's
+    assert sorted(os.listdir(tmp_path)) == ["unit_series.csv", "unit_spectrum.csv"]
 
 
 def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make_datum, tmp_path):
@@ -703,7 +689,7 @@ def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make
     c = fields[70].coeffs.copy()
     c[grid16.index_of(0)] = 0.0
     fields[70] = SpectralField(grid16, c * (RHO / math.sqrt(float(np.sum(np.abs(c) ** 2)))))
-    rec = TrajectoryRecorder(table16, s=5.0, metadata={"runid": "nan"})
+    rec = TrajectoryRecorder(table16, s=5.0)
     for n, u in enumerate(fields):
         rec(n, u)
     d = rec.finalize()
@@ -711,17 +697,18 @@ def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make
     columns = ("times", "mass", "orbital_distance", "deviation")
     long = dataclasses.replace(d, **{k: np.tile(getattr(d, k), 11) for k in columns})
     for diag, nans in ((d, 2), (long, 22)):
-        emit(diag, str(tmp_path / "emit"), SpectrumWriter(str(tmp_path / "spectrum.csv"), grid16))
+        emit(diag, str(tmp_path / "nan_series.csv"),
+             SpectrumWriter(str(tmp_path / "spectrum.csv"), grid16, ()))
         reference = tmp_path / "reference.csv"
         write_csv(str(reference), ("t", "mass", "orbital_distance", "D"),
                   zip(*(getattr(diag, k).tolist() for k in columns)))
-        got = (tmp_path / "emit" / "nan_series.csv").read_bytes()
+        got = (tmp_path / "nan_series.csv").read_bytes()
         assert got == reference.read_bytes()
         assert got.count(b",NaN\n") == nans
 
 
 def test_emit_empty_trajectory(table16, tmp_path):
-    assert _record(table16, [], tmp_path, metadata={"runid": "empty"}).times.size == 0
+    assert _record(table16, [], tmp_path, runid="empty").times.size == 0
     series = open(tmp_path / "empty_series.csv").read()
     assert series == "t,mass,orbital_distance,D\n"
     spectrum = open(tmp_path / "empty_spectrum.csv").read()
@@ -730,14 +717,13 @@ def test_emit_empty_trajectory(table16, tmp_path):
 
 def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):
     u = make_datum(grid2d, (0, 0), RHO, 0.005, seed=7)
-    with SpectrumWriter(str(tmp_path / "two_spectrum.csv"), grid2d) as writer:
+    with SpectrumWriter(str(tmp_path / "two_spectrum.csv"), grid2d, ((0.0, 10.0),)) as writer:
         rec = TrajectoryRecorder(
-            build_frequency_table(0.02, RHO, -1, (0, 0), grid2d), s=2.0,
-            snapshot_windows=((0.0, 10.0),), metadata={"runid": "two"}, spectrum=writer,
+            build_frequency_table(0.02, RHO, -1, (0, 0), grid2d), s=2.0, spectrum=writer
         )
         integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.02), -1, 5,
                   observer=rec, cadence=5)
-        emit(rec.finalize(), str(tmp_path), writer)
+        emit(rec.finalize(), str(tmp_path / "two_series.csv"), writer)
     spectrum = list(csv.reader(open(tmp_path / "two_spectrum.csv")))
     assert spectrum[0] == ["t", "j1", "j2", "abs_uj"]
     assert spectrum[1][1:3] == ["-2", "-2"]
@@ -752,7 +738,7 @@ def test_emit_spectrum_text_of_recorded_run(make_datum, tmp_path, d, ell):
               observer=lambda n, u: samples.append((n, u)), cadence=1)
     windows = ((0.0, 0.5),)
     _record(build_frequency_table(H, RHO, -1, ell, grid), samples, tmp_path, windows,
-            metadata={"runid": "ref"})
+            runid="ref")
     shown = _windowed(samples, H, windows)
     assert len(shown) == 13  # t = 0, 0.04, ..., 0.48
     text = (tmp_path / "ref_spectrum.csv").read_bytes().decode()
@@ -760,20 +746,22 @@ def test_emit_spectrum_text_of_recorded_run(make_datum, tmp_path, d, ell):
 
 
 def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
+    # real coefficients, so each |u_j| is the value itself, NaN and inf too
     grid = Grid(K=2, d=1)
     snapshots = [(0.1 + 0.2, np.array([np.nan, np.inf, 0.0, 0.1 + 0.2])),
                  (0.5, np.array([1e-300, 2.5, 1 / 3, 7.0]))]
+    times = np.array([t for t, _ in snapshots])
     diag = TrajectoryDiagnostics(
         grid=grid,
-        times=np.array([0.1 + 0.2, 0.5]),
+        times=times,
         mass=np.array([0.4, 0.4]),
         orbital_distance=np.array([0.01, 0.01]),
         deviation=np.array([0.0, 0.0]),
-        metadata={"runid": "odd"},
+        transform_ok=True,
     )
-    writer = SpectrumWriter(str(tmp_path / "odd_spectrum.csv"), grid)
-    writer.write([t for t, _ in snapshots], np.stack([m for _, m in snapshots]))
-    emit(diag, str(tmp_path), writer)
+    writer = SpectrumWriter(str(tmp_path / "odd_spectrum.csv"), grid, ALL)
+    writer.write(times, np.stack([m for _, m in snapshots]).astype(complex))
+    emit(diag, str(tmp_path / "odd_series.csv"), writer)
     text = (tmp_path / "odd_spectrum.csv").read_bytes().decode()
     assert text == _reference_spectrum(grid, snapshots)
     assert "0.30000000000000004,-2,NaN\n0.30000000000000004,-1,Infinity\n" in text
@@ -840,12 +828,12 @@ def test_streamed_spectrum_of_an_empty_trajectory(grid16, tmp_path):
 
 def test_spectrum_writer_closes_once_and_then_refuses_rows(grid2, tmp_path):
     path = tmp_path / "w_spectrum.csv"
-    with SpectrumWriter(str(path), grid2) as writer:
-        writer.write([0.5], np.array([[1.0, 2.0, 0.0, 0.25]]))
+    with SpectrumWriter(str(path), grid2, ALL) as writer:
+        writer.write(np.array([0.5]), np.array([[1.0, -2.0, 0.0, 0.25j]]))
     writer.close()
     assert path.read_bytes() == b"t,j,abs_uj\n0.5,-2,1\n0.5,-1,2\n0.5,0,0\n0.5,1,0.25\n"
     with pytest.raises(ValueError, match="closed"):
-        writer.write([1.0], np.zeros((1, 4)))
+        writer.write(np.array([1.0]), np.zeros((1, 4), dtype=complex))
 
 
 def _traced_peak_of_streamed_run(make_datum, grid, steps, out):
@@ -854,9 +842,8 @@ def _traced_peak_of_streamed_run(make_datum, grid, steps, out):
     scheme = StepScheme(StepVariant.STRANG_NONLINEAR_OUTSIDE, H)
     tracemalloc.start()
     try:
-        with SpectrumWriter(str(out), grid) as writer:
-            rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL,
-                                     spectrum=writer)
+        with SpectrumWriter(str(out), grid, ALL) as writer:
+            rec = TrajectoryRecorder(table, s=5.0, spectrum=writer)
             integrate(datum, scheme, -1, steps, observer=rec, cadence=1)
             rec.finalize()
         return tracemalloc.get_traced_memory()[1]
@@ -884,9 +871,8 @@ def _traced_series_of_streamed_run(make_datum, grid, steps, out):
     table = build_frequency_table(H, RHO, -1, (0,) * grid.d, grid)
     datum = make_datum(grid, (0,) * grid.d, RHO, 0.01, seed=6)
     scheme = StepScheme(StepVariant.LIE_TROTTER, H)
-    with SpectrumWriter(str(out), grid) as writer:
-        rec = TrajectoryRecorder(table, s=5.0, snapshot_windows=ALL,
-                                 spectrum=writer)
+    with SpectrumWriter(str(out), grid, ALL) as writer:
+        rec = TrajectoryRecorder(table, s=5.0, spectrum=writer)
         tracemalloc.start()
         try:
             integrate(datum, scheme, -1, steps, observer=rec, cadence=1)

@@ -8,8 +8,8 @@ epsilon = 0.01, s = 5, carrier at the origin):
 
 - observe_us: one observed sample as `integrate` delivers it, the
   numpy-ordered state wrapped into a SpectralField and handed to a
-  TrajectoryRecorder whose snapshot window covers the sample and which
-  streams into a SpectrumWriter, less the writer's seconds, as `simulate`
+  TrajectoryRecorder which streams into a SpectrumWriter whose snapshot
+  window covers the sample, less the writer's seconds, as `simulate`
   counts observe_s.  The recorder computes its observables per block of
   samples, so the loop feeds one recorder (built before the clock starts)
   --calls samples rounded down to whole blocks, then calls finalize(), as
@@ -22,18 +22,25 @@ epsilon = 0.01, s = 5, carrier at the origin):
   of --calls steps at cadence 1 with a no-op observer (`cadence1`, every
   step leaves the integrator's frame and is wrapped into a field) and at
   cadence 250 (`cadence250`), per step;
-- emit_us_per_row: the output files of a run of EMIT_STEPS Lie-Trotter
+- emit_us_per_row: the two CSVs of a run of EMIT_STEPS Lie-Trotter
   steps observed every step (301 snapshots: 9,632 spectrum rows at d = 1,
   77,056 at d = 2), written into a temporary directory as the CLI writes
-  them, per spectrum row: the |u_j| of the samples a list observer
+  them, per spectrum row: the coefficients of the samples a list observer
   collected go to a `SpectrumWriter` one recorder block at a time (blocks
-  of the size observe_us uses, cut before the clock starts), then `emit`
-  writes a recorder's series of the same samples and the meta, and closes
-  the writer.  Each side writes the run its own package integrated;
-- format_ns_per_value: the emission kernel alone, one call of a
+  of the size observe_us uses, cut before the clock starts), which takes
+  their |u_j|, then `emit` writes a recorder's series of the same samples
+  and closes the writer.  Each side writes the run its own package
+  integrated;
+- format_ns_per_value: the emission kernel alone, a call of a
   `_serialize.FloatFormatter` of the spectrum writer's pass size
   (`diagnostics._EMIT_VALUES`) on all the magnitudes of that run, per
   value; the formatter is built before the clock starts.
+
+A package from before the SpectrumWriter owned the snapshot windows (its
+writer takes no windows) is driven through its own signatures, with the
+same work inside the clock: its recorder gets the windows, its writer the
+magnitudes, taken per block in the emit loop, and its emit also writes the
+meta JSON of a few hundred bytes.
 
 and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
@@ -45,8 +52,9 @@ datum_ms: one `cli.random_initial_datum` call at each grid of DATUM_GRIDS
 the package's defaults otherwise.
 
 Each loop times --calls calls (observe_us: --calls samples, rounded down to
-whole blocks; emit_us_per_row: one run's files; format_ns_per_value: one
-formatter call; the enumerator: ENUM_CALLS calls; datum_ms: one call); a
+whole blocks; emit_us_per_row: EMIT_CALLS runs' files; format_ns_per_value:
+FORMAT_CALLS formatter calls; the enumerator: ENUM_CALLS calls; datum_ms:
+DATUM_CALLS calls), so that no loop is shorter than a few tens of ms; a
 figure is the best (and the median) over --repeats loops.  The loops run in
 rounds: each round times every figure of the grid once on each side, after
 one untimed round, so no figure is the first to run in a cold process and a
@@ -67,6 +75,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -79,12 +88,15 @@ import numpy as np
 
 GRIDS = ((1, 16), (2, 8))
 EMIT_STEPS = 300
+EMIT_CALLS = 8
+FORMAT_CALLS = 10
 STEP_CADENCES = (1, 250)
 # (K, h, rho^2) at N = 5
 ENUM_POINTS = ((12, 0.042, 0.4), (12, 0.05, 0.4), (12, 0.06, 0.2), (12, 0.06, 0.4),
                (16, 0.04, 0.4))
 ENUM_CALLS = 3
 DATUM_GRIDS = ((2, 8), (3, 16))
+DATUM_CALLS = 50
 
 
 def load_package(src: str, name: str) -> str:
@@ -97,6 +109,24 @@ def load_package(src: str, name: str) -> str:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return name
+
+
+def writer_owns_windows(diagnostics) -> bool:
+    """Whether the package's SpectrumWriter takes the snapshot windows (else
+    its TrajectoryRecorder does)."""
+    return "windows" in inspect.signature(diagnostics.SpectrumWriter).parameters
+
+
+def streaming_recorder(diagnostics, table, s: float, path: str, windows: tuple):
+    """A TrajectoryRecorder and the SpectrumWriter at path it streams the
+    snapshots in windows into, built through the package's own signatures."""
+    if writer_owns_windows(diagnostics):
+        writer = diagnostics.SpectrumWriter(path, table.grid, windows)
+        return diagnostics.TrajectoryRecorder(table, s, writer), writer
+    writer = diagnostics.SpectrumWriter(path, table.grid)
+    recorder = diagnostics.TrajectoryRecorder(table, s, snapshot_windows=windows,
+                                              spectrum=writer)
+    return recorder, writer
 
 
 def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
@@ -121,10 +151,9 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     stepper = integrator._Stepper(datum.grid, config.step_scheme(), config.lam)
 
     def observe(calls):
-        writer = diagnostics.SpectrumWriter(os.path.join(out_dir, f"{pkg}_obs.csv"), datum.grid)
-        recorder = diagnostics.TrajectoryRecorder(table, config.s,
-                                                  snapshot_windows=((0.0, 1.0),),
-                                                  spectrum=writer)
+        recorder, writer = streaming_recorder(
+            diagnostics, table, config.s, os.path.join(out_dir, f"{pkg}_obs.csv"), ((0.0, 1.0),)
+        )
         samples = max(1, calls // block) * block
 
         def run():
@@ -153,22 +182,38 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     samples = []
     integrator.integrate(datum, config.step_scheme(), config.lam, EMIT_STEPS,
                          observer=lambda n, u: samples.append((n, u)), cadence=1)
-    recorder = diagnostics.TrajectoryRecorder(table, config.s, metadata={"runid": pkg})
+    recorder = diagnostics.TrajectoryRecorder(table, config.s)
     for n, u in samples:
         recorder(n, u)
     recorded = recorder.finalize()
-    times = [n * table.h for n, _ in samples]
-    mags = np.abs(np.stack([u.coeffs for _, u in samples]))
+    times = np.array([n * table.h for n, _ in samples])
+    fields = np.stack([u.coeffs for _, u in samples])
+    mags = np.abs(fields)
+    blocks = [slice(first, first + block) for first in range(0, len(times), block)]
+    spectrum = os.path.join(out_dir, f"{pkg}_spectrum.csv")
 
     def emit(calls):
-        def run():
-            path = os.path.join(out_dir, f"{pkg}_spectrum.csv")
-            writer = diagnostics.SpectrumWriter(path, datum.grid)
-            for first in range(0, len(times), block):
-                writer.write(times[first : first + block], mags[first : first + block])
-            diagnostics.emit(recorded, out_dir, spectrum=writer)
+        if writer_owns_windows(diagnostics):
+            def run_once():
+                writer = diagnostics.SpectrumWriter(spectrum, datum.grid, ((0.0, times[-1]),))
+                for rows in blocks:
+                    writer.write(times[rows], fields[rows])
+                diagnostics.emit(recorded, os.path.join(out_dir, f"{pkg}_series.csv"), writer)
+        else:
+            buffer = np.empty((block, *datum.grid.shape))
 
-        return run, mags.size
+            def run_once():
+                writer = diagnostics.SpectrumWriter(spectrum, datum.grid)
+                for rows in blocks:
+                    writer.write(times[rows].tolist(),
+                                 np.abs(fields[rows], out=buffer[: len(times[rows])]))
+                diagnostics.emit(recorded, out_dir, spectrum=writer)
+
+        def run():
+            for _ in range(EMIT_CALLS):
+                run_once()
+
+        return run, EMIT_CALLS * mags.size
 
     out["emit_us_per_row"] = emit
 
@@ -176,9 +221,11 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
         formatter = serialize.FloatFormatter(diagnostics._EMIT_VALUES)
 
         def run():
-            formatter(mags)
+            for _ in range(FORMAT_CALLS):
+                formatter(mags)
 
-        return run, mags.size / 1e3  # us per 1000 values: ns per value
+        # us per 1000 values: ns per value
+        return run, FORMAT_CALLS * mags.size / 1e3
 
     out["format_ns_per_value"] = format_values
     return out
@@ -294,8 +341,9 @@ def main() -> None:
     def datum_ms(side: str, name: str) -> float:
         draw, config = data[side][name]
         t0 = time.perf_counter()
-        draw(config)
-        return (time.perf_counter() - t0) * 1e3
+        for _ in range(DATUM_CALLS):
+            draw(config)
+        return (time.perf_counter() - t0) / DATUM_CALLS * 1e3
 
     times = rounds(list(sides), list(data["current"]), datum_ms, args.repeats)
     if args.baseline:

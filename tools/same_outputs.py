@@ -93,6 +93,9 @@ COMMANDS = {
                                         "--steps", "2000", "--cadence", "50"),
     "strang-linear-2000-cadence50": ("simulate", "--scheme", "strang-linear-outside",
                                      "--steps", "2000", "--cadence", "50"),
+    # the one path that names the run itself (cmd_simulate's runid): fig1_*
+    # files, 250,000 steps at the default cadence, two snapshot windows
+    "figures-fig1": ("figures", "fig1"),
 }
 
 # keys whose values measure the host rather than the computation
