@@ -142,6 +142,8 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 0, got {self.n_steps}")
         if self.s < 0.0:
             raise ConfigError(f"s must be nonnegative, got {self.s}")
+        if not self.grid().weights_finite(self.s):
+            raise ConfigError(f"s = {self.s} makes the H^s weights (d K^2)^s overflow a float")
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.seed < 0:
@@ -380,21 +382,21 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     The output directory is made before the first step, and the three files
     are named here: <runid>_spectrum.csv is written while the run goes on
     (the recorder hands each block to a SpectrumWriter, which writes the
-    snapshots in the default windows), emit writes <runid>_series.csv and
-    closes the writer, and <runid>_meta.json is built here as one dict and
-    written last.  On an exception other than a blow-up the writer is
-    closed too, and the rows written so far stay behind.
+    snapshots in the default windows) and closed after finalize by the with
+    block that opened it, after an exception other than a blow-up too (the
+    rows written so far stay behind); emit then writes <runid>_series.csv,
+    and <runid>_meta.json is built here as one dict and written last.
 
     The meta JSON records the run's configuration, the plane wave's
     parameters, transform_ok, the snapshot windows, the blow-up step and
     time or the instability report, the environment (the Python and numpy
     versions and the core count) and the timing (time.perf_counter, in
-    process): wall_s (to the meta write), steps_per_s (steps over step_s),
-    step_s (integration minus observer time), observe_s (the observer's
-    calls plus the recorder's finalize, which computes the last block of
-    samples, less the time the spectrum writer took in them: picking the
-    shown samples, their |u_j| and their rows) and emit_s (both CSVs, the
-    streamed spectrum rows included).
+    process, read off the recorder's and the writer's seconds): wall_s (to
+    the meta write), steps_per_s (steps over step_s), step_s (integration
+    less the recorder's time), observe_s (the recorder's calls and its
+    finalize, which computes the last block, less the writer's time in
+    them: picking the shown samples, their |u_j| and their rows) and
+    emit_s (the series write plus all the writer's time, its close too).
     """
     started = time.perf_counter()
     runid = runid or _run_id(config)
@@ -407,16 +409,6 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
     windows = default_snapshot_windows(config.horizon)
     with SpectrumWriter(f"{path}_spectrum.csv", table.grid, windows) as spectrum:
         recorder = TrajectoryRecorder(table, config.s, spectrum)
-        observe_s = 0.0
-
-        def observe(n: int, u: SpectralField) -> None:
-            nonlocal observe_s
-            t0 = time.perf_counter()
-            try:
-                recorder(n, u)
-            finally:
-                observe_s += time.perf_counter() - t0
-
         blown_up: BlowUpError | None = None
         integrate_start = time.perf_counter()
         try:
@@ -425,7 +417,7 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
                 config.step_scheme(),
                 config.lam,
                 config.n_steps,
-                observer=observe,
+                observer=recorder,
                 cadence=config.cadence,
             )
         except ObserverError as exc:
@@ -433,53 +425,49 @@ def cmd_simulate(config: RunConfig, runid: str | None = None) -> int:
                 blown_up = exc.cause
             else:
                 raise
-        step_s = time.perf_counter() - integrate_start - observe_s
-        steps = config.n_steps if blown_up is None else blown_up.step
-
-        finalize_start = time.perf_counter()
+        step_s = time.perf_counter() - integrate_start - recorder.seconds
         diag = recorder.finalize()  # computes the last block of samples
-        observe_s += time.perf_counter() - finalize_start
-        streamed_s = spectrum.seconds  # the writer's time so far, counted in emit_s
-        observe_s -= streamed_s
-        meta = {
-            "runid": runid,
-            "scheme": config.scheme,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-            "n_steps": config.n_steps,
-            "cadence": config.cadence,
-            "version": __version__,
-            "h": table.h,
-            "K": table.grid.K,
-            "d": table.grid.d,
-            "ell": table.ell,
-            "lambda": table.lam,
-            "rho": table.rho,
-            "s": recorder.s,
-            "transform_ok": diag.transform_ok,
-            "snapshot_windows": spectrum.windows,
-        }
-        if blown_up is not None:
-            meta["blow_up_step"] = blown_up.step
-            meta["blow_up_time"] = blown_up.time
-        if diag.times.size and config.epsilon > 0.0:
-            inst = detect_instability(
-                diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
-            )
-            meta["instability"] = asdict(inst)
-        meta["environment"] = _environment()
-        emit_start = time.perf_counter()
-        emit(diag, f"{path}_series.csv", spectrum)
-        now = time.perf_counter()
-        meta["timing"] = {
-            "wall_s": now - started,
-            "steps_per_s": steps / step_s if step_s > 0.0 else None,
-            "step_s": step_s,
-            "observe_s": observe_s,
-            "emit_s": now - emit_start + streamed_s,
-        }
-        with open(f"{path}_meta.json", "w", newline="\n") as fh:
-            fh.write(dumps(meta) + "\n")
+        observe_s = recorder.seconds - spectrum.seconds
+    steps = config.n_steps if blown_up is None else blown_up.step
+    meta = {
+        "runid": runid,
+        "scheme": config.scheme,
+        "epsilon": config.epsilon,
+        "seed": config.seed,
+        "n_steps": config.n_steps,
+        "cadence": config.cadence,
+        "version": __version__,
+        "h": table.h,
+        "K": table.grid.K,
+        "d": table.grid.d,
+        "ell": table.ell,
+        "lambda": table.lam,
+        "rho": table.rho,
+        "s": recorder.s,
+        "transform_ok": diag.transform_ok,
+        "snapshot_windows": spectrum.windows,
+    }
+    if blown_up is not None:
+        meta["blow_up_step"] = blown_up.step
+        meta["blow_up_time"] = blown_up.time
+    if diag.times.size and config.epsilon > 0.0:
+        inst = detect_instability(
+            diag.times, diag.orbital_distance, config.epsilon, _THRESHOLD_FACTOR
+        )
+        meta["instability"] = asdict(inst)
+    meta["environment"] = _environment()
+    emit_start = time.perf_counter()
+    emit(diag, f"{path}_series.csv")
+    now = time.perf_counter()
+    meta["timing"] = {
+        "wall_s": now - started,
+        "steps_per_s": steps / step_s if step_s > 0.0 else None,
+        "step_s": step_s,
+        "observe_s": observe_s,
+        "emit_s": now - emit_start + spectrum.seconds,
+    }
+    with open(f"{path}_meta.json", "w", newline="\n") as fh:
+        fh.write(dumps(meta) + "\n")
 
     if blown_up is not None:
         print(

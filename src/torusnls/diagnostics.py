@@ -31,8 +31,9 @@ significant digits.  The spectrum is written by one SpectrumWriter, which
 owns the windows: it picks a block's shown samples, takes their |u_j| into
 a magnitude buffer of its own and formats their rows while the run goes on,
 and keeps none of them, so the run's memory does not grow with its length.
-emit writes the series and closes that writer; the caller names both files
-and writes the run's metadata (cli.cmd_simulate writes <runid>_meta.json).
+emit writes the series alone; the caller names both files, closes the
+writer it opened and writes the run's metadata (cli.cmd_simulate writes
+<runid>_meta.json).
 """
 
 from __future__ import annotations
@@ -225,7 +226,6 @@ class TrajectoryDiagnostics:
     samples where the transform failed.
     """
 
-    grid: Grid
     times: np.ndarray
     mass: np.ndarray
     orbital_distance: np.ndarray
@@ -355,22 +355,25 @@ class TrajectoryRecorder:
     gets the bits the function gives the sample alone (the module docstring
     names the two traps that would break this).  finalize() computes the
     last, partial block (and hands it to the writer); after a BlowUpError
-    it returns the samples before it.
+    it returns the samples before it.  seconds totals the perf_counter time
+    of the calls and finalize(), the writer's writes included.
 
     table is the frequency table of the run's plane wave; when its
     parameters are not linearly stable the deviation is NaN throughout
     (transform_ok false), and a sample whose xi map fails (mass off the
     rho^2 budget, zero carrier) has D = NaN.  s, the Sobolev exponent of
     the orbital distance and the class weights, must be finite and
-    nonnegative (DomainError).
+    nonnegative, and (d K^2)^s, their bound, a finite float (DomainError).
     """
 
     def __init__(self, table: FrequencyTable, s: float, spectrum: SpectrumWriter | None = None):
-        if not (s >= 0.0 and math.isfinite(s)):
-            raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+        grid = table.grid
+        if not (s >= 0.0 and math.isfinite(s) and grid.weights_finite(s)):
+            raise DomainError(f"s must be finite and nonnegative with (d K^2)^s finite, got {s!r}")
         self.table = table
         self.s = float(s)
         self.spectrum = spectrum
+        self.seconds = 0.0
 
         self._ctx: DiagonalizerSet | None
         try:
@@ -378,7 +381,6 @@ class TrajectoryRecorder:
         except NotLinearlyStableError:
             self._ctx = None
 
-        grid = table.grid
         block = _block_rows(grid)
         self._sa0: SuperActionSet | None = None
         # the block's samples: their times and fields in the first _rows rows
@@ -390,23 +392,27 @@ class TrajectoryRecorder:
         self._series: list[np.ndarray] = []
 
     def __call__(self, n: int, u: SpectralField) -> None:
-        table = self.table
-        t = n * table.h
-        if u.coeffs.shape != table.grid.shape:
-            raise DomainError(
-                f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
-            )
-        # a finite sum has finite terms; an overflowing one gets the full check
-        total = u.coeffs.sum()
-        finite = math.isfinite(total.real) and math.isfinite(total.imag)
-        if not finite and not np.isfinite(u.coeffs).all():
-            raise BlowUpError(n, t)
-        row = self._rows
-        self._times[row] = t
-        self._fields[row] = u.coeffs
-        self._rows = row + 1
-        if self._rows == len(self._fields):
-            self._flush()
+        start = time.perf_counter()
+        try:
+            table = self.table
+            t = n * table.h
+            if u.coeffs.shape != table.grid.shape:
+                raise DomainError(
+                    f"field shape {u.coeffs.shape} != grid shape {table.grid.shape}"
+                )
+            # a finite sum has finite terms; an overflowing one gets the full check
+            total = u.coeffs.sum()
+            finite = math.isfinite(total.real) and math.isfinite(total.imag)
+            if not finite and not np.isfinite(u.coeffs).all():
+                raise BlowUpError(n, t)
+            row = self._rows
+            self._times[row] = t
+            self._fields[row] = u.coeffs
+            self._rows = row + 1
+            if self._rows == len(self._fields):
+                self._flush()
+        finally:
+            self.seconds += time.perf_counter() - start
 
     def _flush(self) -> None:
         """Compute the kept samples' observables, each function once over the block."""
@@ -442,13 +448,14 @@ class TrajectoryRecorder:
         return out
 
     def finalize(self) -> TrajectoryDiagnostics:
+        start = time.perf_counter()
         self._flush()
         # one array in place of the blocks, so a second call returns the same
         self._series = [np.concatenate(self._series, axis=1) if self._series
                         else np.empty((4, 0))]
         times, mass, orbital, deviation = self._series[0]
+        self.seconds += time.perf_counter() - start
         return TrajectoryDiagnostics(
-            grid=self.table.grid,
             times=times,
             mass=mass,
             orbital_distance=orbital,
@@ -465,15 +472,13 @@ def default_snapshot_windows(horizon: float) -> tuple:
     return ((0.0, _SNAPSHOT_WIDTH), (float(horizon) - _SNAPSHOT_WIDTH, float(horizon)))
 
 
-def emit(diag: TrajectoryDiagnostics, path: str, spectrum: SpectrumWriter) -> None:
-    """Write the series CSV of diag to path, and close spectrum.
+def emit(diag: TrajectoryDiagnostics, path: str) -> None:
+    """Write the series CSV of diag to path, and nothing else.
 
-    path's directory must exist.  spectrum is the SpectrumWriter the
-    recorder of diag streamed its blocks into; closing it finishes the
-    spectrum CSV (the header alone if no snapshot was written).  Files are
-    comma-separated with LF line endings; floats carry 17 significant
-    digits so a parse recovers them bit-exactly.  An empty trajectory
-    produces a header-only series CSV.
+    path's directory must exist.  The spectrum CSV is the SpectrumWriter's,
+    finished by whoever opened it.  The file is comma-separated with LF line
+    endings; floats carry 17 significant digits so a parse recovers them
+    bit-exactly.  An empty trajectory produces a header-only series CSV.
 
     The series' four columns are formatted by _serialize.FloatFormatter,
     512 rows (2048 values) per pass: whole-array passes that give the bytes
@@ -490,4 +495,3 @@ def emit(diag: TrajectoryDiagnostics, path: str, spectrum: SpectrumWriter) -> No
         for first in range(0, len(diag.times), per_chunk):
             rows = np.column_stack([a[first : first + per_chunk] for a in columns])
             fh.write(b"%b,%b,%b,%b\n" * len(rows) % tuple(formatter(rows)))
-    spectrum.close()

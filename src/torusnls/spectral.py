@@ -178,6 +178,13 @@ class Grid:
             w = self._sobolev_weights[s] = _read_only(w)
         return w
 
+    def weights_finite(self, s: float) -> bool:
+        """Whether (d K^2)^s, the largest |j|^(2s) on the grid, is a finite float."""
+        try:
+            return math.isfinite(float(self.d * self.K**2) ** s)
+        except OverflowError:
+            return False
+
     def index_of(self, j: int | Sequence[int]) -> tuple[int, ...]:
         """Array position of mode j (shifted by +K per axis)."""
         m = as_mode(j, self.d)

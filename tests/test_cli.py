@@ -467,6 +467,13 @@ def test_main_config_errors(tmp_path, capsys):
     assert "--h takes one value outside sweep" in capsys.readouterr().err
     assert main(["check", "--d", "70"]) == 2
     assert "config error: d = 70" in capsys.readouterr().err
+    # an s whose H^s weights overflow, 256^128 at d = 1, K = 16, writes nothing
+    out = tmp_path / "s128"
+    assert main(["simulate", "--s", "128", "--steps", "10", "--cadence", "1",
+                 "--out", str(out)]) == 2
+    assert "config error: s" in capsys.readouterr().err
+    assert not out.exists()
+    assert RunConfig(s=127.0).s == 127.0
     # an axis with no values is an error, not an empty sweep
     assert main(["sweep", "--h", "", "--rho2", "0.4", "--out", str(tmp_path)]) == 2
     assert "--h gives no values" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,7 @@ from torusnls import (
     u_to_xi,
     weighted_deviation,
 )
-from torusnls._serialize import format_float, write_csv
+from torusnls._serialize import FloatFormatter, format_float, write_csv
 from torusnls.diagnostics import _BLOCK_ROWS, TrajectoryDiagnostics, _block_rows
 from torusnls.spectral import _row_sums
 
@@ -260,8 +261,8 @@ def _windowed(samples, h, windows):
 def _record(table, samples, out, windows=ALL, runid="run", recorder=TrajectoryRecorder):
     """Feed the (n, u) samples, up to a BlowUpError, to a recorder (of the
     given class) whose writer streams the snapshots in windows into
-    out/<runid>_spectrum.csv; emit the series into out/<runid>_series.csv
-    and return the run's diagnostics."""
+    out/<runid>_spectrum.csv; close the writer, emit the series into
+    out/<runid>_series.csv and return the run's diagnostics."""
     out.mkdir(parents=True, exist_ok=True)
     with SpectrumWriter(str(out / f"{runid}_spectrum.csv"), table.grid, windows) as writer:
         rec = recorder(table, s=5.0, spectrum=writer)
@@ -271,7 +272,7 @@ def _record(table, samples, out, windows=ALL, runid="run", recorder=TrajectoryRe
         except BlowUpError:
             pass
         diag = rec.finalize()
-        emit(diag, str(out / f"{runid}_series.csv"), writer)
+    emit(diag, str(out / f"{runid}_series.csv"))
     return diag
 
 
@@ -296,9 +297,10 @@ def test_recorder_series(grid16, table16, make_datum, tmp_path):
     # the snapshots leave through the writer alone, and the run's metadata
     # is its caller's (cmd_simulate builds the meta JSON)
     assert [f.name for f in dataclasses.fields(TrajectoryDiagnostics)] == [
-        "grid", "times", "mass", "orbital_distance", "deviation", "transform_ok"]
-    # an s that would make every distance and D NaN is refused up front
-    for bad in (math.nan, math.inf, -1.0):
+        "times", "mass", "orbital_distance", "deviation", "transform_ok"]
+    # an s that would make every distance and D NaN is refused up front, as
+    # is one whose weights overflow (256^128 at d = 1, K = 16)
+    for bad in (math.nan, math.inf, -1.0, 128.0):
         with pytest.raises(DomainError, match="s must be"):
             TrajectoryRecorder(table16, s=bad)
     # a field on another grid is refused, not recorded with D = NaN, and
@@ -697,8 +699,7 @@ def test_emit_series_matches_write_csv_with_failed_xi_rows(grid16, table16, make
     columns = ("times", "mass", "orbital_distance", "deviation")
     long = dataclasses.replace(d, **{k: np.tile(getattr(d, k), 11) for k in columns})
     for diag, nans in ((d, 2), (long, 22)):
-        emit(diag, str(tmp_path / "nan_series.csv"),
-             SpectrumWriter(str(tmp_path / "spectrum.csv"), grid16, ()))
+        emit(diag, str(tmp_path / "nan_series.csv"))
         reference = tmp_path / "reference.csv"
         write_csv(str(reference), ("t", "mass", "orbital_distance", "D"),
                   zip(*(getattr(diag, k).tolist() for k in columns)))
@@ -723,7 +724,8 @@ def test_emit_2d_mode_columns(grid2d, make_datum, tmp_path):
         )
         integrate(u, StepScheme(StepVariant.LIE_TROTTER, 0.02), -1, 5,
                   observer=rec, cadence=5)
-        emit(rec.finalize(), str(tmp_path / "two_series.csv"), writer)
+        diag = rec.finalize()
+    emit(diag, str(tmp_path / "two_series.csv"))
     spectrum = list(csv.reader(open(tmp_path / "two_spectrum.csv")))
     assert spectrum[0] == ["t", "j1", "j2", "abs_uj"]
     assert spectrum[1][1:3] == ["-2", "-2"]
@@ -752,7 +754,6 @@ def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
                  (0.5, np.array([1e-300, 2.5, 1 / 3, 7.0]))]
     times = np.array([t for t, _ in snapshots])
     diag = TrajectoryDiagnostics(
-        grid=grid,
         times=times,
         mass=np.array([0.4, 0.4]),
         orbital_distance=np.array([0.01, 0.01]),
@@ -761,7 +762,8 @@ def test_emit_spectrum_text_of_non_finite_snapshot(tmp_path):
     )
     writer = SpectrumWriter(str(tmp_path / "odd_spectrum.csv"), grid, ALL)
     writer.write(times, np.stack([m for _, m in snapshots]).astype(complex))
-    emit(diag, str(tmp_path / "odd_series.csv"), writer)
+    writer.close()
+    emit(diag, str(tmp_path / "odd_series.csv"))
     text = (tmp_path / "odd_spectrum.csv").read_bytes().decode()
     assert text == _reference_spectrum(grid, snapshots)
     assert "0.30000000000000004,-2,NaN\n0.30000000000000004,-1,Infinity\n" in text
@@ -834,6 +836,30 @@ def test_spectrum_writer_closes_once_and_then_refuses_rows(grid2, tmp_path):
     assert path.read_bytes() == b"t,j,abs_uj\n0.5,-2,1\n0.5,-1,2\n0.5,0,0\n0.5,1,0.25\n"
     with pytest.raises(ValueError, match="closed"):
         writer.write(np.array([1.0]), np.zeros((1, 4), dtype=complex))
+
+
+def test_recorder_seconds_count_calls_finalize_and_writer(table16, make_datum, tmp_path,
+                                                          monkeypatch):
+    # the recorder's clock runs in each call and in finalize(), and holds the
+    # writer's: its rows are formatted (slowly here) inside finalize()
+    real_format = FloatFormatter.__call__
+
+    def slow_format(self, values):
+        time.sleep(0.05)
+        return real_format(self, values)
+
+    monkeypatch.setattr(FloatFormatter, "__call__", slow_format)
+    with SpectrumWriter(str(tmp_path / "clock_spectrum.csv"), table16.grid, ALL) as writer:
+        rec = TrajectoryRecorder(table16, s=5.0, spectrum=writer)
+        assert rec.seconds == 0.0
+        for n, u in _observed(make_datum, table16.grid, 3, 1):
+            before = rec.seconds
+            rec(n, u)
+            assert rec.seconds > before
+        before = rec.seconds
+        rec.finalize()
+        assert rec.seconds > before
+        assert rec.seconds >= writer.seconds >= 0.05
 
 
 def _traced_peak_of_streamed_run(make_datum, grid, steps, out):

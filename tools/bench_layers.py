@@ -15,7 +15,10 @@ epsilon = 0.01, s = 5, carrier at the origin):
   --calls samples rounded down to whole blocks, then calls finalize(), as
   `simulate` feeds its one recorder, and the figure is per sample.  The
   block size is the current package's (`diagnostics._block_rows` of the
-  grid), and the baseline side is fed blocks of the same size;
+  grid), and the baseline side is fed blocks of the same size.  The
+  figure includes the recorder's own clock (two perf_counter calls a
+  sample); a package whose recorder keeps none had `simulate` make those
+  calls outside the recorder, so they fall outside its figure;
 - step_us: one step of each splitting variant, h = 0.04, from the
   package's initial datum, timed through the public `integrate` (so a
   baseline without the current stepper's methods runs the same loop): a run
@@ -28,19 +31,14 @@ epsilon = 0.01, s = 5, carrier at the origin):
   them, per spectrum row: the coefficients of the samples a list observer
   collected go to a `SpectrumWriter` one recorder block at a time (blocks
   of the size observe_us uses, cut before the clock starts), which takes
-  their |u_j|, then `emit` writes a recorder's series of the same samples
-  and closes the writer.  Each side writes the run its own package
-  integrated;
+  their |u_j|, then the writer is closed and `emit` writes a recorder's
+  series of the same samples.  A baseline package whose `emit` takes the
+  writer and closes it is driven through that signature, with the same work
+  inside the clock.  Each side writes the run its own package integrated;
 - format_ns_per_value: the emission kernel alone, a call of a
   `_serialize.FloatFormatter` of the spectrum writer's pass size
   (`diagnostics._EMIT_VALUES`) on all the magnitudes of that run, per
   value; the formatter is built before the clock starts.
-
-A package from before the SpectrumWriter owned the snapshot windows (its
-writer takes no windows) is driven through its own signatures, with the
-same work inside the clock: its recorder gets the windows, its writer the
-magnitudes, taken per block in the emit loop, and its emit also writes the
-meta JSON of a few hundred bytes.
 
 and, for the non-resonance enumerator, one `check_assumption2` call at each
 point of ENUM_POINTS: the four `sweep-k12` points that enumerate in full
@@ -111,22 +109,10 @@ def load_package(src: str, name: str) -> str:
     return name
 
 
-def writer_owns_windows(diagnostics) -> bool:
-    """Whether the package's SpectrumWriter takes the snapshot windows (else
-    its TrajectoryRecorder does)."""
-    return "windows" in inspect.signature(diagnostics.SpectrumWriter).parameters
-
-
-def streaming_recorder(diagnostics, table, s: float, path: str, windows: tuple):
-    """A TrajectoryRecorder and the SpectrumWriter at path it streams the
-    snapshots in windows into, built through the package's own signatures."""
-    if writer_owns_windows(diagnostics):
-        writer = diagnostics.SpectrumWriter(path, table.grid, windows)
-        return diagnostics.TrajectoryRecorder(table, s, writer), writer
-    writer = diagnostics.SpectrumWriter(path, table.grid)
-    recorder = diagnostics.TrajectoryRecorder(table, s, snapshot_windows=windows,
-                                              spectrum=writer)
-    return recorder, writer
+def emit_closes_writer(diagnostics) -> bool:
+    """Whether the package's emit takes the SpectrumWriter and closes it
+    (else the writer's opener closes it)."""
+    return "spectrum" in inspect.signature(diagnostics.emit).parameters
 
 
 def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
@@ -151,9 +137,9 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     stepper = integrator._Stepper(datum.grid, config.step_scheme(), config.lam)
 
     def observe(calls):
-        recorder, writer = streaming_recorder(
-            diagnostics, table, config.s, os.path.join(out_dir, f"{pkg}_obs.csv"), ((0.0, 1.0),)
-        )
+        writer = diagnostics.SpectrumWriter(os.path.join(out_dir, f"{pkg}_obs.csv"),
+                                            table.grid, ((0.0, 1.0),))
+        recorder = diagnostics.TrajectoryRecorder(table, config.s, writer)
         samples = max(1, calls // block) * block
 
         def run():
@@ -191,23 +177,19 @@ def cases(pkg: str, d: int, K: int, block: int, out_dir: str) -> dict:
     mags = np.abs(fields)
     blocks = [slice(first, first + block) for first in range(0, len(times), block)]
     spectrum = os.path.join(out_dir, f"{pkg}_spectrum.csv")
+    series = os.path.join(out_dir, f"{pkg}_series.csv")
+    closes = emit_closes_writer(diagnostics)
 
     def emit(calls):
-        if writer_owns_windows(diagnostics):
-            def run_once():
-                writer = diagnostics.SpectrumWriter(spectrum, datum.grid, ((0.0, times[-1]),))
-                for rows in blocks:
-                    writer.write(times[rows], fields[rows])
-                diagnostics.emit(recorded, os.path.join(out_dir, f"{pkg}_series.csv"), writer)
-        else:
-            buffer = np.empty((block, *datum.grid.shape))
-
-            def run_once():
-                writer = diagnostics.SpectrumWriter(spectrum, datum.grid)
-                for rows in blocks:
-                    writer.write(times[rows].tolist(),
-                                 np.abs(fields[rows], out=buffer[: len(times[rows])]))
-                diagnostics.emit(recorded, out_dir, spectrum=writer)
+        def run_once():
+            writer = diagnostics.SpectrumWriter(spectrum, datum.grid, ((0.0, times[-1]),))
+            for rows in blocks:
+                writer.write(times[rows], fields[rows])
+            if closes:
+                diagnostics.emit(recorded, series, writer)
+            else:
+                writer.close()
+                diagnostics.emit(recorded, series)
 
         def run():
             for _ in range(EMIT_CALLS):
